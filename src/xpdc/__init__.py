@@ -13,6 +13,7 @@ from .physics import (
     bragg_angle,
     detection_chain_efficiency,
     emission_angle_approx,
+    emission_angles,
     emission_angles_exact,
     geometric_acceptance,
     polarization_suppression,
@@ -22,20 +23,16 @@ from .events import (
     ConfigError,
     DetectorResponse,
     EVENT_DTYPE,
-    EventRecord,
     ExperimentModel,
     GaussianLine,
     RunConfig,
     RunManifest,
     SourceModel,
-    TruePhoton,
-    apply_detector_response,
-    sample_background,
-    sample_spdc_pair,
     simulate_run,
 )
 from .analysis import (
     AnalysisError,
+    AnalysisResult,
     CoincidenceCriteria,
     CorrelationMap,
     EfficiencyResult,
@@ -44,6 +41,7 @@ from .analysis import (
     RoiResult,
     RoiSpec,
     ScanResult,
+    analyze,
     build_correlation_map,
     conversion_efficiency,
     energy_peak_centroid,

@@ -85,10 +85,6 @@ class CorrelationMap:
     def dt_marginal(self) -> np.ndarray:
         return self.counts.sum(axis=0)
 
-    @property
-    def e_marginal(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
 
 @dataclass(frozen=True)
 class GaussianFit:
@@ -170,6 +166,24 @@ class EfficiencyResult:
     total_rate_per_hr: float
     efficiency: float
     incident_per_pair: float
+
+
+@dataclass(frozen=True)
+class AnalysisResult:
+    """Everything one pass of analyze() produces.
+
+    time_fit, energy_fit and energy_centroid are None when that stage
+    had nothing to work on (no pairs, no coincident excess) or its fit
+    failed.  roi is the region of interest roi_result was measured in.
+    """
+
+    pairs: np.ndarray
+    corr_map: CorrelationMap
+    time_fit: GaussianFit | None
+    energy_fit: GaussianFit | None
+    energy_centroid: float | None
+    roi: RoiSpec
+    roi_result: RoiResult
 
 
 # ---------------------------------------------------------------------------
@@ -473,23 +487,33 @@ def fit_time_profile(corr_map: CorrelationMap) -> GaussianFit:
     return fit_gaussian_profile(corr_map.dt_centers_ns, marginal)
 
 
+def _signal_and_sidebands(
+    corr_map: CorrelationMap, t_half_width_ns: float, sideband_inner_ns: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """dt columns of the signal region (|dt| <= t_half_width) and of the
+    sidebands (|dt| >= sideband_inner), and the column-count ratio that
+    scales the sideband counts to the accidentals under the signal."""
+    abs_dt = np.abs(corr_map.dt_centers_ns)
+    signal_cols = abs_dt <= t_half_width_ns
+    sideband_cols = abs_dt >= sideband_inner_ns
+    if not signal_cols.any() or not sideband_cols.any():
+        raise AnalysisError("signal or sideband region selects no bins")
+    if np.any(signal_cols & sideband_cols):
+        raise AnalysisError("sidebands overlap the signal region")
+    return signal_cols, sideband_cols, signal_cols.sum() / sideband_cols.sum()
+
+
 def _net_energy_profile(
     corr_map: CorrelationMap, t_half_width_ns: float, sideband_inner_ns: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Accidental-subtracted E1 profile and its per-bin errors.
 
-    Columns with |dt| <= t_half_width form the signal region; columns
-    with |dt| >= sideband_inner estimate the accidental spectrum, scaled
-    by the column-count ratio, and are subtracted.
+    The sideband spectrum, scaled to the signal region, is subtracted
+    from the signal-region spectrum.
     """
-    dt_c = corr_map.dt_centers_ns
-    signal_cols = np.abs(dt_c) <= t_half_width_ns
-    sideband_cols = np.abs(dt_c) >= sideband_inner_ns
-    if not signal_cols.any() or not sideband_cols.any():
-        raise AnalysisError("signal or sideband region is empty")
-    if np.any(signal_cols & sideband_cols):
-        raise AnalysisError("sidebands overlap the signal region")
-    scale = signal_cols.sum() / sideband_cols.sum()
+    signal_cols, sideband_cols, scale = _signal_and_sidebands(
+        corr_map, t_half_width_ns, sideband_inner_ns
+    )
     signal = corr_map.counts[:, signal_cols].sum(axis=1).astype(np.float64)
     sideband = corr_map.counts[:, sideband_cols].sum(axis=1).astype(np.float64)
     profile = signal - scale * sideband
@@ -543,21 +567,15 @@ def roi_rate(corr_map: CorrelationMap, roi: RoiSpec) -> RoiResult:
     """
     if roi.sideband_inner_ns <= roi.t_half_width_ns:
         raise AnalysisError("sidebands overlap the region of interest")
-    e_c = corr_map.e_centers_ev
-    dt_c = corr_map.dt_centers_ns
-    e_rows = np.abs(e_c - roi.e_center_ev) <= roi.e_half_width_ev
-    roi_cols = np.abs(dt_c) <= roi.t_half_width_ns
-    sb_cols = np.abs(dt_c) >= roi.sideband_inner_ns
-    if not e_rows.any() or not roi_cols.any():
+    e_rows = np.abs(corr_map.e_centers_ev - roi.e_center_ev) <= roi.e_half_width_ev
+    if not e_rows.any():
         raise AnalysisError("region of interest selects no bins")
-    if not sb_cols.any():
-        raise AnalysisError("sideband region selects no bins")
-    if np.any(roi_cols & sb_cols):
-        raise AnalysisError("sidebands overlap the region of interest")
+    roi_cols, sb_cols, scale = _signal_and_sidebands(
+        corr_map, roi.t_half_width_ns, roi.sideband_inner_ns
+    )
     sub = corr_map.counts[e_rows]
     roi_counts = int(sub[:, roi_cols].sum())
     sb_counts = int(sub[:, sb_cols].sum())
-    scale = roi_cols.sum() / sb_cols.sum()
     net_counts = roi_counts - scale * sb_counts
     variance = roi_counts + scale * scale * sb_counts
     hours = corr_map.duration_s / 3600.0 * corr_map.mean_current
@@ -668,4 +686,69 @@ def conversion_efficiency(
         total_rate_per_hr=total,
         efficiency=efficiency,
         incident_per_pair=incident_per_pair,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Pipeline
+
+
+def _optional(stage, *args):
+    """stage(*args), or None when it raises AnalysisError."""
+    try:
+        return stage(*args)
+    except AnalysisError:
+        return None
+
+
+def analyze(
+    stream1: np.ndarray,
+    stream2: np.ndarray,
+    criteria: CoincidenceCriteria,
+    duration_s: float,
+    mean_current: float = 1.0,
+    roi: RoiSpec = RoiSpec(),
+    roi_sigmas: float = 3.0,
+    sideband_sigmas: float = 5.0,
+    exclusive: bool = False,
+) -> AnalysisResult:
+    """The coincidence analysis of two detector streams, end to end.
+
+    Selects candidates, pairs them (exclusive as in
+    find_coincidence_pairs), builds the (E1, dt) map and fits its dt
+    marginal.  The region of interest keeps the energy band of roi; its
+    time half-width and sideband edge become roi_sigmas and
+    sideband_sigmas times the fitted width.  roi is used as given
+    instead (its defaults assume the nominal 212 ns width) when the
+    time fit failed, or when the fitted half-width is under one dt bin
+    or the sidebands would start beyond 0.9 of the pairing horizon.
+    The net rate, the E1 fit and the E1 centroid are all measured in
+    that one region.
+    """
+    cand1 = select_candidates(stream1, criteria)
+    cand2 = select_candidates(stream2, criteria)
+    pairs = find_coincidence_pairs(cand1, cand2, criteria, exclusive=exclusive)
+    corr_map = build_correlation_map(pairs, criteria, duration_s, mean_current)
+    time_fit = _optional(fit_time_profile, corr_map)
+    if time_fit is not None:
+        fitted = RoiSpec.from_time_fit(
+            time_fit, roi.e_center_ev, roi.e_half_width_ev, roi_sigmas, sideband_sigmas
+        )
+        if (
+            fitted.t_half_width_ns >= criteria.dt_bin_ns
+            and fitted.sideband_inner_ns < 0.9 * criteria.max_abs_dt_ns
+        ):
+            roi = fitted
+    roi_result = roi_rate(corr_map, roi)
+    window = (corr_map, roi.t_half_width_ns, roi.sideband_inner_ns)
+    energy_fit = _optional(fit_energy_profile, *window)
+    energy_centroid = _optional(energy_peak_centroid, *window)
+    return AnalysisResult(
+        pairs=pairs,
+        corr_map=corr_map,
+        time_fit=time_fit,
+        energy_fit=energy_fit,
+        energy_centroid=energy_centroid,
+        roi=roi,
+        roi_result=roi_result,
     )

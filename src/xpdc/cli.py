@@ -20,6 +20,7 @@ from .listmode import ListModeFormatError
 from .physics import (
     DEG,
     PhysicsError,
+    detection_chain_efficiency,
     emission_angles_exact,
     geometric_acceptance,
     polarization_suppression,
@@ -50,14 +51,29 @@ def _load_settings(args) -> dict[str, str]:
     return settings
 
 
-def _criteria_from_args(args) -> CoincidenceCriteria:
-    return CoincidenceCriteria(
+def _analyze(args, stream1, stream2, duration_s: float, mean_current: float):
+    """analysis.analyze with the criteria and region-of-interest flags."""
+    criteria = CoincidenceCriteria(
         single_energy_window_ev=(args.e_min * 1e3, args.e_max * 1e3),
         sum_center_ev=args.sum_center * 1e3,
         sum_half_width_ev=args.sum_half * 1e3,
         max_abs_dt_ns=args.horizon,
         dt_bin_ns=args.dt_bin,
         e_bin_ev=args.e_bin,
+    )
+    return analysis.analyze(
+        stream1,
+        stream2,
+        criteria,
+        duration_s,
+        mean_current,
+        roi=RoiSpec(
+            e_center_ev=args.roi_e_center * 1e3,
+            e_half_width_ev=args.roi_e_half * 1e3,
+        ),
+        roi_sigmas=args.roi_sigmas,
+        sideband_sigmas=args.sideband_sigmas,
+        exclusive=args.exclusive,
     )
 
 
@@ -171,65 +187,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _analyze_streams(
-    stream1: np.ndarray,
-    stream2: np.ndarray,
-    criteria: CoincidenceCriteria,
-    duration_s: float,
-    mean_current: float,
-    args,
-):
-    """Shared analyze pipeline; returns (map, time fit, energy fit, roi)."""
-    cand1 = analysis.select_candidates(stream1, criteria)
-    cand2 = analysis.select_candidates(stream2, criteria)
-    pairs = analysis.find_coincidence_pairs(
-        cand1, cand2, criteria, exclusive=args.exclusive
-    )
-    corr_map = analysis.build_correlation_map(
-        pairs, criteria, duration_s, mean_current
-    )
-    time_fit = energy_fit = energy_centroid = None
-    if len(pairs):
-        try:
-            time_fit = analysis.fit_time_profile(corr_map)
-        except AnalysisError:
-            time_fit = None
-    # Default ROI assumes the nominal 212 ns coincidence width; a sane
-    # time fit refines it.
-    roi = RoiSpec(
-        e_center_ev=args.roi_e_center * 1e3,
-        e_half_width_ev=args.roi_e_half * 1e3,
-    )
-    if time_fit is not None:
-        fitted = RoiSpec.from_time_fit(
-            time_fit,
-            e_center_ev=args.roi_e_center * 1e3,
-            e_half_width_ev=args.roi_e_half * 1e3,
-            roi_sigmas=args.roi_sigmas,
-            sideband_sigmas=args.sideband_sigmas,
-        )
-        if (
-            fitted.t_half_width_ns >= criteria.dt_bin_ns
-            and fitted.sideband_inner_ns < 0.9 * criteria.max_abs_dt_ns
-        ):
-            roi = fitted
-    roi_result = analysis.roi_rate(corr_map, roi)
-    if len(pairs):
-        try:
-            energy_fit = analysis.fit_energy_profile(
-                corr_map, roi.t_half_width_ns, roi.sideband_inner_ns
-            )
-        except AnalysisError:
-            energy_fit = None
-        try:
-            energy_centroid = analysis.energy_peak_centroid(
-                corr_map, roi.t_half_width_ns, roi.sideband_inner_ns
-            )
-        except AnalysisError:
-            energy_centroid = None
-    return corr_map, time_fit, energy_fit, energy_centroid, roi_result
-
-
 def _write_map_csv(path: str, corr_map) -> None:
     lines = [
         f"# duration_s = {corr_map.duration_s}",
@@ -243,10 +200,8 @@ def _write_map_csv(path: str, corr_map) -> None:
     e_centers = corr_map.e_centers_ev
     dt_centers = corr_map.dt_centers_ns
     counts = corr_map.counts
-    for i, e in enumerate(e_centers):
-        row = counts[i]
-        for j in np.nonzero(row)[0]:
-            lines.append(f"{e:.1f},{dt_centers[j]:.1f},{int(row[j])}")
+    for i, j in zip(*np.nonzero(counts)):  # row-major: by E1, then dt
+        lines.append(f"{e_centers[i]:.1f},{dt_centers[j]:.1f},{int(counts[i, j])}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -273,17 +228,15 @@ def cmd_analyze(args) -> int:
             f"warning: no manifest/duration given; using stream span {duration_s:.3f} s",
             file=sys.stderr,
         )
-    criteria = _criteria_from_args(args)
-    corr_map, time_fit, energy_fit, energy_centroid, roi_result = _analyze_streams(
-        stream1, stream2, criteria, duration_s, mean_current, args
-    )
+    result = _analyze(args, stream1, stream2, duration_s, mean_current)
     os.makedirs(args.out, exist_ok=True)
-    _write_map_csv(os.path.join(args.out, "correlation_map.csv"), corr_map)
+    _write_map_csv(os.path.join(args.out, "correlation_map.csv"), result.corr_map)
 
+    time_fit, energy_fit, roi = result.time_fit, result.energy_fit, result.roi_result
     report: dict[str, object] = {
         "events_d1": len(stream1),
         "events_d2": len(stream2),
-        "pairs_accepted": int(corr_map.counts.sum()),
+        "pairs_accepted": int(result.corr_map.counts.sum()),
         "duration_s": duration_s,
         "mean_current": mean_current,
     }
@@ -300,16 +253,15 @@ def cmd_analyze(args) -> int:
             peak_e1_err_ev=f"{energy_fit.center_err:.1f}",
             peak_e1_sigma_ev=f"{energy_fit.sigma:.1f}",
         )
-    if energy_centroid is not None:
-        report["peak_e1_centroid_ev"] = f"{energy_centroid:.1f}"
-    if roi_result is not None:
-        report.update(
-            roi_counts=roi_result.roi_counts,
-            sideband_counts=roi_result.sideband_counts,
-            sideband_estimate=f"{roi_result.sideband_estimate:.3f}",
-            net_rate_per_hr=f"{roi_result.net_rate_per_hr:.3f}",
-            net_rate_err_per_hr=f"{roi_result.net_rate_err_per_hr:.3f}",
-        )
+    if result.energy_centroid is not None:
+        report["peak_e1_centroid_ev"] = f"{result.energy_centroid:.1f}"
+    report.update(
+        roi_counts=roi.roi_counts,
+        sideband_counts=roi.sideband_counts,
+        sideband_estimate=f"{roi.sideband_estimate:.3f}",
+        net_rate_per_hr=f"{roi.net_rate_per_hr:.3f}",
+        net_rate_err_per_hr=f"{roi.net_rate_err_per_hr:.3f}",
+    )
     listmode.write_manifest(os.path.join(args.out, "analysis_report.txt"), report)
     for key, value in report.items():
         print(f"{key} = {value}")
@@ -338,21 +290,11 @@ def cmd_scan(args) -> int:
             stream1, stream2, manifest = events.simulate_run(
                 run, config_hash=cfg.config_hash(run_settings)
             )
-            criteria = _criteria_from_args(args)
-            _, _, _, _, roi_result = _analyze_streams(
-                stream1,
-                stream2,
-                criteria,
-                run.duration_s,
-                run.beam_current_profile.mean,
-                args,
-            )
-            if roi_result is None:
-                continue
+            roi_result = _analyze(
+                args, stream1, stream2, run.duration_s, run.beam_current_profile.mean
+            ).roi_result
             rates.append(roi_result.net_rate_per_hr)
             variances.append(roi_result.net_rate_err_per_hr**2)
-        if not rates:
-            continue
         rate = float(np.mean(rates))
         err = math.sqrt(sum(variances)) / len(rates)
         points.append((detuning, rate, err))
@@ -408,13 +350,8 @@ def cmd_report(args) -> int:
             return EXIT_DATA
         net_rate = float(report["net_rate_per_hr"])
     acceptance = args.acceptance or _pair_acceptance(exp)
-    if exp.chain.model == "ideal":
-        chain_eff = 1.0
-    elif exp.chain.model == "constant":
-        chain_eff = exp.chain.pair_efficiency
-    else:
-        half = exp.beam.pump_energy_ev / 2
-        chain_eff = exp.chain.photon_efficiency(half) ** 2
+    pump = exp.beam.pump_energy_ev
+    chain_eff = detection_chain_efficiency(pump / 2, pump / 2, exp.chain, pump)
     result = analysis.conversion_efficiency(
         net_rate, acceptance, chain_eff, exp.beam.incident_rate_per_s
     )

@@ -58,7 +58,7 @@ _CANONICAL_UNIT = {
     "rate_per_s": "/s",
 }
 
-# key -> (dimension, default).  Dimensions "int"/"bool"/"str"/"list" are
+# key -> (dimension, default).  Dimensions "int"/"str"/"list" are
 # parsed specially; "auto" is accepted where noted.
 _SCHEMA: dict[str, tuple[str, str]] = {
     "crystal.lattice_constant": ("length_angstrom", "3.5668 A"),
@@ -72,11 +72,9 @@ _SCHEMA: dict[str, tuple[str, str]] = {
     "detector1.distance": ("length_mm", "1351 mm"),
     "detector1.area": ("area_mm2", "50 mm2"),
     "detector1.offset": ("angle_or_auto", "auto"),
-    "detector1.in_plane": ("bool", "true"),
     "detector2.distance": ("length_mm", "1560 mm"),
     "detector2.area": ("area_mm2", "50 mm2"),
     "detector2.offset": ("angle_or_auto", "auto"),
-    "detector2.in_plane": ("bool", "true"),
     "source.pair_rate": ("rate_per_s", "18900 /hr"),
     "source.split_window": ("window_or_auto", "auto"),
     "response.energy_resolution_fwhm": ("energy_ev", "150 eV"),
@@ -122,18 +120,16 @@ _DEFAULT_COMPONENTS: dict[str, dict[str, str]] = {
 ENV_PREFIX = "XPDC_"
 
 
-def _valid_key(key: str) -> bool:
+def _dimension_of(key: str) -> str | None:
+    """The dimension of a config key's value; None for an unknown key."""
     if key in _SCHEMA:
-        return True
-    if _LINE_KEY.match(key):
-        return True
+        return _SCHEMA[key][0]
     parts = key.split(".")
-    return (
-        len(parts) == 3
-        and parts[0] == "source"
-        and parts[1] in _FIXED_COMPONENTS
-        and parts[2] in _COMPONENT_FIELDS
-    )
+    if _LINE_KEY.match(key) or (
+        len(parts) == 3 and parts[0] == "source" and parts[1] in _FIXED_COMPONENTS
+    ):
+        return _COMPONENT_FIELDS.get(parts[-1])
+    return None
 
 
 def default_settings() -> dict[str, str]:
@@ -155,7 +151,7 @@ def parse_config_text(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if not _valid_key(key):
+        if _dimension_of(key) is None:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         settings[key] = value
     return settings
@@ -174,7 +170,7 @@ def env_overrides(environ: dict[str, str]) -> dict[str, str]:
             continue
         stem = name[len(ENV_PREFIX):].lower()
         key = stem.replace("__", ".") if "__" in stem else stem.replace("_", ".", 1)
-        if not _valid_key(key):
+        if _dimension_of(key) is None:
             raise ConfigError(f"environment variable {name} maps to unknown key {key!r}")
         overrides[key] = value
     return overrides
@@ -185,7 +181,7 @@ def merge_settings(*layers: dict[str, str]) -> dict[str, str]:
     merged = default_settings()
     for layer in layers:
         for key, value in layer.items():
-            if not _valid_key(key):
+            if _dimension_of(key) is None:
                 raise ConfigError(f"unknown config key {key!r}")
             merged[key] = value
     return merged
@@ -225,13 +221,6 @@ def _parse_value(key: str, value: str, dimension: str):
         return _parse_quantity(key, value, dimension)
     if dimension == "int":
         return int(value, 0)
-    if dimension == "bool":
-        lowered = value.lower()
-        if lowered in ("true", "yes", "1", "on"):
-            return True
-        if lowered in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(f"{key}: expected boolean, got {value!r}")
     if dimension == "str":
         return value
     if dimension == "intlist":
@@ -258,15 +247,6 @@ def _parse_value(key: str, value: str, dimension: str):
             pairs.append((float(energy), float(eff)))
         return tuple(pairs)
     raise AssertionError(f"unhandled dimension {dimension}")
-
-
-def _dimension_of(key: str) -> str:
-    if key in _SCHEMA:
-        return _SCHEMA[key][0]
-    match = _LINE_KEY.match(key)
-    if match:
-        return _COMPONENT_FIELDS[match.group(2)]
-    return _COMPONENT_FIELDS[key.split(".")[2]]
 
 
 def resolve_settings(settings: dict[str, str]) -> dict[str, object]:
@@ -298,8 +278,6 @@ def canonical_text(settings: dict[str, str]) -> str:
             rendered = ",".join(repr(v) for v in value)
         elif value is None:
             rendered = "auto"
-        elif isinstance(value, bool):
-            rendered = "true" if value else "false"
         elif isinstance(value, float):
             unit = _CANONICAL_UNIT.get(dimension)
             if dimension == "angle_or_auto":
@@ -322,25 +300,26 @@ def config_hash(settings: dict[str, str]) -> int:
 
 def _component_lines(
     resolved: dict[str, object], prefix: str, label: str, suppressed: bool
-) -> tuple[GaussianLine | None, GaussianLine | None]:
+) -> list[tuple[GaussianLine, GaussianLine]]:
+    """The component at prefix as (detector 1, detector 2) lines; empty
+    when it has no energy."""
     energy = resolved.get(f"{prefix}.energy")
     if energy is None:
-        return (None, None)
+        return []
     fwhm = float(resolved.get(f"{prefix}.fwhm", 0.0))
     base_rate = float(resolved.get(f"{prefix}.rate", 0.0))
-    out = []
-    for det in (1, 2):
-        rate = float(resolved.get(f"{prefix}.rate_d{det}", base_rate))
-        out.append(
+    return [
+        tuple(
             GaussianLine(
                 label=label,
                 center_ev=float(energy),
                 fwhm_ev=fwhm,
-                rate_per_s=rate,
+                rate_per_s=float(resolved.get(f"{prefix}.rate_d{det}", base_rate)),
                 suppressed=suppressed,
             )
+            for det in (1, 2)
         )
-    return (out[0], out[1])
+    ]
 
 
 def build_run_config(settings: dict[str, str]) -> RunConfig:
@@ -366,7 +345,6 @@ def build_run_config(settings: dict[str, str]) -> RunConfig:
             center_angle_offset_rad=(
                 0.0 if r[f"detector{i}.offset"] is None else float(r[f"detector{i}.offset"])
             ),
-            in_plane=bool(r[f"detector{i}.in_plane"]),
         )
         for i in (1, 2)
     )
@@ -378,21 +356,18 @@ def build_run_config(settings: dict[str, str]) -> RunConfig:
             if (match := _LINE_KEY.match(key)) is not None
         }
     )
-    lines_d1: list[GaussianLine] = []
-    lines_d2: list[GaussianLine] = []
-    for name in line_names:
-        pair = _component_lines(r, f"source.line.{name}", name, suppressed=False)
-        if pair[0] is not None:
-            lines_d1.append(pair[0])
-            lines_d2.append(pair[1])
-    compton = _component_lines(r, "source.compton", "compton", suppressed=True)
-    elastic = _component_lines(r, "source.elastic", "elastic", suppressed=True)
-
+    # Named lines in sorted order, then the polarization-suppressed
+    # Compton hump and elastic line; the order fixes the random draws.
+    components = [
+        pair
+        for name in line_names
+        for pair in _component_lines(r, f"source.line.{name}", name, suppressed=False)
+    ]
+    for name in _FIXED_COMPONENTS:
+        components += _component_lines(r, f"source.{name}", name, suppressed=True)
     source = SourceModel(
         true_pair_rate_per_s=float(r["source.pair_rate"]),
-        background_lines=(tuple(lines_d1), tuple(lines_d2)),
-        compton_hump=compton,
-        elastic_line=elastic,
+        components=tuple(zip(*components)) or ((), ()),
     )
     response = DetectorResponse(
         energy_resolution_fwhm_ev=float(r["response.energy_resolution_fwhm"]),

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +23,8 @@ from .physics import (
     CrystalConfig,
     DetectorGeometry,
     FWHM_OVER_SIGMA,
-    PhysicsError,
     bragg_angle,
+    emission_angles,
     emission_angles_exact,
     polarization_suppression,
 )
@@ -34,22 +33,6 @@ from .physics import (
 EVENT_DTYPE = np.dtype(
     [("detector_id", "<u1"), ("timestamp_ns", "<u8"), ("energy_ev", "<u4")]
 )
-
-
-class EventRecord(NamedTuple):
-    """One recorded photon after detector response."""
-
-    detector_id: int
-    timestamp_ns: int
-    energy_ev: int
-
-
-class TruePhoton(NamedTuple):
-    """A photon before detector response: exact time and energy."""
-
-    detector_id: int
-    time_ns: float
-    energy_ev: float
 
 
 class ConfigError(ValueError):
@@ -81,32 +64,17 @@ class SourceModel:
 
     true_pair_rate_per_s counts pairs emitted into the full azimuthal
     ring with energy splits inside the configured split window.
-    background_lines / compton_hump / elastic_line are per-detector
-    tuples (detector 1, detector 2).
+    components holds one tuple of background components per detector
+    (detector 1, detector 2); each component draws its own random
+    numbers, in tuple order.
     """
 
     true_pair_rate_per_s: float = 18900.0 / 3600.0
-    background_lines: tuple[tuple[GaussianLine, ...], tuple[GaussianLine, ...]] = (
-        (),
-        (),
-    )
-    compton_hump: tuple[GaussianLine | None, GaussianLine | None] = (None, None)
-    elastic_line: tuple[GaussianLine | None, GaussianLine | None] = (None, None)
+    components: tuple[tuple[GaussianLine, ...], tuple[GaussianLine, ...]] = ((), ())
 
     def __post_init__(self):
         if self.true_pair_rate_per_s < 0:
             raise ConfigError("pair rate must be >= 0")
-
-    def components(self, detector_index: int) -> tuple[GaussianLine, ...]:
-        """All background components for detector index 0 or 1."""
-        parts = list(self.background_lines[detector_index])
-        for maybe in (
-            self.compton_hump[detector_index],
-            self.elastic_line[detector_index],
-        ):
-            if maybe is not None:
-                parts.append(maybe)
-        return tuple(parts)
 
 
 @dataclass(frozen=True)
@@ -312,43 +280,11 @@ def _poisson_times(
     return times
 
 
-def _solve_emission_angles(
-    x: np.ndarray, detuning_rad: float, theta_b_rad: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized exact emission angles for an array of splits.
-
-    Newton iteration on the longitudinal closure, seeded from the
-    small-angle formula; falls back to the scalar bracketed solver for
-    any element that fails to converge.
-    """
-    y = 1.0 - x
-    closure = 1.0 - detuning_rad * math.sin(2.0 * theta_b_rad)
-    r = np.sqrt(2.0 * detuning_rad * (y / x) * math.sin(2.0 * theta_b_rad))
-    for _ in range(12):
-        s = x * np.sin(r)
-        root = np.sqrt(np.maximum(y * y - s * s, 1e-300))
-        f = x * np.cos(r) + root - closure
-        fp = -x * np.sin(r) * (1.0 + x * np.cos(r) / root)
-        step = f / np.where(fp != 0.0, fp, -1e-300)
-        r = np.clip(r - step, 1e-12, None)
-        if np.max(np.abs(f)) <= 1e-13:
-            break
-    s = x * np.sin(r)
-    f = x * np.cos(r) + np.sqrt(np.maximum(y * y - s * s, 0.0)) - closure
-    bad = np.abs(f) > 1e-12
-    if np.any(bad):
-        for i in np.nonzero(bad)[0]:
-            sol = emission_angles_exact(float(x[i]), detuning_rad, theta_b_rad)
-            r[i] = sol.r_x
-    r_y = np.arcsin(np.clip(x * np.sin(r) / y, -1.0, 1.0))
-    return r, r_y
-
-
 def _landing_probability_arrays(
     experiment: ExperimentModel,
     x: np.ndarray,
     phi: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Geometric landing decisions for signal (detector 1) and idler
     (detector 2), given energy splits and the signal azimuth.
 
@@ -360,9 +296,7 @@ def _landing_probability_arrays(
     """
     theta_b = experiment.theta_b()
     det1, det2 = experiment.positioned_detectors()
-    r_x, r_y = _solve_emission_angles(
-        x, experiment.crystal.detuning_rad, theta_b
-    )
+    r_x, r_y = emission_angles(x, experiment.crystal.detuning_rad, theta_b)
     land = []
     for det, angle in ((det1, r_x), (det2, r_y)):
         radial = np.abs(angle - det.center_angle_offset_rad) <= det.half_extent_rad
@@ -373,31 +307,7 @@ def _landing_probability_arrays(
             0.5 * det.side_mm / np.maximum(ring_radius, 1e-12),
         )
         land.append(radial & (np.abs(phi) <= half_arc))
-    return land[0], land[1], r_x, r_y
-
-
-def sample_spdc_pair(
-    rng: np.random.Generator,
-    experiment: ExperimentModel,
-    emission_time_ns: float = 0.0,
-) -> tuple[TruePhoton | None, TruePhoton | None]:
-    """Draw one down-converted pair and decide which members land.
-
-    Returns the (signal, idler) photons before detector response; a
-    member is None when it misses its detector geometrically or is lost
-    in the detection chain.  Both present members share the emission
-    time exactly, and their energies sum to the drawn pump energy
-    exactly.
-    """
-    if experiment.crystal.detuning_rad <= 0:
-        raise PhysicsError("detuning must be > 0 to generate pairs")
-    batch = _sample_pair_batch(rng, experiment, np.array([emission_time_ns]))
-    signal = idler = None
-    if batch["signal_detected"][0]:
-        signal = TruePhoton(1, float(emission_time_ns), float(batch["e_signal"][0]))
-    if batch["idler_detected"][0]:
-        idler = TruePhoton(2, float(emission_time_ns), float(batch["e_idler"][0]))
-    return signal, idler
+    return land[0], land[1]
 
 
 def _sample_pair_batch(
@@ -405,7 +315,12 @@ def _sample_pair_batch(
     experiment: ExperimentModel,
     times_ns: np.ndarray,
 ) -> dict[str, np.ndarray]:
-    """Vectorized pair sampling for an array of emission times."""
+    """Draw one down-converted pair per emission time and decide which
+    members land on their detector and survive the detection chain.
+
+    Both members share the emission time exactly, and their energies
+    sum to the drawn pump energy exactly.
+    """
     n = len(times_ns)
     lo, hi = experiment.split_window()
     x = rng.uniform(lo, hi, n)
@@ -415,23 +330,11 @@ def _sample_pair_batch(
     e_signal = x * pump
     e_idler = pump - e_signal  # exact energy conservation per pair
     phi = rng.uniform(-np.pi, np.pi, n)
-    land1, land2, _, _ = _landing_probability_arrays(experiment, x, phi)
-    chain = experiment.chain
-    if chain.model == "ideal":
-        keep1 = np.ones(n, dtype=bool)
-        keep2 = np.ones(n, dtype=bool)
-    elif chain.model == "constant":
-        eta = math.sqrt(chain.pair_efficiency)
-        keep1 = rng.random(n) < eta
-        keep2 = rng.random(n) < eta
-    else:
-        eta1 = np.array([chain.photon_efficiency(e) for e in e_signal])
-        eta2 = np.array([chain.photon_efficiency(e) for e in e_idler])
-        keep1 = rng.random(n) < eta1
-        keep2 = rng.random(n) < eta2
+    land1, land2 = _landing_probability_arrays(experiment, x, phi)
+    keep1 = rng.random(n) < experiment.chain.photon_efficiency(e_signal)
+    keep2 = rng.random(n) < experiment.chain.photon_efficiency(e_idler)
     return {
         "time_ns": times_ns,
-        "x": x,
         "e_signal": e_signal,
         "e_idler": e_idler,
         "signal_landed": land1,
@@ -450,13 +353,17 @@ def _background_arrays(
     profile: BeamCurrentProfile,
 ) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
     """Background (times_ns, energies_ev, per-component counts) for one
-    detector; unsorted across components."""
-    if detector_id not in (1, 2):
-        raise ConfigError("detector_id must be 1 or 2")
-    times_chunks: list[np.ndarray] = []
-    energy_chunks: list[np.ndarray] = []
+    detector; unsorted across components.
+
+    Each component is an independent Poisson process, thinned by the
+    beam-current profile, with Gaussian-distributed energies.
+    Components flagged as polarization-suppressed have their rates
+    multiplied by the suppression factor.
+    """
+    times_chunks = [np.empty(0)]
+    energy_chunks = [np.empty(0)]
     counts: dict[str, int] = {}
-    for line in source.components(detector_id - 1):
+    for line in source.components[detector_id - 1]:
         rate = line.rate_per_s * (suppression if line.suppressed else 1.0)
         times = _poisson_times(rng, rate, duration_s, profile)
         energies = rng.normal(
@@ -465,56 +372,7 @@ def _background_arrays(
         counts[f"d{detector_id}_{line.label}"] = len(times)
         times_chunks.append(times)
         energy_chunks.append(energies)
-    if not times_chunks:
-        return np.empty(0), np.empty(0), counts
     return np.concatenate(times_chunks), np.concatenate(energy_chunks), counts
-
-
-def sample_background(
-    rng: np.random.Generator,
-    source: SourceModel,
-    duration_s: float,
-    detector_id: int,
-    suppression: float = 1.0,
-    profile: BeamCurrentProfile | None = None,
-) -> tuple[list[TruePhoton], dict[str, int]]:
-    """Background photons for one detector over a run.
-
-    Each component is an independent homogeneous Poisson process (thinned
-    by the beam-current profile) with Gaussian-distributed energies.
-    Components flagged as polarization-suppressed have their rates
-    multiplied by the suppression factor.
-
-    Returns the photons (unsorted) and per-component counts.
-    """
-    times, energies, counts = _background_arrays(
-        rng, source, duration_s, detector_id, suppression, profile or BeamCurrentProfile()
-    )
-    photons = [
-        TruePhoton(detector_id, float(t), float(e))
-        for t, e in zip(times, energies)
-    ]
-    return photons, counts
-
-
-def apply_detector_response(
-    photon: TruePhoton,
-    response: DetectorResponse,
-    rng: np.random.Generator,
-) -> EventRecord | None:
-    """Smear one photon through the recording chain.
-
-    Adds Gaussian energy noise (sigma = fwhm / 2.355) and Gaussian time
-    jitter, quantizes the timestamp to the clock tick and the energy to
-    integer eV, and drops the event if the recorded energy falls outside
-    the recordable range (or the jittered time precedes the run start).
-    """
-    stamps, recorded, keep = _apply_response_batch(
-        np.array([photon.time_ns]), np.array([photon.energy_ev]), response, rng
-    )
-    if not keep[0]:
-        return None
-    return EventRecord(photon.detector_id, int(stamps[0]), int(recorded[0]))
 
 
 def _apply_response_batch(
@@ -523,8 +381,12 @@ def _apply_response_batch(
     response: DetectorResponse,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized detector response.
+    """Smear photons through the recording chain.
 
+    Adds Gaussian energy noise (sigma = fwhm / 2.355) and Gaussian time
+    jitter, quantizes the timestamp to the clock tick and the energy to
+    integer eV, and drops the event if the recorded energy falls outside
+    the recordable range (or the jittered time precedes the run start).
     Returns (timestamps, recorded energies, keep mask), index-aligned
     with the inputs; only entries with keep True are valid records.
     """
@@ -579,9 +441,8 @@ def simulate_run(
         mean_current=profile.mean,
     )
 
-    truth1: list[np.ndarray] = []  # (time_ns, energy_ev) column pairs
-    truth2: list[np.ndarray] = []
-    pair_flags: np.ndarray | None = None
+    truth: tuple[list, list] = ([], [])  # (time_ns, energy_ev) blocks per detector
+    pair_members = np.zeros((2, 0), dtype=bool)  # pairs sending a photon to each
 
     # Down-converted pairs (only when the cone is open).
     if exp.crystal.detuning_rad > 0 and exp.source.true_pair_rate_per_s > 0:
@@ -593,46 +454,35 @@ def simulate_run(
         manifest.pairs_landed_both = int(
             np.sum(batch["signal_landed"] & batch["idler_landed"])
         )
-        s_mask, i_mask = batch["signal_detected"], batch["idler_detected"]
-        truth1.append(
-            np.column_stack([batch["time_ns"][s_mask], batch["e_signal"][s_mask]])
-        )
-        truth2.append(
-            np.column_stack([batch["time_ns"][i_mask], batch["e_idler"][i_mask]])
-        )
-        pair_flags = np.stack([s_mask, i_mask])
+        pair_members = np.stack([batch["signal_detected"], batch["idler_detected"]])
+        for bucket, mask, energy in zip(truth, pair_members, ("e_signal", "e_idler")):
+            bucket.append(np.column_stack([times[mask], batch[energy][mask]]))
 
     # Backgrounds, independent per detector.
     suppression = polarization_suppression(
         exp.theta_b(), exp.beam.polarization_angle_rad
     )
-    for det_id, seq, bucket in ((1, bg1_seq, truth1), (2, bg2_seq, truth2)):
+    for det_id, seq, bucket in ((1, bg1_seq, truth[0]), (2, bg2_seq, truth[1])):
         rng = np.random.default_rng(seq)
         times, energies, counts = _background_arrays(
             rng, exp.source, duration, det_id, suppression, profile
         )
         manifest.background_counts.update(counts)
-        if len(times):
-            bucket.append(np.column_stack([times, energies]))
+        bucket.append(np.column_stack([times, energies]))
 
     # Detector response and stream assembly.
     resp_rng = np.random.default_rng(resp_seq)
     streams = []
-    pair_survival = []
-    for det_index, bucket in enumerate((truth1, truth2)):
-        if bucket:
-            cols = np.vstack([b.reshape(-1, 2) for b in bucket])
-        else:
-            cols = np.empty((0, 2))
-        # Pair members were appended to the bucket first, so the leading
-        # slice of the keep mask tracks their survival for the manifest.
-        n_pair_members = (
-            int(pair_flags[det_index].sum()) if pair_flags is not None else 0
-        )
+    recorded_members = np.zeros_like(pair_members)
+    for det_index, bucket in enumerate(truth):
+        cols = np.vstack(bucket)
         stamps, recorded, keep = _apply_response_batch(
             cols[:, 0], cols[:, 1], exp.response, resp_rng
         )
-        pair_survival.append(keep[:n_pair_members])
+        # Pair members lead the bucket, so the leading slice of the keep
+        # mask is their survival through the response.
+        members = pair_members[det_index]
+        recorded_members[det_index, members] = keep[: members.sum()]
 
         stream = np.empty(int(keep.sum()), dtype=EVENT_DTYPE)
         stream["detector_id"] = det_index + 1
@@ -643,15 +493,8 @@ def simulate_run(
         stream = _apply_dead_time(stream, exp.response.dead_time_ns)
         streams.append(stream)
 
-    if pair_flags is not None:
-        detected1 = np.zeros(pair_flags.shape[1], dtype=bool)
-        detected2 = np.zeros(pair_flags.shape[1], dtype=bool)
-        detected1[np.nonzero(pair_flags[0])[0]] = pair_survival[0]
-        detected2[np.nonzero(pair_flags[1])[0]] = pair_survival[1]
-        manifest.pairs_detected_both = int(np.sum(detected1 & detected2))
-        manifest.singles_detected = (
-            int(np.sum(detected1 & ~detected2)),
-            int(np.sum(~detected1 & detected2)),
-        )
+    both = recorded_members[0] & recorded_members[1]
+    manifest.pairs_detected_both = int(both.sum())
+    manifest.singles_detected = tuple(int(np.sum(m & ~both)) for m in recorded_members)
     manifest.events_recorded = (len(streams[0]), len(streams[1]))
     return streams[0], streams[1], manifest

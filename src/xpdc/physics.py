@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from scipy.optimize import brentq
+import numpy as np
 
 # hc in eV*Angstrom (CODATA 2018)
 HC_EV_ANGSTROM = 12398.419843320026
@@ -100,7 +100,6 @@ class DetectorGeometry:
     distance_mm: float
     active_area_mm2: float = 50.0
     center_angle_offset_rad: float = 0.0
-    in_plane: bool = True
 
     def __post_init__(self):
         if self.distance_mm <= 0:
@@ -193,55 +192,103 @@ def emission_angle_approx(x: float, detuning_rad: float, theta_b_rad: float) -> 
     return math.sqrt(2.0 * detuning_rad * ((1.0 - x) / x) * math.sin(2.0 * theta_b_rad))
 
 
-def emission_angles_exact(
-    x: float, detuning_rad: float, theta_b_rad: float
-) -> EmissionSolution:
+def emission_angles(
+    x, detuning_rad: float, theta_b_rad: float
+) -> tuple[np.ndarray, np.ndarray]:
     """Solve the full momentum-closure system for the pair emission angles.
 
-    Solves, without small-angle approximation,
+    Solves, without small-angle approximation and for every split in the
+    array x,
 
         x sin(r_x) = (1-x) sin(r_y)                      (transverse)
         x cos(r_x) + (1-x) cos(r_y) = 1 - dk             (longitudinal)
 
     with dk = detuning * sin(2 theta_B), by eliminating r_y through the
-    transverse condition and bracketed root search on r_x.  The
-    longitudinal closure is converged to |defect| <= 1e-12.
+    transverse condition.  The longitudinal defect in r_x falls
+    monotonically from dk at r_x = 0 to the end of the bracket
+    [0, r_max], so the root is unique.  Newton steps, seeded from the
+    small-angle formula, are taken while they stay inside the shrinking
+    bracket, and the bracket is bisected otherwise.  Both closure
+    conditions are converged to |defect| <= 1e-12.
 
     Returns
     -------
-    EmissionSolution
+    (r_x, r_y) : tuple[np.ndarray, np.ndarray]
+        Signal and idler offsets from the Laue direction, in radians.
+
+    Raises
+    ------
+    PhaseMatchingError
+        If detuning <= 0 or no real solution exists for some split.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    _check_split(x)
+    if detuning_rad <= 0:
+        raise PhaseMatchingError("detuning must be > 0 for a real emission cone")
+    y = 1.0 - x
+    dk = detuning_rad * math.sin(2.0 * theta_b_rad)
+    closure = 1.0 - dk
+    gap = np.abs(x - y)
+    if np.any(closure <= gap):
+        raise PhaseMatchingError(
+            "phase-matching unreachable: longitudinal closure "
+            f"{closure:.6g} below the minimum {gap.max():.6g} "
+            f"for x = {x[gap.argmax()]:.4g}"
+        )
+
+    def defect(r):
+        s = x * np.sin(r)
+        root = np.sqrt(np.maximum(y * y - s * s, 0.0))
+        return x * np.cos(r) + root - closure, root
+
+    lo = np.zeros_like(x)
+    hi = np.where(x > y, np.arcsin(np.minimum(y / x, 1.0)), 0.5 * math.pi)
+    if np.any(defect(hi)[0] > 0.0):
+        raise PhaseMatchingError("phase-matching unreachable: no real emission angle")
+    r = np.sqrt(2.0 * dk * y / x)
+    r = np.where(r < hi, r, 0.5 * hi)
+    done = np.zeros(x.shape, dtype=bool)
+    for _ in range(200):
+        f, root = defect(r)
+        lo = np.where(f > 0.0, r, lo)
+        hi = np.where(f < 0.0, r, hi)
+        slope = -x * np.sin(r) * (1.0 + x * np.cos(r) / np.maximum(root, 1e-300))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = r - f / slope
+        converged = np.abs(f) <= 1e-13
+        # A converged angle keeps its value when the last Newton step
+        # would leave the bracket, rather than jumping to its midpoint.
+        step = np.where(
+            (newton > lo) & (newton < hi),
+            newton,
+            np.where(converged, r, 0.5 * (lo + hi)),
+        )
+        # Each angle takes one step past convergence and then stays, so it
+        # does not depend on the other splits in the array.
+        r = np.where(done, r, step)
+        done |= converged
+        if done.all():
+            break
+    r_y = np.arcsin(np.minimum(1.0, x * np.sin(r) / y))
+    residual = np.abs(x * np.sin(r) - y * np.sin(r_y))
+    if np.any(np.abs(defect(r)[0]) > 1e-12) or np.any(residual > 1e-12):
+        raise PhaseMatchingError("emission-angle solver failed to converge")
+    return r, r_y
+
+
+def emission_angles_exact(
+    x: float, detuning_rad: float, theta_b_rad: float
+) -> EmissionSolution:
+    """emission_angles for one split x, with its transverse residual.
 
     Raises
     ------
     PhaseMatchingError
         If detuning <= 0 or no real solution exists.
     """
-    _check_split(x)
-    if detuning_rad <= 0:
-        raise PhaseMatchingError("detuning must be > 0 for a real emission cone")
-    y = 1.0 - x
-    closure = 1.0 - detuning_rad * math.sin(2.0 * theta_b_rad)
-    if closure <= abs(x - y):
-        raise PhaseMatchingError(
-            "phase-matching unreachable: longitudinal closure "
-            f"{closure:.6g} below the minimum {abs(x - y):.6g} for x = {x:.4g}"
-        )
-
-    def defect(r_x: float) -> float:
-        s = x * math.sin(r_x)
-        return x * math.cos(r_x) + math.sqrt(max(y * y - s * s, 0.0)) - closure
-
-    # defect(0) = detuning * sin(2 theta_B) > 0 and defect decreases
-    # monotonically to the bracket end, so the root is unique.
-    r_max = math.asin(y / x) if x > y else 0.5 * math.pi
-    if defect(r_max) > 0.0:
-        raise PhaseMatchingError("phase-matching unreachable: no real emission angle")
-    r_x = brentq(defect, 0.0, r_max, xtol=1e-16, rtol=8.9e-16, maxiter=200)
-    r_y = math.asin(min(1.0, x * math.sin(r_x) / y))
-    residual = abs(x * math.sin(r_x) - y * math.sin(r_y))
-    if abs(defect(r_x)) > 1e-12 or residual > 1e-12:
-        raise PhaseMatchingError("emission-angle solver failed to converge")
-    return EmissionSolution(x=x, y=y, r_x=r_x, r_y=r_y, residual=residual)
+    r_x, r_y = (float(r[0]) for r in emission_angles([x], detuning_rad, theta_b_rad))
+    residual = abs(x * math.sin(r_x) - (1.0 - x) * math.sin(r_y))
+    return EmissionSolution(x=x, y=1.0 - x, r_x=r_x, r_y=r_y, residual=residual)
 
 
 def polarization_suppression(theta_b_rad: float, chi_rad: float) -> float:
@@ -319,22 +366,14 @@ class ChainEfficiencyModel:
                     "table efficiency must be non-decreasing over 5-17 keV"
                 )
 
-    def photon_efficiency(self, energy_ev: float) -> float:
-        """Survival probability for one photon of the given energy."""
-        if self.model == "ideal":
-            return 1.0
-        if self.model == "constant":
-            return math.sqrt(self.pair_efficiency)
-        pts = self.table
-        if energy_ev <= pts[0][0]:
-            return pts[0][1]
-        if energy_ev >= pts[-1][0]:
-            return pts[-1][1]
-        for (e0, v0), (e1, v1) in zip(pts, pts[1:]):
-            if e0 <= energy_ev <= e1:
-                t = (energy_ev - e0) / (e1 - e0)
-                return v0 + t * (v1 - v0)
-        raise AssertionError("unreachable")
+    def photon_efficiency(self, energy_ev):
+        """Survival probability for photons of the given energy (a number
+        or an array of them)."""
+        if self.model == "table":
+            energies, effs = zip(*self.table)
+            return np.interp(energy_ev, energies, effs)
+        eta = 1.0 if self.model == "ideal" else math.sqrt(self.pair_efficiency)
+        return np.full(np.shape(energy_ev), eta)[()]
 
 
 def detection_chain_efficiency(
@@ -361,6 +400,6 @@ def detection_chain_efficiency(
     )
 
 
-def _check_split(x: float) -> None:
-    if not 0.0 < x < 1.0:
+def _check_split(x) -> None:
+    if not np.all((0.0 < x) & (x < 1.0)):
         raise PhysicsError(f"energy fraction x must be in (0, 1), got {x}")

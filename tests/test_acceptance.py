@@ -14,14 +14,11 @@ from scipy import stats
 from xpdc.analysis import (
     CoincidenceCriteria,
     RoiSpec,
-    build_correlation_map,
+    analyze,
     conversion_efficiency,
-    energy_peak_centroid,
     find_coincidence_pairs,
     fit_misalignment_scan,
-    fit_time_profile,
     roi_rate,
-    select_candidates,
 )
 from xpdc.config import build_run_config, config_hash, default_settings
 from xpdc.events import EVENT_DTYPE, simulate_run
@@ -46,32 +43,18 @@ def report(number, name, checks):
     assert ok, f"criterion {number} ({name}) failed"
 
 
-def analyze_run(run, roi_e_half_ev=1500.0, roi_spec=None):
-    """Simulate and push one run through the full analysis chain."""
+def simulate_and_analyze(run, roi_e_half_ev=1500.0):
+    """Simulate one run and push it through the analysis pipeline."""
     stream1, stream2, manifest = simulate_run(run)
-    cand1 = select_candidates(stream1, CRITERIA)
-    cand2 = select_candidates(stream2, CRITERIA)
-    pairs = find_coincidence_pairs(cand1, cand2, CRITERIA)
-    corr = build_correlation_map(
-        pairs, CRITERIA, run.duration_s, run.beam_current_profile.mean
+    result = analyze(
+        stream1,
+        stream2,
+        CRITERIA,
+        run.duration_s,
+        run.beam_current_profile.mean,
+        roi=RoiSpec(e_half_width_ev=roi_e_half_ev),
     )
-    time_fit = None
-    if len(pairs):
-        time_fit = fit_time_profile(corr)
-    if roi_spec is None:
-        if time_fit is not None:
-            roi_spec = RoiSpec.from_time_fit(time_fit, e_half_width_ev=roi_e_half_ev)
-        else:
-            roi_spec = RoiSpec(e_half_width_ev=roi_e_half_ev)
-    roi_result = roi_rate(corr, roi_spec)
-    return {
-        "manifest": manifest,
-        "pairs": pairs,
-        "map": corr,
-        "time_fit": time_fit,
-        "roi_spec": roi_spec,
-        "roi": roi_result,
-    }
+    return manifest, result
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +62,7 @@ def reference_run_result():
     settings = default_settings()
     settings["run.duration"] = "1800 s"
     settings["run.seed"] = "3"
-    return analyze_run(build_run_config(settings))
+    return simulate_and_analyze(build_run_config(settings))
 
 
 def test_criterion_1_geometry():
@@ -150,19 +133,14 @@ def test_criterion_4_efficiency_arithmetic():
 
 
 def test_criterion_5_end_to_end_reference_reproduction(reference_run_result):
-    result = reference_run_result
-    manifest = result["manifest"]
-    corr = result["map"]
-    time_fit = result["time_fit"]
-    roi_spec = result["roi_spec"]
-    roi = result["roi"]
+    manifest, result = reference_run_result
+    corr = result.corr_map
+    time_fit = result.time_fit
+    roi = result.roi_result
 
     hours = manifest.duration_s / 3600.0
     true_rate = manifest.pairs_detected_both / hours
-    centroid_kev = (
-        energy_peak_centroid(corr, roi_spec.t_half_width_ns, roi_spec.sideband_inner_ns)
-        / 1e3
-    )
+    centroid_kev = result.energy_centroid / 1e3
     net_counts = roi.net_rate_per_hr * hours
     err_counts = roi.net_rate_err_per_hr * hours
     true_counts = manifest.pairs_detected_both
@@ -221,15 +199,15 @@ def test_criterion_6_control_run(reference_run_result):
     settings["run.seed"] = "5"
     run = build_run_config(settings)
     roi_spec = RoiSpec.from_time_fit(
-        reference_run_result["time_fit"], e_half_width_ev=1000.0
+        reference_run_result[1].time_fit, e_half_width_ev=1000.0
     )
-    result = analyze_run(run, roi_spec=roi_spec)
-    net = result["roi"].net_rate_per_hr
+    manifest, result = simulate_and_analyze(run)
+    net = roi_rate(result.corr_map, roi_spec).net_rate_per_hr
     checks = [
         (
             "pairs generated with negative detuning",
-            result["manifest"].pairs_generated == 0,
-            f"{result['manifest'].pairs_generated}",
+            manifest.pairs_generated == 0,
+            f"{manifest.pairs_generated}",
         ),
         ("net ROI rate", abs(net) < 1.0, f"{net:+.2f}/hr vs |rate| < 1"),
     ]
@@ -248,9 +226,9 @@ def test_criterion_7_scaling_law():
             settings["run.duration"] = "1800 s"
             settings["run.seed"] = str(seed)
             run = build_run_config(settings)
-            result = analyze_run(run, roi_e_half_ev=2000.0)
-            rates.append(result["roi"].net_rate_per_hr)
-            variances.append(result["roi"].net_rate_err_per_hr ** 2)
+            roi = simulate_and_analyze(run, roi_e_half_ev=2000.0)[1].roi_result
+            rates.append(roi.net_rate_per_hr)
+            variances.append(roi.net_rate_err_per_hr ** 2)
         points.append(
             (detuning, float(np.mean(rates)), math.sqrt(sum(variances)) / len(rates))
         )
@@ -365,7 +343,7 @@ def test_criterion_8_property_suites(tmp_path):
         counts.setdefault("pairs_generated", []).append(manifest.pairs_generated)
         expected["pairs_generated"] = exp.source.true_pair_rate_per_s * duration
         for det_index, det_id in ((0, 1), (1, 2)):
-            for line in exp.source.components(det_index):
+            for line in exp.source.components[det_index]:
                 key = f"d{det_id}_{line.label}"
                 rate = line.rate_per_s * (suppression if line.suppressed else 1.0)
                 counts.setdefault(key, []).append(manifest.background_counts[key])

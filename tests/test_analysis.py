@@ -10,6 +10,7 @@ from xpdc.analysis import (
     AnalysisError,
     CoincidenceCriteria,
     RoiSpec,
+    analyze,
     build_correlation_map,
     conversion_efficiency,
     energy_peak_centroid,
@@ -195,10 +196,7 @@ class TestCorrelationMap:
         settings["run.duration"] = "600 s"
         run = build_run_config(settings)
         s1, s2, _ = simulate_run(run)
-        pairs = find_coincidence_pairs(
-            select_candidates(s1, CRIT), select_candidates(s2, CRIT), CRIT
-        )
-        corr = build_correlation_map(pairs, CRIT, run.duration_s)
+        corr = analyze(s1, s2, CRIT, run.duration_s).corr_map
         marginal = corr.dt_marginal
         assert marginal.sum() > 1000
         expected = marginal.sum() / len(marginal)
@@ -260,20 +258,26 @@ class TestFitTimeProfile:
         assert abs(fit.center) < 50.0
 
 
+def peak_streams(n=400, seed=55):
+    """Two 1800 s streams holding n true pairs: E1 ~ N(11 keV, 500 eV),
+    E1 + E2 = 22 keV, t2 - t1 ~ N(0, 212 ns)."""
+    rng = np.random.default_rng(seed)
+    e1 = rng.normal(11000.0, 500.0, n)
+    dts = rng.normal(0.0, 212.0, n)
+    t1 = np.sort(rng.integers(0, 1_800_000_000_000, n))
+    s1 = make_stream(1, t1 // 20 * 20, np.rint(e1).astype(int))
+    s2 = make_stream(
+        2,
+        np.sort((t1 + dts).astype(np.int64)) // 20 * 20,
+        np.rint(22000.0 - e1).astype(int),
+    )
+    return s1, s2
+
+
 class TestEnergyProfile:
     def test_centroid_and_fit_locate_peak(self):
-        rng = np.random.default_rng(55)
         criteria = CRIT
-        n = 400
-        e1 = rng.normal(11000.0, 500.0, n)
-        dts = rng.normal(0.0, 212.0, n)
-        t1 = np.sort(rng.integers(0, 1_800_000_000_000, n))
-        s1 = make_stream(1, t1 // 20 * 20, np.rint(e1).astype(int))
-        s2 = make_stream(
-            2,
-            np.sort((t1 + dts).astype(np.int64)) // 20 * 20,
-            np.rint(22000.0 - e1).astype(int),
-        )
+        s1, s2 = peak_streams()
         # pair i-to-i alignment is lost after the sort; rebuild via pairing
         pairs = find_coincidence_pairs(s1, s2, criteria)
         corr = build_correlation_map(pairs, criteria, duration_s=1800.0)
@@ -287,6 +291,17 @@ class TestEnergyProfile:
         corr = synthetic_map(amplitude=0.0, baseline=0.0)
         with pytest.raises(AnalysisError):
             energy_peak_centroid(corr, 640.0, 1100.0)
+
+    @pytest.mark.parametrize(
+        "t_half, inner", [(-1.0, 1100.0), (640.0, 5000.0), (640.0, 600.0)]
+    )
+    def test_empty_or_overlapping_regions_raise(self, t_half, inner):
+        corr = synthetic_map(amplitude=30.0, baseline=2.0)
+        for stage in (fit_energy_profile, energy_peak_centroid):
+            with pytest.raises(AnalysisError):
+                stage(corr, t_half, inner)
+        with pytest.raises(AnalysisError):
+            roi_rate(corr, RoiSpec(t_half_width_ns=t_half, sideband_inner_ns=inner))
 
 
 class TestRoiRate:
@@ -397,3 +412,48 @@ class TestCriteriaValidation:
     def test_sum_window_positive(self):
         with pytest.raises(AnalysisError):
             CoincidenceCriteria(sum_half_width_ev=0.0)
+
+
+class TestAnalyze:
+    def test_roi_follows_time_fit(self):
+        s1, s2 = peak_streams()
+        result = analyze(
+            s1, s2, CRIT, 1800.0, roi=RoiSpec(e_half_width_ev=2000.0),
+            roi_sigmas=2.0, sideband_sigmas=4.0,
+        )
+        sigma = abs(result.time_fit.sigma)
+        assert abs(sigma - 212.0) < 40.0
+        assert result.roi == RoiSpec(11000.0, 2000.0, 2.0 * sigma, 4.0 * sigma)
+        assert result.roi_result == roi_rate(result.corr_map, result.roi)
+        assert result.corr_map.counts.sum() == len(result.pairs) >= 390
+        assert abs(result.energy_centroid - 11000.0) < 150.0
+        assert abs(result.energy_fit.center - 11000.0) < 150.0
+
+    @pytest.mark.parametrize(
+        "roi_sigmas, sideband_sigmas",
+        [(0.05, 5.0), (3.0, 9.0)],  # under one dt bin; sidebands past 0.9 horizon
+    )
+    def test_implausible_fitted_roi_falls_back(self, roi_sigmas, sideband_sigmas):
+        s1, s2 = peak_streams()
+        nominal = RoiSpec(e_half_width_ev=2000.0)
+        result = analyze(
+            s1, s2, CRIT, 1800.0, roi=nominal,
+            roi_sigmas=roi_sigmas, sideband_sigmas=sideband_sigmas,
+        )
+        assert result.time_fit is not None
+        assert result.roi == nominal
+        assert result.roi_result == roi_rate(result.corr_map, nominal)
+
+    def test_no_pairs_uses_nominal_roi(self):
+        result = analyze(make_stream(1, [], []), make_stream(2, [], []), CRIT, 10.0)
+        assert len(result.pairs) == 0
+        assert result.time_fit is None and result.energy_fit is None
+        assert result.energy_centroid is None
+        assert result.roi == RoiSpec()
+        assert result.roi_result.roi_counts == 0
+
+    def test_exclusive_keeps_each_event_once(self):
+        s1 = make_stream(1, [1000, 1020], [11000, 11000])
+        s2 = make_stream(2, [1000], [11000])
+        assert len(analyze(s1, s2, CRIT, 1.0).pairs) == 2
+        assert len(analyze(s1, s2, CRIT, 1.0, exclusive=True).pairs) == 1

@@ -5,8 +5,11 @@ import os
 import numpy as np
 import pytest
 
+from xpdc.analysis import CoincidenceCriteria, RoiSpec, analyze
 from xpdc.cli import main
-from xpdc.listmode import HEADER_SIZE, read_listmode, read_manifest
+from xpdc.config import build_run_config, load_config_file, merge_settings
+from xpdc.events import simulate_run
+from xpdc.listmode import HEADER_SIZE, read_listmode, read_manifest, split_streams
 
 
 @pytest.fixture()
@@ -96,8 +99,6 @@ class TestSimulate:
         assert set(np.unique(events["detector_id"])) <= {1, 2}
 
     def test_readback_equals_simulated_records(self, short_config, tmp_path):
-        from xpdc.config import build_run_config, load_config_file, merge_settings
-        from xpdc.events import simulate_run
         from xpdc.listmode import merge_streams
 
         out = str(tmp_path / "eq")
@@ -134,6 +135,41 @@ class TestAnalyze:
         header_index = next(i for i, l in enumerate(map_lines) if not l.startswith("#"))
         assert map_lines[header_index] == "e1_ev,dt_ns,counts"
         assert all(l.startswith("#") for l in map_lines[:header_index])
+
+    def test_report_equals_library_analyze(self, tmp_path):
+        cfg = tmp_path / "lib.cfg"
+        cfg.write_text("run.duration = 300 s\n")
+        out = str(tmp_path / "lib")
+        path = os.path.join(out, "events.xpdc")
+        assert main(["simulate", "--config", str(cfg), "--out", out]) == 0
+        assert main(["analyze", path, "--roi-e-half", "2", "--out", out]) == 0
+        report = read_manifest(os.path.join(out, "analysis_report.txt"))
+
+        events, header = read_listmode(path)
+        stream1, stream2 = split_streams(events, header.detector_count)
+        result = analyze(
+            stream1, stream2, CoincidenceCriteria(), 300.0, 1.0,
+            roi=RoiSpec(e_half_width_ev=2000.0),
+        )
+        time_fit, roi = result.time_fit, result.roi_result
+        assert time_fit is not None and result.energy_centroid is not None
+        expected = {
+            "pairs_accepted": str(result.corr_map.counts.sum()),
+            "time_sigma_ns": f"{time_fit.sigma:.2f}",
+            "time_sigma_err_ns": f"{time_fit.sigma_err:.2f}",
+            "time_center_ns": f"{time_fit.center:.2f}",
+            "time_center_err_ns": f"{time_fit.center_err:.2f}",
+            "peak_e1_centroid_ev": f"{result.energy_centroid:.1f}",
+            "roi_counts": str(roi.roi_counts),
+            "sideband_counts": str(roi.sideband_counts),
+            "sideband_estimate": f"{roi.sideband_estimate:.3f}",
+            "net_rate_per_hr": f"{roi.net_rate_per_hr:.3f}",
+            "net_rate_err_per_hr": f"{roi.net_rate_err_per_hr:.3f}",
+        }
+        if result.energy_fit is not None:
+            expected["peak_e1_ev"] = f"{result.energy_fit.center:.1f}"
+        assert {key: report.get(key) for key in expected} == expected
+        assert ("peak_e1_ev" in report) == (result.energy_fit is not None)
 
     def test_missing_file_is_config_error(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.xpdc")]) == 1
@@ -184,6 +220,31 @@ class TestScan:
         assert any(l.startswith("# fit_error") for l in lines)
         data = [l for l in lines if not l.startswith("#")]
         assert len(data) == 2  # header + one point
+
+    def test_scan_point_equals_library_pipeline(self, tmp_path):
+        cfg = tmp_path / "point.cfg"
+        cfg.write_text("run.duration = 300 s\n")
+        out = str(tmp_path / "point")
+        assert main(
+            [
+                "scan", "--config", str(cfg), "--detunings", "10",
+                "--seeds", "4", "--roi-e-half", "2", "--out", out,
+            ]
+        ) == 0
+        rows = [
+            l for l in open(os.path.join(out, "scan_result.csv")).read().splitlines()
+            if not l.startswith("#")
+        ]
+
+        settings = merge_settings(load_config_file(str(cfg)))
+        settings.update({"crystal.detuning": "10 mdeg", "run.seed": "4"})
+        run = build_run_config(settings)
+        stream1, stream2, _ = simulate_run(run)
+        roi = analyze(
+            stream1, stream2, CoincidenceCriteria(), run.duration_s,
+            run.beam_current_profile.mean, roi=RoiSpec(e_half_width_ev=2000.0),
+        ).roi_result
+        assert rows[1:] == [f"10.0,{roi.net_rate_per_hr:.4f},{roi.net_rate_err_per_hr:.4f}"]
 
     def test_nonpositive_detuning_rejected(self, tmp_path):
         assert main(["scan", "--detunings", "-5", "--out", str(tmp_path)]) == 1

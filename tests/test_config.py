@@ -103,7 +103,7 @@ class TestParsing:
         settings = default_settings()
         settings["source.line.fe_ka.rate_d2"] = "7 /s"
         run = build_run_config(settings)
-        lines1, lines2 = run.experiment.source.background_lines
+        lines1, lines2 = run.experiment.source.components
         fe1 = next(l for l in lines1 if l.label == "fe_ka")
         fe2 = next(l for l in lines2 if l.label == "fe_ka")
         assert fe1.rate_per_s == 20.0

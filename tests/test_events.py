@@ -14,15 +14,12 @@ from xpdc.events import (
     GaussianLine,
     RunConfig,
     SourceModel,
-    TruePhoton,
+    _apply_response_batch,
+    _background_arrays,
     _sample_pair_batch,
-    _solve_emission_angles,
-    apply_detector_response,
-    sample_background,
-    sample_spdc_pair,
     simulate_run,
 )
-from xpdc.physics import PhysicsError
+from xpdc.physics import PhysicsError, emission_angles
 
 
 def reference_run(**overrides) -> RunConfig:
@@ -45,15 +42,13 @@ def quiet_settings(**overrides):
 class TestSamplePair:
     def test_energies_sum_to_pump_exactly(self):
         run = reference_run(**{"beam.bandwidth_fwhm": "0 eV"})
-        rng = np.random.default_rng(5)
-        seen = 0
-        for _ in range(400):
-            signal, idler = sample_spdc_pair(rng, run.experiment, emission_time_ns=123.0)
-            if signal and idler:
-                seen += 1
-                assert signal.energy_ev + idler.energy_ev == 22000.0
-                assert signal.time_ns == idler.time_ns == 123.0
-        assert seen >= 1
+        batch = _sample_pair_batch(
+            np.random.default_rng(5), run.experiment, np.full(4000, 123.0)
+        )
+        both = batch["signal_detected"] & batch["idler_detected"]
+        assert both.sum() >= 1
+        assert np.all(batch["e_signal"][both] + batch["e_idler"][both] == 22000.0)
+        assert np.all(batch["time_ns"][both] == 123.0)
 
     def test_sum_within_bandwidth(self):
         run = reference_run()
@@ -69,15 +64,13 @@ class TestSamplePair:
         settings["detector1.area"] = "1e9 mm2"
         settings["detector2.area"] = "1e9 mm2"
         run = build_run_config(settings)
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            signal, idler = sample_spdc_pair(rng, run.experiment)
-            assert signal is not None and idler is not None
+        batch = _sample_pair_batch(np.random.default_rng(7), run.experiment, np.zeros(50))
+        assert np.all(batch["signal_detected"] & batch["idler_detected"])
 
     def test_negative_detuning_raises(self):
         run = reference_run(**{"crystal.detuning": "-10 mdeg"})
         with pytest.raises(PhysicsError):
-            sample_spdc_pair(np.random.default_rng(0), run.experiment)
+            _sample_pair_batch(np.random.default_rng(0), run.experiment, np.zeros(1))
 
     def test_landing_fraction_against_rejection_sampler(self):
         # Independent oracle: explicit detector-plane coordinates with a
@@ -92,9 +85,7 @@ class TestSamplePair:
         rng = np.random.default_rng(13)
         lo, hi = exp.split_window()
         x = rng.uniform(lo, hi, n)
-        r_x, r_y = _solve_emission_angles(
-            x, exp.crystal.detuning_rad, exp.theta_b()
-        )
+        r_x, r_y = emission_angles(x, exp.crystal.detuning_rad, exp.theta_b())
         phi = rng.uniform(-np.pi, np.pi, n)
         det1, det2 = exp.positioned_detectors()
 
@@ -113,40 +104,37 @@ class TestSamplePair:
         assert abs(p_model - p_oracle) < max(stat, 0.03 * p_model)
 
 
+def background(rng, source, duration_s, detector_id, suppression=1.0, profile=None):
+    return _background_arrays(
+        rng, source, duration_s, detector_id, suppression,
+        profile or BeamCurrentProfile(),
+    )
+
+
 class TestSampleBackground:
     def test_zero_rates_empty(self):
         source = SourceModel(true_pair_rate_per_s=0.0)
-        photons, counts = sample_background(
-            np.random.default_rng(0), source, 10.0, 1
-        )
-        assert photons == [] and counts == {}
+        times, energies, counts = background(np.random.default_rng(0), source, 10.0, 1)
+        assert len(times) == len(energies) == 0 and counts == {}
 
     def test_poisson_concentration(self):
         rate, duration = 40.0, 30.0  # rate * T = 1200 >> 100
         line = GaussianLine("fe_ka", 6400.0, 10.0, rate)
-        source = SourceModel(
-            true_pair_rate_per_s=0.0, background_lines=((line,), ())
-        )
-        photons, counts = sample_background(
-            np.random.default_rng(21), source, duration, 1
-        )
+        source = SourceModel(true_pair_rate_per_s=0.0, components=((line,), ()))
+        _, energies, counts = background(np.random.default_rng(21), source, duration, 1)
         expected = rate * duration
         assert abs(counts["d1_fe_ka"] - expected) < 5 * math.sqrt(expected)
-        energies = np.array([p.energy_ev for p in photons])
         assert abs(energies.mean() - 6400.0) < 5 * 10.0 / 2.355 / math.sqrt(len(energies))
 
     def test_streams_independent_between_detectors(self):
         line = GaussianLine("fe_ka", 6400.0, 10.0, 200.0)
-        source = SourceModel(
-            true_pair_rate_per_s=0.0,
-            background_lines=((line,), (line,)),
-        )
+        source = SourceModel(true_pair_rate_per_s=0.0, components=((line,), (line,)))
         rng = np.random.default_rng(3)
-        t1 = np.sort([p.time_ns for p in sample_background(rng, source, 60.0, 1)[0]])
-        t2 = np.sort([p.time_ns for p in sample_background(rng, source, 60.0, 2)[0]])
+        t1 = np.sort(background(rng, source, 60.0, 1)[0])
+        t2 = np.sort(background(rng, source, 60.0, 2)[0])
         window = 200.0  # ns
-        lo = np.searchsorted(t2, np.asarray(t1) - window)
-        hi = np.searchsorted(t2, np.asarray(t1) + window, side="right")
+        lo = np.searchsorted(t2, t1 - window)
+        hi = np.searchsorted(t2, t1 + window, side="right")
         observed = int((hi - lo).sum())
         expected = len(t1) * len(t2) * (2 * window) / (60e9)
         assert abs(observed - expected) < 5 * math.sqrt(expected + 1)
@@ -154,10 +142,9 @@ class TestSampleBackground:
     def test_suppression_scales_polarized_components(self):
         elastic = GaussianLine("elastic", 22000.0, 60.0, 1000.0, suppressed=True)
         source = SourceModel(
-            true_pair_rate_per_s=0.0,
-            elastic_line=(elastic, elastic),
+            true_pair_rate_per_s=0.0, components=((elastic,), (elastic,))
         )
-        _, counts = sample_background(
+        _, _, counts = background(
             np.random.default_rng(5), source, 50.0, 1, suppression=0.1
         )
         expected = 1000.0 * 0.1 * 50.0
@@ -173,10 +160,12 @@ class TestDetectorResponse:
             energy_range_ev=(1000.0, 30000.0),
         )
         rng = np.random.default_rng(0)
-        record = apply_detector_response(TruePhoton(1, 1234.0, 11000.0), response, rng)
-        assert record.timestamp_ns == 1240  # nearest tick
-        assert record.energy_ev == 11000
-        assert record.detector_id == 1
+        stamps, recorded, keep = _apply_response_batch(
+            np.array([1234.0]), np.array([11000.0]), response, rng
+        )
+        assert keep[0]
+        assert stamps[0] == 1240  # nearest tick
+        assert recorded[0] == 11000
 
     def test_out_of_range_energy_dropped(self):
         response = DetectorResponse(
@@ -185,19 +174,20 @@ class TestDetectorResponse:
             energy_range_ev=(5000.0, 17000.0),
         )
         rng = np.random.default_rng(0)
-        assert apply_detector_response(TruePhoton(1, 0.0, 4000.0), response, rng) is None
+        _, _, keep = _apply_response_batch(
+            np.array([0.0]), np.array([4000.0]), response, rng
+        )
+        assert not keep[0]
 
     def test_inter_detector_time_difference_width(self):
         # 150 ns per detector gives a 212 ns difference distribution
         response = DetectorResponse(time_jitter_sigma_ns=150.0)
         rng = np.random.default_rng(17)
-        n = 10_000
-        deltas = []
-        for _ in range(n):
-            a = apply_detector_response(TruePhoton(1, 1e6, 11000.0), response, rng)
-            b = apply_detector_response(TruePhoton(2, 1e6, 11000.0), response, rng)
-            deltas.append(b.timestamp_ns - a.timestamp_ns)
-        sigma = np.std(deltas)
+        times, energies = np.full(10_000, 1e6), np.full(10_000, 11000.0)
+        a, _, keep_a = _apply_response_batch(times, energies, response, rng)
+        b, _, keep_b = _apply_response_batch(times, energies, response, rng)
+        assert keep_a.all() and keep_b.all()
+        sigma = np.std(b - a)
         assert abs(sigma - 212.0) < 5.0
 
     def test_validation(self):
@@ -215,12 +205,11 @@ class TestBeamCurrentProfile:
 
     def test_rate_modulation(self):
         line = GaussianLine("fe_ka", 6400.0, 10.0, 500.0)
-        source = SourceModel(true_pair_rate_per_s=0.0, background_lines=((line,), ()))
+        source = SourceModel(true_pair_rate_per_s=0.0, components=((line,), ()))
         profile = BeamCurrentProfile(values=(2.0, 1.0))  # -> 4/3, 2/3
-        photons, _ = sample_background(
+        times, _, _ = background(
             np.random.default_rng(9), source, 60.0, 1, profile=profile
         )
-        times = np.array([p.time_ns for p in photons])
         first = int((times < 30e9).sum())
         second = len(times) - first
         # expected ratio 2:1

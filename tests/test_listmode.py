@@ -161,6 +161,23 @@ class TestManifest:
             read_manifest(path)
 
 
+class TestFileMode:
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_written_files_follow_umask(self, tmp_path, umask):
+        # outputs get the mode open() would give them, not mkstemp's 0600
+        events = random_events(np.random.default_rng(8), 10)
+        paths = [str(tmp_path / name) for name in ("e.xpdc", "m.txt", "e.csv")]
+        previous = os.umask(umask)
+        try:
+            write_listmode(paths[0], events, HEADER)
+            write_manifest(paths[1], {"seed": 1})
+            write_events_csv(paths[2], events)
+        finally:
+            os.umask(previous)
+        for path in paths:
+            assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask
+
+
 class TestFnv1a:
     def test_known_vectors(self):
         # reference values for the 64-bit FNV-1a parameters

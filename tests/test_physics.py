@@ -19,6 +19,7 @@ from xpdc.physics import (
     bragg_angle,
     detection_chain_efficiency,
     emission_angle_approx,
+    emission_angles,
     emission_angles_exact,
     geometric_acceptance,
     polarization_suppression,
@@ -149,6 +150,21 @@ class TestEmissionAnglesExact:
         # Extreme detuning with an asymmetric split: closure too short.
         with pytest.raises(PhaseMatchingError):
             emission_angles_exact(0.95, 0.9, THETA_B_REF)
+        with pytest.raises(PhaseMatchingError):
+            emission_angles(np.array([0.5, 0.95]), 0.9, THETA_B_REF)
+
+    def test_array_form_matches_scalar_form(self):
+        xs = np.linspace(0.02, 0.98, 49)
+        for detuning in (1 * MDEG, 10 * MDEG, 50 * MDEG):
+            r_x, r_y = emission_angles(xs, detuning, THETA_B_REF)
+            for x, rx, ry in zip(xs, r_x, r_y):
+                sol = emission_angles_exact(float(x), detuning, THETA_B_REF)
+                assert rx == pytest.approx(sol.r_x, rel=1e-12)
+                assert ry == pytest.approx(sol.r_y, rel=1e-12)
+
+    def test_bad_split_in_array_raises(self):
+        with pytest.raises(PhysicsError):
+            emission_angles(np.array([0.5, 1.0]), 10 * MDEG, THETA_B_REF)
 
 
 class TestPolarizationSuppression:
@@ -218,6 +234,7 @@ class TestDetectionChain:
         energies = np.linspace(5000.0, 17000.0, 49)
         effs = [chain.photon_efficiency(e) for e in energies]
         assert all(b >= a for a, b in zip(effs, effs[1:]))
+        assert np.array_equal(chain.photon_efficiency(energies), effs)
         pair = detection_chain_efficiency(8000.0, 14000.0, chain)
         assert pair == pytest.approx(0.36 * chain.photon_efficiency(14000.0))
 
