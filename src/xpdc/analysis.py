@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 PAIR_DTYPE = np.dtype(
     [
@@ -314,8 +313,11 @@ def build_correlation_map(
 # Profile fits
 
 
-def _gaussian_plus_constant(x, amplitude, center, sigma, baseline):
-    return amplitude * np.exp(-0.5 * ((x - center) / sigma) ** 2) + baseline
+# A profile fit has converged when a Gauss-Newton step would lower the
+# loss by less than _DECREMENT_TOL / 2 (and move each parameter by about
+# 1e-5 of its error); it fails after _MAX_ITERATIONS steps.
+_DECREMENT_TOL = 1e-10
+_MAX_ITERATIONS = 100
 
 
 def _moment_seeds(centers: np.ndarray, counts: np.ndarray):
@@ -329,36 +331,9 @@ def _moment_seeds(centers: np.ndarray, counts: np.ndarray):
     else:
         center0 = float(centers[np.argmax(counts)])
         sigma0 = span / 10.0
-    bin_width = abs(centers[1] - centers[0])
-    sigma0 = min(max(sigma0, bin_width), span)
+    sigma0 = min(max(sigma0, abs(centers[1] - centers[0])), span)
     amplitude0 = max(float(counts.max() - baseline0), 1e-3)
     return amplitude0, center0, sigma0, baseline0
-
-
-def _nll_errors(nll, popt: np.ndarray) -> np.ndarray:
-    """Parameter errors from the numerical Hessian of the likelihood."""
-    n = len(popt)
-    steps = np.maximum(np.abs(popt) * 1e-4, 1e-6)
-    hessian = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            ei = np.zeros(n)
-            ej = np.zeros(n)
-            ei[i] = steps[i]
-            ej[j] = steps[j]
-            value = (
-                nll(popt + ei + ej)
-                - nll(popt + ei - ej)
-                - nll(popt - ei + ej)
-                + nll(popt - ei - ej)
-            ) / (4.0 * steps[i] * steps[j])
-            hessian[i, j] = hessian[j, i] = value
-    try:
-        cov = np.linalg.pinv(hessian)
-    except np.linalg.LinAlgError:
-        return np.full(n, np.inf)
-    diag = np.diag(cov)
-    return np.where(diag > 0, np.sqrt(np.abs(diag)), np.inf)
 
 
 def fit_gaussian_profile(
@@ -380,98 +355,118 @@ def fit_gaussian_profile(
         raise AnalysisError("profile too short to fit")
     if np.all(counts == counts[0]):
         raise AnalysisError("degenerate fit: profile has zero variance")
-    seeds = _moment_seeds(centers, counts)
     if count_errors is None and np.all(counts >= 0):
-        return _fit_poisson_ml(centers, counts, seeds)
-    if count_errors is None:
-        count_errors = np.ones_like(counts)
-    return _fit_weighted_lsq(centers, counts, count_errors, seeds)
+        return _fit_gaussian(centers, counts, None)
+    errors = np.ones_like(counts) if count_errors is None else np.asarray(count_errors)
+    return _fit_gaussian(centers, counts, np.maximum(errors, 1e-9))
 
 
-def _fit_poisson_ml(centers, counts, seeds) -> GaussianFit:
-    from scipy.optimize import minimize
+def _model(x: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian-plus-constant mu(x) and its Jacobian in
+    p = (amplitude, center, sigma, baseline)."""
+    amplitude, center, sigma, baseline = p
+    z = (x - center) / sigma
+    g = np.exp(-0.5 * z * z)
+    jac = np.column_stack(
+        [g, amplitude * g * z / sigma, amplitude * g * z * z / sigma, np.ones_like(x)]
+    )
+    return amplitude * g + baseline, jac
 
-    amplitude0, center0, sigma0, baseline0 = seeds
-    span = centers[-1] - centers[0]
 
-    def unpack(p):
-        # exponent clamp keeps runaway simplex steps finite
-        return (
-            math.exp(min(p[0], 50.0)),
-            p[1],
-            math.exp(min(p[2], 50.0)),
-            math.exp(min(p[3], 50.0)),
+def _fit_gaussian(
+    x: np.ndarray, y: np.ndarray, errors: np.ndarray | None
+) -> GaussianFit:
+    """Levenberg-Marquardt fit of the Gaussian-plus-constant model.
+
+    errors None fits the Poisson likelihood of the counts y (Baker &
+    Cousins, NIM 221 (1984) 437) with per-bin weight 1/mu, otherwise
+    least squares with weight 1/errors^2; both take the residual y - mu.
+    Steps are projected onto the box amplitude >= 0, center inside the
+    window, half a bin <= sigma <= the window span (a negative sigma is
+    mirrored first: mu depends on sigma^2) and, for Poisson, baseline >
+    0.  A parameter held at a bound by its gradient, or with no
+    curvature, sits a step out.  Raises AnalysisError when
+    _MAX_ITERATIONS steps do not converge or no damping lowers the loss.
+    """
+    poisson = errors is None
+    floor = 1e-9 * y.max() if poisson else -np.inf
+    lo = np.array([0.0, x[0], 0.5 * abs(x[1] - x[0]), floor])
+    hi = np.array([np.inf, x[-1], x[-1] - x[0], np.inf])
+
+    def loss(mu):
+        if poisson:  # half the likelihood-ratio chi^2
+            return float(np.sum(mu - y + y * np.log(np.where(y > 0, y, 1.0) / mu)))
+        return 0.5 * float(np.sum(((y - mu) / errors) ** 2))
+
+    p = np.clip(_moment_seeds(x, y), lo, hi)
+    mu, jac = _model(x, p)
+    current = loss(mu)
+    damping, growth = 1e-3, 2.0  # Madsen, Nielsen & Tingleff (2004), sec. 3.2
+    for _ in range(_MAX_ITERATIONS):
+        weight = 1.0 / mu if poisson else errors**-2.0
+        descent = jac.T @ (weight * (y - mu))  # minus the gradient of the loss
+        fisher = jac.T @ (weight[:, None] * jac)
+        scale = np.sqrt(np.diag(fisher))
+        held = ((p <= lo) & (descent < 0)) | ((p >= hi) & (descent > 0))
+        free = (scale > 0) & ~held
+        g = descent[free] / scale[free]
+        a = fisher[np.ix_(free, free)] / np.outer(scale[free], scale[free])
+        eye = np.eye(len(g))
+        if g @ np.linalg.solve(a + 1e-12 * eye, g) < _DECREMENT_TOL:
+            on_bound = (p == lo) | (p == hi)
+            errs = _fit_errors(x, y, p, mu, jac, weight, poisson, on_bound)
+            return GaussianFit(*p.tolist(), *errs.tolist())
+        while True:
+            step = np.zeros(4)
+            step[free] = np.linalg.solve(a + damping * eye, g) / scale[free]
+            trial = p + step
+            trial[2] = abs(trial[2])
+            trial = np.clip(trial, lo, hi)
+            step = trial - p
+            predicted = step @ descent - 0.5 * step @ fisher @ step
+            trial_mu, trial_jac = _model(x, trial)
+            trial_loss = loss(trial_mu)
+            if predicted > 0 and trial_loss < current:
+                gain = (current - trial_loss) / predicted
+                damping *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+                growth = 2.0
+                p, mu, jac, current = trial, trial_mu, trial_jac, trial_loss
+                break
+            damping *= growth
+            growth *= 2.0
+            if damping > 1e12:
+                raise AnalysisError("profile fit did not converge: no step lowers the loss")
+    raise AnalysisError(f"profile fit did not converge in {_MAX_ITERATIONS} steps")
+
+
+def _fit_errors(x, y, p, mu, jac, weight, poisson, on_bound) -> np.ndarray:
+    """Errors at the optimum p from the Hessian of the loss: observed for
+    Poisson, J^T diag(y/mu^2) J + sum (1 - y/mu) d2mu, else J^T W J.
+    No curvature (center and sigma at zero amplitude) gives an infinite
+    error; a parameter on a bound gets 1/sqrt(curvature), the rest the
+    inverse of their Hessian (infinite errors when it is singular)."""
+    if poisson:  # d2mu/dA2 = 0 and the baseline enters linearly
+        amplitude, center, sigma, _ = p
+        z = (x - center) / sigma
+        w = (1.0 - y / mu) * np.exp(-0.5 * z * z) / sigma
+        ac, as_ = w @ z, w @ z**2
+        cc, cs, ss = amplitude / sigma * np.array(
+            [w @ (z**2 - 1.0), w @ (z**3 - 2.0 * z), w @ (z**4 - 3.0 * z**2)]
         )
-
-    def nll(p):
-        amplitude, center, sigma, baseline = unpack(p)
-        mu = _gaussian_plus_constant(centers, amplitude, center, sigma, baseline)
-        mu = np.maximum(mu, 1e-12)
-        return float(np.sum(mu - counts * np.log(mu)))
-
-    p0 = np.array(
-        [
-            math.log(max(amplitude0, 1e-6)),
-            center0,
-            math.log(sigma0),
-            math.log(max(baseline0, 1e-3)),
-        ]
-    )
-    result = minimize(
-        nll,
-        p0,
-        method="Nelder-Mead",
-        options={"maxiter": 8000, "xatol": 1e-6, "fatol": 1e-9},
-    )
-    if not np.all(np.isfinite(result.x)):
-        raise AnalysisError("profile fit did not converge")
-    amplitude, center, sigma, baseline = unpack(result.x)
-    if not (centers[0] - span <= center <= centers[-1] + span):
-        raise AnalysisError("profile fit ran away from the data window")
-
-    def nll_natural(q):
-        mu = _gaussian_plus_constant(centers, q[0], q[1], max(q[2], 1e-9), q[3])
-        mu = np.maximum(mu, 1e-12)
-        return float(np.sum(mu - counts * np.log(mu)))
-
-    errs = _nll_errors(nll_natural, np.array([amplitude, center, sigma, baseline]))
-    return GaussianFit(
-        amplitude=amplitude,
-        center=center,
-        sigma=sigma,
-        baseline=baseline,
-        amplitude_err=float(errs[0]),
-        center_err=float(errs[1]),
-        sigma_err=float(errs[2]),
-        baseline_err=float(errs[3]),
-    )
-
-
-def _fit_weighted_lsq(centers, counts, count_errors, seeds) -> GaussianFit:
-    sigma = np.maximum(np.asarray(count_errors, dtype=np.float64), 1e-9)
+        hessian = jac.T @ ((y / mu**2)[:, None] * jac)
+        hessian[:3, :3] += [[0.0, ac, as_], [ac, cc, cs], [as_, cs, ss]]
+    else:
+        hessian = jac.T @ (weight[:, None] * jac)
+    curvature = np.diag(hessian)
+    variances = np.full(4, np.inf)
+    pinned = (curvature > 0) & on_bound
+    variances[pinned] = 1.0 / curvature[pinned]
+    off = (curvature > 0) & ~on_bound
     try:
-        popt, pcov = curve_fit(
-            _gaussian_plus_constant,
-            centers,
-            counts,
-            p0=seeds,
-            sigma=sigma,
-            absolute_sigma=True,
-            maxfev=20000,
-        )
-    except RuntimeError as exc:
-        raise AnalysisError(f"profile fit did not converge: {exc}") from exc
-    errs = np.sqrt(np.clip(np.diag(pcov), 0.0, None))
-    return GaussianFit(
-        amplitude=float(popt[0]),
-        center=float(popt[1]),
-        sigma=float(abs(popt[2])),
-        baseline=float(popt[3]),
-        amplitude_err=float(errs[0]),
-        center_err=float(errs[1]),
-        sigma_err=float(errs[2]),
-        baseline_err=float(errs[3]),
-    )
+        variances[off] = np.diag(np.linalg.inv(hessian[np.ix_(off, off)]))
+    except np.linalg.LinAlgError:
+        pass
+    return np.sqrt(np.where(variances > 0, variances, np.inf))
 
 
 def fit_time_profile(corr_map: CorrelationMap) -> GaussianFit:

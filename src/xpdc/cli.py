@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage/config error, 2 runtime/data error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -51,26 +52,27 @@ def _load_settings(args) -> dict[str, str]:
     return settings
 
 
-def _analyze(args, stream1, stream2, duration_s: float, mean_current: float):
-    """analysis.analyze with the criteria and region-of-interest flags."""
-    criteria = CoincidenceCriteria(
-        single_energy_window_ev=(args.e_min * 1e3, args.e_max * 1e3),
-        sum_center_ev=args.sum_center * 1e3,
-        sum_half_width_ev=args.sum_half * 1e3,
-        max_abs_dt_ns=args.horizon,
-        dt_bin_ns=args.dt_bin,
-        e_bin_ev=args.e_bin,
-    )
-    return analysis.analyze(
-        stream1,
-        stream2,
-        criteria,
-        duration_s,
-        mean_current,
-        roi=RoiSpec(
-            e_center_ev=args.roi_e_center * 1e3,
-            e_half_width_ev=args.roi_e_half * 1e3,
-        ),
+def _analysis(args):
+    """analysis.analyze bound to the criteria and region-of-interest
+    flags; flags that no data could satisfy are a usage error."""
+    if args.sideband_sigmas <= args.roi_sigmas:
+        raise ConfigError("--sideband-sigmas must exceed --roi-sigmas")
+    try:
+        criteria = CoincidenceCriteria(
+            single_energy_window_ev=(args.e_min * 1e3, args.e_max * 1e3),
+            sum_center_ev=args.sum_center * 1e3,
+            sum_half_width_ev=args.sum_half * 1e3,
+            max_abs_dt_ns=args.horizon,
+            dt_bin_ns=args.dt_bin,
+            e_bin_ev=args.e_bin,
+        )
+    except AnalysisError as exc:
+        raise ConfigError(str(exc)) from exc
+    roi = RoiSpec(e_center_ev=args.roi_e_center * 1e3, e_half_width_ev=args.roi_e_half * 1e3)
+    return functools.partial(
+        analysis.analyze,
+        criteria=criteria,
+        roi=roi,
         roi_sigmas=args.roi_sigmas,
         sideband_sigmas=args.sideband_sigmas,
         exclusive=args.exclusive,
@@ -207,7 +209,10 @@ def _write_map_csv(path: str, corr_map) -> None:
 
 
 def cmd_analyze(args) -> int:
+    run_analysis = _analysis(args)
     events_arr, header = listmode.read_listmode(args.events)
+    if header.detector_count != 2:
+        raise ListModeFormatError(f"header says {header.detector_count} detectors, not 2")
     stream1, stream2 = listmode.split_streams(events_arr, header.detector_count)
     duration_s = args.duration
     mean_current = args.mean_current
@@ -220,15 +225,13 @@ def cmd_analyze(args) -> int:
         duration_s = float(manifest.get("duration_s", "0")) or None
         mean_current = float(manifest.get("mean_current", mean_current))
     if duration_s is None:
-        span = 0.0
-        if len(events_arr):
-            span = float(events_arr["timestamp_ns"].max()) / 1e9
+        span = float(events_arr["timestamp_ns"].max()) / 1e9 if len(events_arr) else 0.0
         duration_s = max(span, 1e-9)
         print(
             f"warning: no manifest/duration given; using stream span {duration_s:.3f} s",
             file=sys.stderr,
         )
-    result = _analyze(args, stream1, stream2, duration_s, mean_current)
+    result = run_analysis(stream1, stream2, duration_s=duration_s, mean_current=mean_current)
     os.makedirs(args.out, exist_ok=True)
     _write_map_csv(os.path.join(args.out, "correlation_map.csv"), result.corr_map)
 
@@ -274,6 +277,7 @@ def cmd_scan(args) -> int:
     if any(d <= 0 for d in detunings):
         print("error: scan detunings must be > 0 mdeg", file=sys.stderr)
         return EXIT_CONFIG
+    run_analysis = _analysis(args)
     settings = _load_settings(args)
     os.makedirs(args.out, exist_ok=True)
     points = []
@@ -290,8 +294,9 @@ def cmd_scan(args) -> int:
             stream1, stream2, manifest = events.simulate_run(
                 run, config_hash=cfg.config_hash(run_settings)
             )
-            roi_result = _analyze(
-                args, stream1, stream2, run.duration_s, run.beam_current_profile.mean
+            roi_result = run_analysis(
+                stream1, stream2, duration_s=run.duration_s,
+                mean_current=run.beam_current_profile.mean,
             ).roi_result
             rates.append(roi_result.net_rate_per_hr)
             variances.append(roi_result.net_rate_err_per_hr**2)

@@ -197,10 +197,7 @@ def _parse_quantity(key: str, value: str, dimension: str) -> float:
     if dimension == "plain":
         if len(parts) != 1:
             raise ConfigError(f"{key}: expected a bare number, got {value!r}")
-        try:
-            return float(parts[0])
-        except ValueError as exc:
-            raise ConfigError(f"{key}: cannot parse {value!r}") from exc
+        return float(parts[0])
     if len(parts) != 2:
         raise ConfigError(
             f"{key}: physical values need a unit suffix "
@@ -209,14 +206,10 @@ def _parse_quantity(key: str, value: str, dimension: str) -> float:
     factor = units.get(parts[1].lower())
     if factor is None:
         raise ConfigError(f"{key}: unit {parts[1]!r} not valid for {dimension}")
-    try:
-        return float(parts[0]) * factor
-    except ValueError as exc:
-        raise ConfigError(f"{key}: cannot parse {value!r}") from exc
+    return float(parts[0]) * factor
 
 
 def _parse_value(key: str, value: str, dimension: str):
-    value = value.strip()
     if dimension in _UNITS:
         return _parse_quantity(key, value, dimension)
     if dimension == "int":
@@ -227,34 +220,32 @@ def _parse_value(key: str, value: str, dimension: str):
         return tuple(int(p) for p in value.split(","))
     if dimension == "floatlist":
         return tuple(float(p) for p in value.split(","))
+    if dimension.endswith("_or_auto") and value.lower() == "auto":
+        return None
     if dimension == "angle_or_auto":
-        if value.lower() == "auto":
-            return None
         return _parse_quantity(key, value, "angle_rad")
     if dimension == "window_or_auto":
-        if value.lower() == "auto":
-            return None
         lo, hi = (float(p) for p in value.split(","))
         if not 0.0 < lo < hi < 1.0:
             raise ConfigError(f"{key}: window must satisfy 0 < lo < hi < 1")
         return (lo, hi)
     if dimension == "efftable":
-        if not value:
-            return ()
-        pairs = []
-        for item in value.split(","):
-            energy, eff = item.split(":")
-            pairs.append((float(energy), float(eff)))
-        return tuple(pairs)
+        points = (item.split(":") for item in value.split(",")) if value else ()
+        return tuple((float(energy), float(eff)) for energy, eff in points)
     raise AssertionError(f"unhandled dimension {dimension}")
 
 
 def resolve_settings(settings: dict[str, str]) -> dict[str, object]:
     """Parse every raw value into canonical units / native types."""
-    return {
-        key: _parse_value(key, value, _dimension_of(key))
-        for key, value in settings.items()
-    }
+    resolved = {}
+    for key, value in settings.items():
+        try:
+            resolved[key] = _parse_value(key, value.strip(), _dimension_of(key))
+        except ConfigError:
+            raise
+        except ValueError as exc:  # a number, list or pair that does not parse
+            raise ConfigError(f"{key}: cannot parse {value!r}") from exc
+    return resolved
 
 
 # ---------------------------------------------------------------------------

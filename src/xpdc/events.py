@@ -405,18 +405,19 @@ def _apply_response_batch(
     return stamps, recorded, keep
 
 
-def _apply_dead_time(stream: np.ndarray, dead_time_ns: float) -> np.ndarray:
-    """Non-paralyzable dead time on a time-sorted stream."""
-    if dead_time_ns <= 0 or len(stream) == 0:
-        return stream
-    times = stream["timestamp_ns"].astype(np.int64)
-    keep = np.zeros(len(stream), dtype=bool)
+def _dead_time_mask(times_ns: np.ndarray, dead_time_ns: float) -> np.ndarray:
+    """Events of a time-sorted stream that a non-paralyzable dead time
+    keeps: each kept event blinds the detector for dead_time_ns."""
+    keep = np.ones(len(times_ns), dtype=bool)
+    if dead_time_ns <= 0:
+        return keep
     last = -math.inf
-    for i, t in enumerate(times):
-        if t - last >= dead_time_ns or last == -math.inf:
-            keep[i] = True
+    for i, t in enumerate(times_ns.astype(np.int64)):
+        if t - last < dead_time_ns:
+            keep[i] = False
+        else:
             last = t
-    return stream[keep]
+    return keep
 
 
 def simulate_run(
@@ -479,19 +480,21 @@ def simulate_run(
         stamps, recorded, keep = _apply_response_batch(
             cols[:, 0], cols[:, 1], exp.response, resp_rng
         )
-        # Pair members lead the bucket, so the leading slice of the keep
-        # mask is their survival through the response.
-        members = pair_members[det_index]
-        recorded_members[det_index, members] = keep[: members.sum()]
-
         stream = np.empty(int(keep.sum()), dtype=EVENT_DTYPE)
         stream["detector_id"] = det_index + 1
         stream["timestamp_ns"] = stamps[keep].astype(np.uint64)
         stream["energy_ev"] = recorded[keep].astype(np.uint32)
         order = np.argsort(stream["timestamp_ns"], kind="stable")
-        stream = stream[order]
-        stream = _apply_dead_time(stream, exp.response.dead_time_ns)
-        streams.append(stream)
+        live = _dead_time_mask(stream["timestamp_ns"][order], exp.response.dead_time_ns)
+        streams.append(stream[order[live]])
+
+        # Pair members lead the bucket; carry the dead-time mask back
+        # through the sort to find which of them were recorded.
+        survived = np.empty_like(live)
+        survived[order] = live
+        keep[keep] = survived
+        members = pair_members[det_index]
+        recorded_members[det_index, members] = keep[: members.sum()]
 
     both = recorded_members[0] & recorded_members[1]
     manifest.pairs_detected_both = int(both.sum())

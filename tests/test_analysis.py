@@ -257,6 +257,47 @@ class TestFitTimeProfile:
         assert abs(fit.sigma - 212.0) < 40.0
         assert abs(fit.center) < 50.0
 
+    def test_errors_match_numerical_hessian_of_likelihood(self):
+        rng = np.random.default_rng(12)
+        corr = synthetic_map(amplitude=3.0, sigma_ns=212.0, baseline=0.05, rng=rng)
+        x, n = corr.dt_centers_ns, corr.dt_marginal.astype(float)
+        fit = fit_time_profile(corr)
+        p = np.array([fit.amplitude, fit.center, fit.sigma, fit.baseline])
+
+        def nll(q):
+            mu = q[0] * np.exp(-0.5 * ((x - q[1]) / q[2]) ** 2) + q[3]
+            return float(np.sum(mu - n * np.log(mu)))
+
+        steps = 1e-4 * np.abs(p)
+        hessian = np.empty((4, 4))
+        for i in range(4):
+            for j in range(4):
+                di, dj = np.eye(4)[i] * steps[i], np.eye(4)[j] * steps[j]
+                hessian[i, j] = (
+                    nll(p + di + dj) - nll(p + di - dj) - nll(p - di + dj) + nll(p - di - dj)
+                ) / (4.0 * steps[i] * steps[j])
+        errors = np.sqrt(np.diag(np.linalg.inv(hessian)))
+        fitted = [fit.amplitude_err, fit.center_err, fit.sigma_err, fit.baseline_err]
+        assert np.allclose(fitted, errors, rtol=1e-3)
+        # an optimum: no finite-difference step lowers the likelihood
+        assert all(nll(p + d) >= nll(p) for d in np.vstack([np.diag(steps), -np.diag(steps)]))
+
+    def test_dip_puts_amplitude_on_its_bound(self):
+        counts = np.full(41, 10.0)
+        counts[18:23] = 2.0
+        fit = fit_gaussian_profile(np.arange(41.0), counts)
+        assert fit.amplitude == 0.0
+        assert math.isinf(fit.center_err) and math.isinf(fit.sigma_err)
+        assert math.isfinite(fit.amplitude_err) and math.isfinite(fit.baseline_err)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        import xpdc.analysis
+
+        corr = synthetic_map(amplitude=40.0, sigma_ns=212.0, baseline=1.0)
+        monkeypatch.setattr(xpdc.analysis, "_MAX_ITERATIONS", 1)
+        with pytest.raises(AnalysisError, match="did not converge"):
+            fit_time_profile(corr)
+
 
 def peak_streams(n=400, seed=55):
     """Two 1800 s streams holding n true pairs: E1 ~ N(11 keV, 500 eV),
@@ -286,6 +327,27 @@ class TestEnergyProfile:
         assert abs(centroid - 11000.0) < 150.0
         assert abs(fit.center - 11000.0) < 150.0
         assert abs(fit.sigma - 500.0) < 150.0
+
+    def test_least_squares_fit_matches_curve_fit(self):
+        from scipy.optimize import curve_fit
+
+        x = np.arange(5050.0, 17000.0, 100.0)
+        rng = np.random.default_rng(21)
+        errors = np.full(len(x), 1.5)
+        y = 3.0 * np.exp(-0.5 * ((x - 11000.0) / 600.0) ** 2) + rng.normal(0.0, 1.5, len(x))
+        fit = fit_gaussian_profile(x, y, errors)
+
+        def model(x, a, c, s, b):
+            return a * np.exp(-0.5 * ((x - c) / s) ** 2) + b
+
+        popt, pcov = curve_fit(
+            model, x, y, p0=(3.0, 11000.0, 600.0, 0.0), sigma=errors, absolute_sigma=True
+        )
+        perr = np.sqrt(np.diag(pcov))
+        fitted = np.array([fit.amplitude, fit.center, fit.sigma, fit.baseline])
+        assert np.all(np.abs(fitted - popt) < 1e-3 * perr)
+        fitted_err = [fit.amplitude_err, fit.center_err, fit.sigma_err, fit.baseline_err]
+        assert np.allclose(fitted_err, perr, rtol=1e-3)
 
     def test_no_excess_raises(self):
         corr = synthetic_map(amplitude=0.0, baseline=0.0)

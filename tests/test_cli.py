@@ -1,10 +1,14 @@
 """Command-line surface: subcommands, outputs, exit codes."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import xpdc
+from xpdc import events
 from xpdc.analysis import CoincidenceCriteria, RoiSpec, analyze
 from xpdc.cli import main
 from xpdc.config import build_run_config, load_config_file, merge_settings
@@ -17,6 +21,12 @@ def short_config(tmp_path):
     path = tmp_path / "short.cfg"
     path.write_text("run.duration = 30 s\n")
     return str(path)
+
+
+BAD_ANALYSIS_FLAGS = [
+    (["--roi-sigmas", "5", "--sideband-sigmas", "3"], "--sideband-sigmas must exceed"),
+    (["--horizon", "50"], "pairing horizon must span at least 5 dt bins"),
+]
 
 
 @pytest.fixture()
@@ -179,6 +189,30 @@ class TestAnalyze:
         path.write_bytes(b"XPDC" + bytes(20))
         assert main(["analyze", str(path)]) == 2
 
+    @pytest.mark.parametrize("flags, message", BAD_ANALYSIS_FLAGS)
+    def test_bad_flags_are_usage_errors_before_reading(
+        self, tmp_path, capsys, flags, message
+    ):
+        path = tmp_path / "corrupt.xpdc"  # a data error, were it read
+        path.write_bytes(b"XPDC" + bytes(20))
+        assert main(["analyze", str(path), *flags, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.splitlines()[0].startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_detector_count_other_than_two_is_data_error(
+        self, short_config, tmp_path, capsys, count
+    ):
+        out = str(tmp_path / "run")
+        assert main(["simulate", "--config", short_config, "--out", out]) == 0
+        path = os.path.join(out, "events.xpdc")
+        raw = bytearray(open(path, "rb").read())
+        raw[9] = count  # the header's detector count
+        open(path, "wb").write(bytes(raw))
+        capsys.readouterr()
+        assert main(["analyze", path, "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
 
 class TestScan:
     def test_scan_writes_csv_with_fit(self, tmp_path):
@@ -249,6 +283,18 @@ class TestScan:
     def test_nonpositive_detuning_rejected(self, tmp_path):
         assert main(["scan", "--detunings", "-5", "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("flags, message", BAD_ANALYSIS_FLAGS)
+    def test_bad_flags_are_usage_errors_before_simulating(
+        self, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before checking the flags")
+
+        monkeypatch.setattr(events, "simulate_run", no_simulation)
+        out = str(tmp_path / "scan")
+        assert main(["scan", "--detunings", "10", *flags, "--out", out]) == 1
+        assert capsys.readouterr().err.splitlines()[0].startswith(f"error: {message}")
+
     def test_scan_rate_matches_individual_analyze(self, tmp_path):
         # a one-point scan and a manual simulate+analyze at the same
         # detuning and seed must report the same net rate
@@ -305,7 +351,38 @@ class TestEnvironmentOverrides:
         manifest = read_manifest(os.path.join(out, "manifest.txt"))
         assert float(manifest["duration_s"]) == 2.0
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("XPDC_RUN_SEED", "abc"),
+            ("XPDC_CRYSTAL_REFLECTION", "1,x,0"),
+            ("XPDC_CHAIN_TABLE", "5000"),
+            ("XPDC_SOURCE_SPLIT_WINDOW", "0.2"),
+            ("XPDC_RUN_CURRENT_SEGMENTS", "1,,2"),
+        ],
+    )
+    def test_malformed_value_is_one_line_config_error(
+        self, monkeypatch, capsys, name, value
+    ):
+        monkeypatch.setenv(name, value)
+        assert main(["plan"]) == 1
+        key = name[len("XPDC_"):].lower().replace("_", ".", 1)
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {key}: cannot parse {value!r}"
+        ]
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 1
+
+
+def test_cli_import_leaves_scipy_out():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(xpdc.__file__)))
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    probe = subprocess.run(
+        [sys.executable, "-c", "import sys, xpdc.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert probe.stdout.strip() == "False"

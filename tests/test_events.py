@@ -293,6 +293,18 @@ class TestSimulateRun:
         gaps = np.diff(s1["timestamp_ns"].astype(np.int64))
         assert np.all(gaps >= 10_000)
 
+    def test_truth_counts_follow_dead_time(self):
+        settings = quiet_settings(
+            **{"source.pair_rate": "2000000 /hr", "run.duration": "600 s"}
+        )
+        _, _, live = simulate_run(build_run_config(settings))
+        settings["response.dead_time"] = "200 us"
+        s1, s2, dead = simulate_run(build_run_config(settings))
+        assert dead.events_recorded < live.events_recorded
+        # no background: every recorded event is a member of a pair
+        for det, stream in enumerate((s1, s2)):
+            assert len(stream) == dead.pairs_detected_both + dead.singles_detected[det]
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             RunConfig(duration_s=0.0)
