@@ -33,7 +33,11 @@ EXIT_DATA = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors mapped to exit code 1."""
+    """argparse with usage errors mapped to exit code 1, and without
+    abbreviated flags (scan's --seeds would take a --seed)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -57,6 +61,8 @@ def _analysis(args):
     flags; flags that no data could satisfy are a usage error."""
     if args.sideband_sigmas <= args.roi_sigmas:
         raise ConfigError("--sideband-sigmas must exceed --roi-sigmas")
+    if not args.roi_e_half > 0:  # nan too
+        raise ConfigError("--roi-e-half must be > 0")
     try:
         criteria = CoincidenceCriteria(
             single_energy_window_ev=(args.e_min * 1e3, args.e_max * 1e3),
@@ -77,6 +83,16 @@ def _analysis(args):
         sideband_sigmas=args.sideband_sigmas,
         exclusive=args.exclusive,
     )
+
+
+def _comma_list(kind):
+    """argparse type: a comma-separated list of kind."""
+
+    def parse(text: str) -> list:
+        return [kind(value) for value in text.split(",")]
+
+    parse.__name__ = f"comma-separated {kind.__name__}"  # argparse's error names it
+    return parse
 
 
 def _add_criteria_args(parser: argparse.ArgumentParser) -> None:
@@ -177,8 +193,9 @@ def cmd_simulate(args) -> int:
     listmode.write_manifest(
         os.path.join(args.out, "manifest.txt"), manifest.as_dict()
     )
-    with open(os.path.join(args.out, "config.txt"), "w", encoding="utf-8") as fh:
-        fh.write(cfg.canonical_text(settings))
+    listmode._atomic_write(
+        os.path.join(args.out, "config.txt"), [cfg.canonical_text(settings).encode()]
+    )
     if args.csv:
         listmode.write_events_csv(os.path.join(args.out, "events.csv"), merged)
     print(
@@ -189,27 +206,10 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _write_map_csv(path: str, corr_map) -> None:
-    lines = [
-        f"# duration_s = {corr_map.duration_s}",
-        f"# mean_current = {corr_map.mean_current}",
-        f"# e_edges_ev = {corr_map.e_edges_ev[0]}:{corr_map.e_edges_ev[-1]}"
-        f":{corr_map.e_edges_ev[1] - corr_map.e_edges_ev[0]}",
-        f"# dt_edges_ns = {corr_map.dt_edges_ns[0]}:{corr_map.dt_edges_ns[-1]}"
-        f":{corr_map.dt_edges_ns[1] - corr_map.dt_edges_ns[0]}",
-        "e1_ev,dt_ns,counts",
-    ]
-    e_centers = corr_map.e_centers_ev
-    dt_centers = corr_map.dt_centers_ns
-    counts = corr_map.counts
-    for i, j in zip(*np.nonzero(counts)):  # row-major: by E1, then dt
-        lines.append(f"{e_centers[i]:.1f},{dt_centers[j]:.1f},{int(counts[i, j])}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def cmd_analyze(args) -> int:
     run_analysis = _analysis(args)
+    if args.duration is not None and not args.duration > 0:
+        raise ConfigError("--duration must be > 0")
     events_arr, header = listmode.read_listmode(args.events)
     if header.detector_count != 2:
         raise ListModeFormatError(f"header says {header.detector_count} detectors, not 2")
@@ -233,13 +233,26 @@ def cmd_analyze(args) -> int:
         )
     result = run_analysis(stream1, stream2, duration_s=duration_s, mean_current=mean_current)
     os.makedirs(args.out, exist_ok=True)
-    _write_map_csv(os.path.join(args.out, "correlation_map.csv"), result.corr_map)
+    corr_map = result.corr_map
+    rows, cols = np.nonzero(corr_map.counts)  # row-major: by E1, then dt
+    e, dt = corr_map.e_edges_ev, corr_map.dt_edges_ns
+    map_meta = {
+        "duration_s": corr_map.duration_s,
+        "mean_current": corr_map.mean_current,
+        "e_edges_ev": f"{e[0]}:{e[-1]}:{e[1] - e[0]}",
+        "dt_edges_ns": f"{dt[0]}:{dt[-1]}:{dt[1] - dt[0]}",
+    }
+    listmode.write_csv(
+        os.path.join(args.out, "correlation_map.csv"), "e1_ev,dt_ns,counts", "{:.1f},{:.1f},{}",
+        (corr_map.e_centers_ev[rows], corr_map.dt_centers_ns[cols], corr_map.counts[rows, cols]),
+        map_meta,
+    )
 
     time_fit, energy_fit, roi = result.time_fit, result.energy_fit, result.roi_result
     report: dict[str, object] = {
         "events_d1": len(stream1),
         "events_d2": len(stream2),
-        "pairs_accepted": int(result.corr_map.counts.sum()),
+        "pairs_accepted": int(corr_map.counts.sum()),
         "duration_s": duration_s,
         "mean_current": mean_current,
     }
@@ -272,31 +285,27 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    detunings = [float(v) for v in args.detunings.split(",")]
-    seeds = [int(v) for v in args.seeds.split(",")]
-    if any(d <= 0 for d in detunings):
+    if any(d <= 0 for d in args.detunings):
         print("error: scan detunings must be > 0 mdeg", file=sys.stderr)
         return EXIT_CONFIG
     run_analysis = _analysis(args)
     settings = _load_settings(args)
     os.makedirs(args.out, exist_ok=True)
     points = []
-    for detuning in detunings:
+    for detuning in args.detunings:
         rates = []
         variances = []
-        for seed in seeds:
+        for seed in args.seeds:
             run_settings = dict(settings)
             run_settings["crystal.detuning"] = f"{detuning} mdeg"
             run_settings["detector1.offset"] = "auto"
             run_settings["detector2.offset"] = "auto"
             run_settings["run.seed"] = str(seed)
             run = cfg.build_run_config(run_settings)
-            stream1, stream2, manifest = events.simulate_run(
-                run, config_hash=cfg.config_hash(run_settings)
-            )
+            stream1, stream2, manifest = events.simulate_run(run)
             roi_result = run_analysis(
-                stream1, stream2, duration_s=run.duration_s,
-                mean_current=run.beam_current_profile.mean,
+                stream1, stream2, duration_s=manifest.duration_s,
+                mean_current=manifest.mean_current,
             ).roi_result
             rates.append(roi_result.net_rate_per_hr)
             variances.append(roi_result.net_rate_err_per_hr**2)
@@ -305,40 +314,34 @@ def cmd_scan(args) -> int:
         points.append((detuning, rate, err))
         print(f"detuning {detuning:6.1f} mdeg: net rate {rate:8.2f} +/- {err:.2f} /hr")
 
-    fit = None
-    fit_error = ""
+    meta: dict[str, object] = {  # the same for every run of the scan
+        "seeds": ",".join(map(str, args.seeds)),
+        "duration_s": manifest.duration_s,
+        "mean_current": manifest.mean_current,
+    }
     try:
         fit = analysis.fit_misalignment_scan(points)
     except AnalysisError as exc:
-        fit_error = str(exc)
+        meta["fit_error"] = str(exc)
         print(f"warning: scan fit failed: {exc}", file=sys.stderr)
-
-    lines = [
-        f"# seeds = {args.seeds}",
-        f"# duration_s = {cfg.build_run_config(settings).duration_s}",
-        "# mean_current = 1.0",
-    ]
-    if fit is not None:
-        lines += [
-            f"# exponent = {fit.exponent:.4f}",
-            f"# exponent_err = {fit.exponent_err:.4f}",
-            f"# amplitude = {fit.amplitude:.4f}",
-            f"# chi2_per_dof = {fit.chi2_per_dof:.4f}",
-            f"# amplitude_fixed = {fit.amplitude_fixed:.4f}",
-            f"# chi2_per_dof_fixed = {fit.chi2_per_dof_fixed:.4f}",
-        ]
     else:
-        lines.append(f"# fit_error = {fit_error}")
-    lines.append("detuning_mdeg,net_rate_per_hr,net_rate_err_per_hr")
-    lines += [f"{d},{r:.4f},{e:.4f}" for d, r, e in points]
-    path = os.path.join(args.out, "scan_result.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    if fit is not None:
+        meta.update(
+            exponent=f"{fit.exponent:.4f}",
+            exponent_err=f"{fit.exponent_err:.4f}",
+            amplitude=f"{fit.amplitude:.4f}",
+            chi2_per_dof=f"{fit.chi2_per_dof:.4f}",
+            amplitude_fixed=f"{fit.amplitude_fixed:.4f}",
+            chi2_per_dof_fixed=f"{fit.chi2_per_dof_fixed:.4f}",
+        )
         print(
             f"fit: rate = {fit.amplitude:.1f} * detuning^{fit.exponent:.3f} "
             f"(+/- {fit.exponent_err:.3f}), chi2/dof {fit.chi2_per_dof:.2f}"
         )
+    listmode.write_csv(
+        os.path.join(args.out, "scan_result.csv"),
+        "detuning_mdeg,net_rate_per_hr,net_rate_err_per_hr", "{},{:.4f},{:.4f}",
+        np.array(points).T, meta,
+    )
     return EXIT_OK
 
 
@@ -376,21 +379,22 @@ def cmd_report(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="xpdc", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="experiment config file")
-    common.add_argument("--seed", type=int, help="override run.seed")
-    common.add_argument("--out", default="xpdc-out", help="output directory")
-    common.add_argument("--csv", action="store_true", help="also write CSV event dump")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="experiment config file")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default="xpdc-out", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("plan", parents=[common], help="print the placement report")
+    sub.add_parser("plan", parents=[config], help="print the placement report")
 
-    sub.add_parser(
-        "simulate", parents=[common], help="simulate one run to a list-mode file"
+    p_simulate = sub.add_parser(
+        "simulate", parents=[config, out], help="simulate one run to a list-mode file"
     )
+    p_simulate.add_argument("--seed", type=int, help="override run.seed")
+    p_simulate.add_argument("--csv", action="store_true", help="also write CSV event dump")
 
     p_analyze = sub.add_parser(
-        "analyze", parents=[common], help="coincidence analysis of a list-mode file"
+        "analyze", parents=[out], help="coincidence analysis of a list-mode file"
     )
     p_analyze.add_argument("events", help="list-mode event file")
     p_analyze.add_argument("--manifest", help="manifest for duration/current")
@@ -399,16 +403,19 @@ def build_parser() -> _Parser:
     _add_criteria_args(p_analyze)
 
     p_scan = sub.add_parser(
-        "scan", parents=[common], help="simulate and fit a misalignment scan"
+        "scan", parents=[config, out], help="simulate and fit a misalignment scan"
     )
     p_scan.add_argument(
-        "--detunings", default="5,10,20,30,50", help="comma list, mdeg"
+        "--detunings", type=_comma_list(float), default="5,10,20,30,50",
+        help="comma list, mdeg",
     )
-    p_scan.add_argument("--seeds", default="1", help="comma list of seeds")
+    p_scan.add_argument(
+        "--seeds", type=_comma_list(int), default="1", help="comma list of seeds"
+    )
     _add_criteria_args(p_scan)
 
     p_report = sub.add_parser(
-        "report", parents=[common], help="conversion-efficiency summary"
+        "report", parents=[config], help="conversion-efficiency summary"
     )
     p_report.add_argument("--net-rate", type=float, help="net pair rate, /hr")
     p_report.add_argument(
@@ -432,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, PhysicsError, FileNotFoundError) as exc:
+    except (ConfigError, PhysicsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (AnalysisError, ListModeFormatError) as exc:

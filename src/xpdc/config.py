@@ -12,6 +12,7 @@ underscores for dotted sub-keys: ``XPDC_SOURCE__PAIR_RATE``).
 
 from __future__ import annotations
 
+import math
 import re
 
 from .events import (
@@ -235,16 +236,27 @@ def _parse_value(key: str, value: str, dimension: str):
     raise AssertionError(f"unhandled dimension {dimension}")
 
 
+def _finite(value) -> bool:
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return not isinstance(value, tuple) or all(map(_finite, value))
+
+
 def resolve_settings(settings: dict[str, str]) -> dict[str, object]:
     """Parse every raw value into canonical units / native types."""
     resolved = {}
     for key, value in settings.items():
+        dimension = _dimension_of(key)
+        if dimension is None:
+            raise ConfigError(f"unknown config key {key!r}")
         try:
-            resolved[key] = _parse_value(key, value.strip(), _dimension_of(key))
+            resolved[key] = _parse_value(key, value.strip(), dimension)
         except ConfigError:
             raise
         except ValueError as exc:  # a number, list or pair that does not parse
             raise ConfigError(f"{key}: cannot parse {value!r}") from exc
+        if not _finite(resolved[key]):
+            raise ConfigError(f"{key}: {value!r} is not a finite number")
     return resolved
 
 

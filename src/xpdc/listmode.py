@@ -1,5 +1,5 @@
 """
-Binary list-mode event files and flat key-value manifests.
+Binary list-mode event files, flat key-value manifests and CSV tables.
 
 File layout (all integers little endian):
 
@@ -13,14 +13,15 @@ File layout (all integers little endian):
                     detector_id (u8) | timestamp ns (u64) | energy eV (u32)
 
 Records are non-decreasing in timestamp within each detector id, and
-every detector id is in 1..detector count.  Writes go to a temporary
-file in the target directory followed by an atomic rename.
+every detector id is in 1..detector count.  Every output file is written
+to a temporary file in the target directory, then renamed atomically.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,8 @@ from .events import EVENT_DTYPE
 MAGIC = b"XPDC"
 FORMAT_VERSION = 1
 HEADER_SIZE = 18
+# CSV rows rendered per chunk, so no CSV is held in memory whole.
+_CSV_BLOCK_ROWS = 65536
 _HEADER_DTYPE = np.dtype(
     [
         ("magic", "S4"),
@@ -62,12 +65,13 @@ def fnv1a64(data: bytes) -> int:
     return value
 
 
-def _atomic_write(path: str, payload: bytes) -> None:
+def _atomic_write(path: str, chunks: Iterable) -> None:
+    """Write the bytes-like chunks to path: all of them, or no file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".xpdc-tmp-")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
+            handle.writelines(chunks)
         # mkstemp creates the file 0600; give it the mode open() would.
         umask = os.umask(0)
         os.umask(umask)
@@ -85,15 +89,10 @@ def write_listmode(path: str, events: np.ndarray, header: ListModeHeader) -> Non
     events must be an EVENT_DTYPE array; ordering is validated the same
     way read_listmode validates it.
     """
-    events = np.asarray(events, dtype=EVENT_DTYPE)
+    events = np.ascontiguousarray(events, dtype=EVENT_DTYPE)
     _validate_records(events, header.detector_count)
-    head = np.zeros(1, dtype=_HEADER_DTYPE)
-    head["magic"] = MAGIC
-    head["version"] = header.version
-    head["clock_tick_ns"] = header.clock_tick_ns
-    head["detector_count"] = header.detector_count
-    head["config_hash"] = header.config_hash
-    _atomic_write(path, head.tobytes() + events.tobytes())
+    head = (MAGIC, header.version, header.clock_tick_ns, header.detector_count, header.config_hash)
+    _atomic_write(path, (np.array([head], dtype=_HEADER_DTYPE), events))
 
 
 def read_listmode(path: str) -> tuple[np.ndarray, ListModeHeader]:
@@ -151,20 +150,33 @@ def merge_streams(*streams: np.ndarray) -> np.ndarray:
     return merged[order]
 
 
+def write_csv(
+    path: str, header: str, row_format: str, columns: Sequence[np.ndarray], meta: dict[str, object]
+) -> None:
+    """CSV file: a `# key = value` line per meta entry, the header line,
+    then row_format.format(*values) for each row of the equal-length
+    column arrays, rendered _CSV_BLOCK_ROWS rows at a time."""
+    row = (row_format + "\n").format
+
+    def chunks():
+        meta_lines = [f"# {key} = {value}\n" for key, value in meta.items()]
+        yield "".join(meta_lines + [header + "\n"]).encode()
+        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            block = [column[start : start + _CSV_BLOCK_ROWS].tolist() for column in columns]
+            yield "".join(map(row, *block)).encode()
+
+    _atomic_write(path, chunks())
+
+
 def write_events_csv(path: str, events: np.ndarray) -> None:
     """Events as CSV: detector_id,timestamp_ns,energy_ev."""
-    lines = ["detector_id,timestamp_ns,energy_ev"]
-    lines.extend(
-        f"{int(r['detector_id'])},{int(r['timestamp_ns'])},{int(r['energy_ev'])}"
-        for r in events
-    )
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    names = EVENT_DTYPE.names
+    write_csv(path, ",".join(names), "{},{},{}", [events[name] for name in names], {})
 
 
 def write_manifest(path: str, entries: dict[str, object]) -> None:
     """Flat key = value manifest, one entry per line."""
-    lines = [f"{key} = {value}" for key, value in entries.items()]
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    _atomic_write(path, ["".join(f"{key} = {value}\n" for key, value in entries.items()).encode()])
 
 
 def read_manifest(path: str) -> dict[str, str]:

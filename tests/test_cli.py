@@ -26,6 +26,22 @@ def short_config(tmp_path):
 BAD_ANALYSIS_FLAGS = [
     (["--roi-sigmas", "5", "--sideband-sigmas", "3"], "--sideband-sigmas must exceed"),
     (["--horizon", "50"], "pairing horizon must span at least 5 dt bins"),
+    (["--roi-e-half", "-1"], "--roi-e-half must be > 0"),
+]
+
+# Flags that each subcommand does not read, with a value where they take one.
+DEAD_FLAGS = [
+    ("plan", ["--seed", "99"]),
+    ("plan", ["--out", "x"]),
+    ("plan", ["--csv"]),
+    ("analyze", ["--config", "x.cfg"]),
+    ("analyze", ["--seed", "99"]),
+    ("analyze", ["--csv"]),
+    ("scan", ["--seed", "99"]),
+    ("scan", ["--csv"]),
+    ("report", ["--seed", "99"]),
+    ("report", ["--out", "x"]),
+    ("report", ["--csv"]),
 ]
 
 
@@ -198,6 +214,15 @@ class TestAnalyze:
         assert main(["analyze", str(path), *flags, "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.splitlines()[0].startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("duration", ["-5", "nan"])
+    def test_nonpositive_duration_is_usage_error_before_reading(
+        self, tmp_path, capsys, duration
+    ):
+        path = tmp_path / "corrupt.xpdc"
+        path.write_bytes(b"XPDC" + bytes(20))
+        assert main(["analyze", str(path), "--duration", duration, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: --duration must be > 0"]
+
     @pytest.mark.parametrize("count", [1, 3])
     def test_detector_count_other_than_two_is_data_error(
         self, short_config, tmp_path, capsys, count
@@ -295,6 +320,19 @@ class TestScan:
         assert main(["scan", "--detunings", "10", *flags, "--out", out]) == 1
         assert capsys.readouterr().err.splitlines()[0].startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("flag, value", [("--seeds", "1,x"), ("--detunings", "5,x")])
+    def test_malformed_list_is_usage_error_before_simulating(
+        self, tmp_path, capsys, monkeypatch, flag, value
+    ):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before checking the flags")
+
+        monkeypatch.setattr(events, "simulate_run", no_simulation)
+        with pytest.raises(SystemExit) as err:
+            main(["scan", flag, value, "--out", str(tmp_path / "scan")])
+        assert err.value.code == 1
+        assert f"argument {flag}: invalid comma-separated" in capsys.readouterr().err
+
     def test_scan_rate_matches_individual_analyze(self, tmp_path):
         # a one-point scan and a manual simulate+analyze at the same
         # detuning and seed must report the same net rate
@@ -371,10 +409,67 @@ class TestEnvironmentOverrides:
             f"error: {key}: cannot parse {value!r}"
         ]
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("XPDC_RUN_DURATION", "nan s"),
+            ("XPDC_RUN_DURATION", "inf s"),
+            ("XPDC_SOURCE__PAIR_RATE", "inf /s"),
+            ("XPDC_BEAM_ENERGY", "nan keV"),
+            ("XPDC_CRYSTAL_DETUNING", "nan mdeg"),
+        ],
+    )
+    def test_non_finite_value_is_one_line_config_error(
+        self, monkeypatch, capsys, tmp_path, name, value
+    ):
+        monkeypatch.setenv(name, value)
+        assert main(["simulate", "--out", str(tmp_path)]) == 1
+        key = name[len("XPDC_"):].lower()
+        key = key.replace("__", ".") if "__" in key else key.replace("_", ".", 1)
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {key}: {value!r} is not a finite number"
+        ]
+        assert os.listdir(tmp_path) == []
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "command, flags", DEAD_FLAGS, ids=[f"{command}{flags[0]}" for command, flags in DEAD_FLAGS]
+)
+def test_flags_a_subcommand_does_not_read_are_usage_errors(
+    tmp_path, monkeypatch, command, flags
+):
+    monkeypatch.chdir(tmp_path)  # so that a run the parser let through writes here
+    argv = [command, *flags]
+    if command == "analyze":
+        argv.insert(1, str(tmp_path / "events.xpdc"))
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{dir}"],
+        ["plan", "--config", "{dir}"],
+        ["simulate", "--out", "{file}"],
+    ],
+    ids=["analyze-directory", "config-directory", "out-file"],
+)
+def test_os_error_is_one_line_exit_1(tmp_path, capsys, argv):
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    existing = tmp_path / "file"
+    existing.write_text("")
+    argv = [arg.format(dir=directory, file=existing) for arg in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_cli_import_leaves_scipy_out():

@@ -57,6 +57,13 @@ class TestParsing:
         with pytest.raises(ConfigError):
             merge_settings({"nope.nope": "1"})
 
+    @pytest.mark.parametrize("build", [build_run_config, canonical_text])
+    def test_unknown_key_in_settings_rejected(self, build):
+        settings = default_settings()
+        settings["crystal.detunning"] = "20 mdeg"
+        with pytest.raises(ConfigError, match="crystal.detunning"):
+            build(settings)
+
     def test_bad_unit_rejected(self):
         settings = default_settings()
         settings["crystal.detuning"] = "10 mm"

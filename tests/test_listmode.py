@@ -1,10 +1,13 @@
 """List-mode binary format, manifests, CSV export."""
 
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from xpdc import listmode
+from xpdc.cli import main
 from xpdc.events import EVENT_DTYPE
 from xpdc.listmode import (
     HEADER_SIZE,
@@ -15,6 +18,7 @@ from xpdc.listmode import (
     read_listmode,
     read_manifest,
     split_streams,
+    write_csv,
     write_events_csv,
     write_listmode,
     write_manifest,
@@ -143,6 +147,21 @@ class TestStreamHelpers:
         assert lines[1] == "1,0,11000"
         assert lines[2] == "2,20,10950"
 
+    def test_failing_row_source_leaves_no_file(self, tmp_path):
+        class FailsAfterFirstBlock:
+            def __getitem__(self, rows):
+                if rows.start:
+                    raise RuntimeError("row source failed")
+                return np.arange(5)[rows]
+
+        with mock.patch.object(listmode, "_CSV_BLOCK_ROWS", 2):
+            with pytest.raises(RuntimeError, match="row source failed"):
+                write_csv(
+                    str(tmp_path / "t.csv"), "a,b", "{},{}",
+                    (np.arange(5), FailsAfterFirstBlock()), {"k": 1},
+                )
+        assert os.listdir(tmp_path) == []
+
 
 class TestManifest:
     def test_round_trip(self, tmp_path):
@@ -176,6 +195,31 @@ class TestFileMode:
             os.umask(previous)
         for path in paths:
             assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask
+
+    @pytest.mark.filterwarnings("ignore:excluding non-positive rate")
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_command_line_outputs_follow_umask(self, tmp_path, umask):
+        config = tmp_path / "quiet.cfg"
+        config.write_text("run.duration = 1 s\nsource.pair_rate = 0 /s\n")
+        run, scan = str(tmp_path / "run"), str(tmp_path / "scan")
+        previous = os.umask(umask)
+        try:
+            assert main(["simulate", "--config", str(config), "--csv", "--out", run]) == 0
+            assert main(["analyze", os.path.join(run, "events.xpdc"), "--out", run]) == 0
+            assert main(["scan", "--config", str(config), "--detunings", "10",
+                         "--out", scan]) == 0
+        finally:
+            os.umask(previous)
+        names = {
+            run: ["events.xpdc", "manifest.txt", "config.txt", "events.csv",
+                  "correlation_map.csv", "analysis_report.txt"],
+            scan: ["scan_result.csv"],
+        }
+        for directory, files in names.items():
+            assert sorted(os.listdir(directory)) == sorted(files)
+            for name in files:
+                mode = os.stat(os.path.join(directory, name)).st_mode & 0o777
+                assert mode == 0o666 & ~umask, name
 
 
 class TestFnv1a:
