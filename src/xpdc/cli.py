@@ -210,6 +210,8 @@ def cmd_analyze(args) -> int:
     run_analysis = _analysis(args)
     if args.duration is not None and not args.duration > 0:
         raise ConfigError("--duration must be > 0")
+    if args.mean_current is not None and not 0 < args.mean_current < math.inf:
+        raise ConfigError("--mean-current must be finite and > 0")
     events_arr, header = listmode.read_listmode(args.events)
     if header.detector_count != 2:
         raise ListModeFormatError(f"header says {header.detector_count} detectors, not 2")
@@ -220,10 +222,14 @@ def cmd_analyze(args) -> int:
     if manifest_path is None:
         sibling = os.path.join(os.path.dirname(os.path.abspath(args.events)), "manifest.txt")
         manifest_path = sibling if os.path.exists(sibling) else None
-    if manifest_path and duration_s is None:
+    # A flag wins; what is not given comes from the manifest, if any.
+    manifest = {}
+    if manifest_path and None in (duration_s, mean_current):
         manifest = listmode.read_manifest(manifest_path)
+    if duration_s is None:
         duration_s = float(manifest.get("duration_s", "0")) or None
-        mean_current = float(manifest.get("mean_current", mean_current))
+    if mean_current is None:
+        mean_current = float(manifest.get("mean_current", "1.0"))
     if duration_s is None:
         span = float(events_arr["timestamp_ns"].max()) / 1e9 if len(events_arr) else 0.0
         duration_s = max(span, 1e-9)
@@ -399,7 +405,9 @@ def build_parser() -> _Parser:
     p_analyze.add_argument("events", help="list-mode event file")
     p_analyze.add_argument("--manifest", help="manifest for duration/current")
     p_analyze.add_argument("--duration", type=float, help="run duration, s")
-    p_analyze.add_argument("--mean-current", type=float, default=1.0)
+    p_analyze.add_argument(
+        "--mean-current", type=float, help="mean relative beam current (default 1)"
+    )
     _add_criteria_args(p_analyze)
 
     p_scan = sub.add_parser(

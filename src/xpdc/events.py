@@ -57,6 +57,10 @@ class GaussianLine:
         if self.center_ev <= 0 or self.fwhm_ev < 0:
             raise ConfigError(f"bad line shape for {self.label!r}")
 
+    def rate(self, suppression: float) -> float:
+        """Rate in /s under the given polarization suppression factor."""
+        return self.rate_per_s * (suppression if self.suppressed else 1.0)
+
 
 @dataclass(frozen=True)
 class SourceModel:
@@ -114,7 +118,12 @@ class BeamCurrentProfile:
         if not self.values or any(v <= 0 for v in self.values):
             raise ConfigError("beam current values must be > 0")
         mean = sum(self.values) / len(self.values)
-        object.__setattr__(self, "values", tuple(v / mean for v in self.values))
+        values = tuple(v / mean for v in self.values)
+        # Huge values overflow the mean; a spread past the float range
+        # underflows a segment to 0.
+        if not all(math.isfinite(v) and v > 0 for v in (mean, *values)):
+            raise ConfigError("beam current values do not normalize to a finite mean of 1")
+        object.__setattr__(self, "values", values)
 
     @property
     def mean(self) -> float:
@@ -258,6 +267,22 @@ class RunManifest:
 # ---------------------------------------------------------------------------
 # Sampling
 
+# Refuse runs expecting more generated photons than this: 14 times a 24 h
+# default run, about 76 GB at the ~76 B per event a simulation peaks at.
+_MAX_EXPECTED_EVENTS = 1e9
+
+
+def _expected_photons(config: RunConfig) -> float:
+    """Upper bound on the photons a run generates: both members of every
+    pair and every background component, at the highest beam current
+    for the whole run."""
+    exp = config.experiment
+    suppression = polarization_suppression(exp.theta_b(), exp.beam.polarization_angle_rad)
+    rate = 2 * exp.source.true_pair_rate_per_s * exp.crystal.effective_rate_scale + sum(
+        line.rate(suppression) for lines in exp.source.components for line in lines
+    )
+    return config.duration_s * max(config.beam_current_profile.values) * rate
+
 
 def _poisson_times(
     rng: np.random.Generator,
@@ -364,8 +389,7 @@ def _background_arrays(
     energy_chunks = [np.empty(0)]
     counts: dict[str, int] = {}
     for line in source.components[detector_id - 1]:
-        rate = line.rate_per_s * (suppression if line.suppressed else 1.0)
-        times = _poisson_times(rng, rate, duration_s, profile)
+        times = _poisson_times(rng, line.rate(suppression), duration_s, profile)
         energies = rng.normal(
             line.center_ev, line.fwhm_ev / FWHM_OVER_SIGMA, len(times)
         )
@@ -407,16 +431,23 @@ def _apply_response_batch(
 
 def _dead_time_mask(times_ns: np.ndarray, dead_time_ns: float) -> np.ndarray:
     """Events of a time-sorted stream that a non-paralyzable dead time
-    keeps: each kept event blinds the detector for dead_time_ns."""
+    keeps: each kept event blinds the detector for dead_time_ns.
+
+    An event at least dead_time_ns after its predecessor is kept whatever
+    came before, because the last kept event is no later than that
+    predecessor.  So only the events after a short gap are walked, in
+    order, each measured from the last kept event.
+    """
     keep = np.ones(len(times_ns), dtype=bool)
     if dead_time_ns <= 0:
         return keep
-    last = -math.inf
-    for i, t in enumerate(times_ns.astype(np.int64)):
-        if t - last < dead_time_ns:
-            keep[i] = False
-        else:
-            last = t
+    t = times_ns.astype(np.int64)
+    short = np.flatnonzero(np.diff(t) < dead_time_ns) + 1
+    last = None  # the last kept event
+    for i, t_i, t_before in zip(short.tolist(), t[short], t[short - 1]):
+        if keep[i - 1]:
+            last = t_before
+        keep[i] = t_i - last >= dead_time_ns
     return keep
 
 
@@ -429,6 +460,12 @@ def simulate_run(
     manifest carries ground truth: pairs generated, pairs landed/detected
     on both detectors, and background counts per component.
     """
+    expected = _expected_photons(config)
+    if expected > _MAX_EXPECTED_EVENTS:
+        raise ConfigError(
+            f"run would generate about {expected:.3g} photons, above the limit of "
+            f"{_MAX_EXPECTED_EVENTS:.0e}; shorten run.duration or lower the rates"
+        )
     exp = config.experiment
     duration = config.duration_s
     profile = config.beam_current_profile

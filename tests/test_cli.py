@@ -223,6 +223,43 @@ class TestAnalyze:
         assert main(["analyze", str(path), "--duration", duration, "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.splitlines() == ["error: --duration must be > 0"]
 
+    @pytest.mark.parametrize("current", ["0", "-1", "nan", "inf"])
+    def test_bad_mean_current_is_usage_error_before_reading(
+        self, tmp_path, capsys, current
+    ):
+        path = tmp_path / "corrupt.xpdc"
+        path.write_bytes(b"XPDC" + bytes(20))
+        argv = ["analyze", str(path), "--duration", "10", "--mean-current", current]
+        assert main([*argv, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --mean-current must be finite and > 0"
+        ]
+
+    @pytest.mark.parametrize(
+        "flags, duration, current",
+        [
+            ([], 30.0, 1.0),  # the sibling manifest
+            (["--mean-current", "0.5"], 30.0, 0.5),
+            (["--manifest", "M"], 20.0, 0.8),
+            (["--manifest", "M", "--duration", "10"], 10.0, 0.8),
+            (["--manifest", "M", "--mean-current", "0.5"], 20.0, 0.5),
+            (["--duration", "10", "--mean-current", "0.5"], 10.0, 0.5),
+        ],
+    )
+    def test_flags_win_over_the_manifest(
+        self, short_config, tmp_path, flags, duration, current
+    ):
+        out = str(tmp_path / "run")
+        assert main(["simulate", "--config", short_config, "--out", out]) == 0
+        manifest = tmp_path / "other-manifest.txt"
+        manifest.write_text("duration_s = 20.0\nmean_current = 0.8\n")
+        flags = [str(manifest) if flag == "M" else flag for flag in flags]
+        assert main(["analyze", os.path.join(out, "events.xpdc"), *flags, "--out", out]) == 0
+        report = read_manifest(os.path.join(out, "analysis_report.txt"))
+        assert (float(report["duration_s"]), float(report["mean_current"])) == (
+            duration, current
+        )
+
     @pytest.mark.parametrize("count", [1, 3])
     def test_detector_count_other_than_two_is_data_error(
         self, short_config, tmp_path, capsys, count
@@ -429,6 +466,31 @@ class TestEnvironmentOverrides:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {key}: {value!r} is not a finite number"
         ]
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("segments", ["1e308,1e308", "1e-300,1e300"])
+    def test_current_segments_that_do_not_normalize_are_config_error(
+        self, monkeypatch, capsys, tmp_path, segments
+    ):
+        monkeypatch.setenv("XPDC_RUN_CURRENT_SEGMENTS", segments)
+        monkeypatch.setenv("XPDC_RUN_DURATION", "10 s")
+        assert main(["simulate", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: beam current values do not normalize to a finite mean of 1"
+        ]
+        assert os.listdir(tmp_path) == []
+
+    def test_over_budget_run_is_config_error_before_sampling(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled an over-budget run")
+
+        monkeypatch.setattr(events, "_poisson_times", no_sampling)
+        monkeypatch.setenv("XPDC_RUN_DURATION", "1e30 s")
+        assert main(["simulate", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "above the limit of 1e+09" in err[0]
         assert os.listdir(tmp_path) == []
 
     def test_usage_error_exit_code(self):

@@ -1,9 +1,12 @@
 """Event simulation: pair sampling, backgrounds, response, full runs."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xpdc.config import build_run_config, default_settings
 from xpdc.events import (
@@ -16,6 +19,9 @@ from xpdc.events import (
     SourceModel,
     _apply_response_batch,
     _background_arrays,
+    _MAX_EXPECTED_EVENTS,
+    _dead_time_mask,
+    _expected_photons,
     _sample_pair_batch,
     simulate_run,
 )
@@ -308,3 +314,102 @@ class TestSimulateRun:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             RunConfig(duration_s=0.0)
+
+
+INSTRUMENT_SETTINGS = {  # every optional detector-chain feature on
+    "response.dead_time": "1 us",
+    "chain.model": "table",
+    "chain.table": "5000:0.35,11000:0.42,17000:0.5",
+    "run.current_segments": "1.0,0.96,1.04,0.92,1.06,1.02",
+}
+
+
+class TestEventBudget:
+    @pytest.mark.parametrize(
+        "overrides", [{}, INSTRUMENT_SETTINGS, {"run.duration": "24 hr"}]
+    )
+    def test_default_runs_within_budget(self, overrides):
+        assert 0 < _expected_photons(reference_run(**overrides)) < _MAX_EXPECTED_EVENTS
+
+    def test_budget_counts_peak_current(self):
+        flat = _expected_photons(reference_run())
+        peaked = _expected_photons(reference_run(**{"run.current_segments": "3,1"}))
+        assert peaked == pytest.approx(1.5 * flat)
+
+
+def reference_dead_time_mask(times_ns: np.ndarray, dead_time_ns: float) -> np.ndarray:
+    """The non-paralyzable dead time as one loop over every event."""
+    keep = np.ones(len(times_ns), dtype=bool)
+    if dead_time_ns <= 0:
+        return keep
+    last = -math.inf
+    for i, t in enumerate(times_ns.astype(np.int64)):
+        if t - last < dead_time_ns:
+            keep[i] = False
+        else:
+            last = t
+    return keep
+
+
+GAPS = st.one_of(st.integers(0, 3), st.integers(0, 2_000), st.integers(0, 10**7))
+
+
+@st.composite
+def dead_time_streams(draw):
+    """(sorted uint64 timestamps, dead time): ties, bursts, 0 and 1
+    events; dead times of 0, fractional, equal to a gap of the stream,
+    and longer than the whole stream."""
+    offset = draw(st.sampled_from([0, 2**40, 2**62]))
+    steps = draw(st.lists(GAPS, max_size=200))
+    times = offset + np.cumsum(np.array(steps, dtype=np.uint64), dtype=np.uint64)
+    span = int(times[-1] - times[0]) if len(times) else 0
+    choices = [
+        st.just(0.0),
+        st.floats(0.0, 1.0, exclude_min=True),
+        st.floats(0.0, 3_000.0),
+        st.integers(1, 3_000).map(float),
+        st.floats(span + 1.0, 1e18),
+    ]
+    if len(steps) > 1:
+        choices.append(st.sampled_from(steps[1:]).map(float))
+    return times, draw(st.one_of(choices))
+
+
+class TestDeadTimeMask:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(dead_time_streams())
+    def test_matches_per_event_loop(self, case):
+        times, dead_time = case
+        assert np.array_equal(
+            _dead_time_mask(times, dead_time), reference_dead_time_mask(times, dead_time)
+        )
+
+    def test_gap_equal_to_dead_time_is_kept(self):
+        times = np.array([0, 1000, 1999, 2000, 2999, 3000], dtype=np.uint64)
+        assert _dead_time_mask(times, 1000.0).tolist() == [
+            True, True, False, True, False, True
+        ]
+
+    def test_dense_background_at_200_us(self):
+        dense = quiet_settings(
+            **{"source.line.fe_ka.rate": "3000 /s", "source.pair_rate": "0 /s",
+               "run.duration": "60 s"}
+        )
+        stream, _, _ = simulate_run(build_run_config(dense))
+        times = stream["timestamp_ns"]
+        short = np.diff(times.astype(np.int64)) < 200_000
+        assert short.mean() > 0.4 and np.sum(short[1:] & short[:-1]) > 10_000  # clusters
+        mask = _dead_time_mask(times, 200_000.0)
+        assert np.array_equal(mask, reference_dead_time_mask(times, 200_000.0))
+        assert 0.3 < 1 - mask.mean() < 0.5  # 1 - 1 / (1 + rate * dead time) = 0.375
+
+    def test_no_per_event_loop(self):
+        # 5 M events, no gap under the dead time: a loop over every event
+        # takes 10-15 s on a 2-core VM, the vector pass under 0.1 s
+        rng = np.random.default_rng(0)
+        times = np.cumsum(rng.integers(1_000, 5_000, 5_000_000), dtype=np.uint64)
+        start = time.perf_counter()
+        mask = _dead_time_mask(times, 1_000.0)
+        elapsed = time.perf_counter() - start
+        assert mask.all()
+        assert elapsed < 1.0
