@@ -285,8 +285,10 @@ def build_correlation_map(
     are centered on multiples of dt_bin so quantized time differences
     fall at bin centers.
     """
-    if duration_s <= 0:
-        raise AnalysisError("duration must be > 0")
+    # Rates divide by the exposure in hours, duration x mean current.
+    hours = duration_s / 3600.0 * mean_current
+    if not (duration_s > 0 and mean_current > 0 and 0 < hours < math.inf):
+        raise AnalysisError("duration and mean current must be > 0, with a finite product")
     e_lo, e_hi = criteria.single_energy_window_ev
     n_e = int(math.ceil((e_hi - e_lo) / criteria.e_bin_ev))
     e_edges = e_lo + criteria.e_bin_ev * np.arange(n_e + 1, dtype=np.float64)
@@ -574,12 +576,15 @@ def roi_rate(corr_map: CorrelationMap, roi: RoiSpec) -> RoiResult:
     net_counts = roi_counts - scale * sb_counts
     variance = roi_counts + scale * scale * sb_counts
     hours = corr_map.duration_s / 3600.0 * corr_map.mean_current
+    rate, rate_err = float(net_counts) / hours, math.sqrt(variance) / hours
+    if not (math.isfinite(rate) and math.isfinite(rate_err)):
+        raise AnalysisError(f"an exposure of {hours:.3g} h is too short for a finite rate")
     return RoiResult(
         roi_counts=roi_counts,
         sideband_counts=sb_counts,
         sideband_estimate=scale * sb_counts,
-        net_rate_per_hr=net_counts / hours,
-        net_rate_err_per_hr=math.sqrt(variance) / hours,
+        net_rate_per_hr=rate,
+        net_rate_err_per_hr=rate_err,
     )
 
 

@@ -206,33 +206,52 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _duration_and_current(args) -> tuple[float | None, float]:
+    """Run duration (s) and mean beam current of the file to analyze.
+
+    A flag wins; what is not given comes from the manifest (--manifest,
+    else a manifest.txt beside the events), else the duration is None
+    (the stream span is used) and the current 1.  Every value must be
+    finite and > 0: a bad flag is a usage error, a bad manifest value a
+    data error.
+    """
+    values = {"duration_s": args.duration, "mean_current": args.mean_current}
+    for key, flag in (("duration_s", "--duration"), ("mean_current", "--mean-current")):
+        if values[key] is not None and not 0 < values[key] < math.inf:
+            raise ConfigError(f"{flag} must be finite and > 0")
+    path = args.manifest
+    if path is None:
+        sibling = os.path.join(os.path.dirname(os.path.abspath(args.events)), "manifest.txt")
+        path = sibling if os.path.exists(sibling) else None
+    if path and None in values.values():
+        manifest = listmode.read_manifest(path)
+        for key in values:
+            if values[key] is not None or key not in manifest:
+                continue
+            try:
+                values[key] = float(manifest[key])
+            except ValueError:
+                values[key] = math.nan
+            if not 0 < values[key] < math.inf:
+                raise ListModeFormatError(
+                    f"{key} = {manifest[key]!r} in {path} is not a finite number > 0"
+                )
+    if values["mean_current"] is None:
+        values["mean_current"] = 1.0
+    return values["duration_s"], values["mean_current"]
+
+
 def cmd_analyze(args) -> int:
     run_analysis = _analysis(args)
-    if args.duration is not None and not args.duration > 0:
-        raise ConfigError("--duration must be > 0")
-    if args.mean_current is not None and not 0 < args.mean_current < math.inf:
-        raise ConfigError("--mean-current must be finite and > 0")
+    duration_s, mean_current = _duration_and_current(args)
     events_arr, header = listmode.read_listmode(args.events)
     if header.detector_count != 2:
         raise ListModeFormatError(f"header says {header.detector_count} detectors, not 2")
     stream1, stream2 = listmode.split_streams(events_arr, header.detector_count)
-    duration_s = args.duration
-    mean_current = args.mean_current
-    manifest_path = args.manifest
-    if manifest_path is None:
-        sibling = os.path.join(os.path.dirname(os.path.abspath(args.events)), "manifest.txt")
-        manifest_path = sibling if os.path.exists(sibling) else None
-    # A flag wins; what is not given comes from the manifest, if any.
-    manifest = {}
-    if manifest_path and None in (duration_s, mean_current):
-        manifest = listmode.read_manifest(manifest_path)
+    del events_arr  # the streams hold every record; free the merged copy
     if duration_s is None:
-        duration_s = float(manifest.get("duration_s", "0")) or None
-    if mean_current is None:
-        mean_current = float(manifest.get("mean_current", "1.0"))
-    if duration_s is None:
-        span = float(events_arr["timestamp_ns"].max()) / 1e9 if len(events_arr) else 0.0
-        duration_s = max(span, 1e-9)
+        last = [float(s["timestamp_ns"][-1]) for s in (stream1, stream2) if len(s)]
+        duration_s = max(max(last, default=0.0) / 1e9, 1e-9)
         print(
             f"warning: no manifest/duration given; using stream span {duration_s:.3f} s",
             file=sys.stderr,

@@ -268,7 +268,7 @@ class RunManifest:
 # Sampling
 
 # Refuse runs expecting more generated photons than this: 14 times a 24 h
-# default run, about 76 GB at the ~76 B per event a simulation peaks at.
+# default run, about 50 GB at the ~50 B per event a simulation peaks at.
 _MAX_EXPECTED_EVENTS = 1e9
 
 
@@ -301,7 +301,7 @@ def _poisson_times(
     if not chunks:
         return np.empty(0, dtype=np.float64)
     times = np.concatenate(chunks)
-    times.sort(kind="stable")
+    times.sort()
     return times
 
 
@@ -376,17 +376,18 @@ def _background_arrays(
     detector_id: int,
     suppression: float,
     profile: BeamCurrentProfile,
-) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
-    """Background (times_ns, energies_ev, per-component counts) for one
-    detector; unsorted across components.
+) -> tuple[list[np.ndarray], list[np.ndarray], dict[str, int]]:
+    """Background (time blocks ns, energy blocks eV, per-component
+    counts) for one detector: one block per component, in tuple order,
+    each sorted in time.
 
     Each component is an independent Poisson process, thinned by the
     beam-current profile, with Gaussian-distributed energies.
     Components flagged as polarization-suppressed have their rates
     multiplied by the suppression factor.
     """
-    times_chunks = [np.empty(0)]
-    energy_chunks = [np.empty(0)]
+    times_blocks = []
+    energy_blocks = []
     counts: dict[str, int] = {}
     for line in source.components[detector_id - 1]:
         times = _poisson_times(rng, line.rate(suppression), duration_s, profile)
@@ -394,9 +395,9 @@ def _background_arrays(
             line.center_ev, line.fwhm_ev / FWHM_OVER_SIGMA, len(times)
         )
         counts[f"d{detector_id}_{line.label}"] = len(times)
-        times_chunks.append(times)
-        energy_chunks.append(energies)
-    return np.concatenate(times_chunks), np.concatenate(energy_chunks), counts
+        times_blocks.append(times)
+        energy_blocks.append(energies)
+    return times_blocks, energy_blocks, counts
 
 
 def _apply_response_batch(
@@ -479,7 +480,10 @@ def simulate_run(
         mean_current=profile.mean,
     )
 
-    truth: tuple[list, list] = ([], [])  # (time_ns, energy_ev) blocks per detector
+    # Per detector, a list of time blocks (ns) and a list of energy
+    # blocks (eV): pair members first, then the background components.
+    times_blocks: tuple[list, list] = ([np.empty(0)], [np.empty(0)])
+    energy_blocks: tuple[list, list] = ([np.empty(0)], [np.empty(0)])
     pair_members = np.zeros((2, 0), dtype=bool)  # pairs sending a photon to each
 
     # Down-converted pairs (only when the cone is open).
@@ -493,39 +497,50 @@ def simulate_run(
             np.sum(batch["signal_landed"] & batch["idler_landed"])
         )
         pair_members = np.stack([batch["signal_detected"], batch["idler_detected"]])
-        for bucket, mask, energy in zip(truth, pair_members, ("e_signal", "e_idler")):
-            bucket.append(np.column_stack([times[mask], batch[energy][mask]]))
+        for det_index, energy in enumerate(("e_signal", "e_idler")):
+            mask = pair_members[det_index]
+            times_blocks[det_index].append(times[mask])
+            energy_blocks[det_index].append(batch[energy][mask])
 
     # Backgrounds, independent per detector.
     suppression = polarization_suppression(
         exp.theta_b(), exp.beam.polarization_angle_rad
     )
-    for det_id, seq, bucket in ((1, bg1_seq, truth[0]), (2, bg2_seq, truth[1])):
+    for det_index, seq in enumerate((bg1_seq, bg2_seq)):
         rng = np.random.default_rng(seq)
-        times, energies, counts = _background_arrays(
-            rng, exp.source, duration, det_id, suppression, profile
+        bg_times, bg_energies, counts = _background_arrays(
+            rng, exp.source, duration, det_index + 1, suppression, profile
         )
         manifest.background_counts.update(counts)
-        bucket.append(np.column_stack([times, energies]))
+        times_blocks[det_index].extend(bg_times)
+        energy_blocks[det_index].extend(bg_energies)
 
     # Detector response and stream assembly.
     resp_rng = np.random.default_rng(resp_seq)
     streams = []
     recorded_members = np.zeros_like(pair_members)
-    for det_index, bucket in enumerate(truth):
-        cols = np.vstack(bucket)
+    for det_index in range(2):
         stamps, recorded, keep = _apply_response_batch(
-            cols[:, 0], cols[:, 1], exp.response, resp_rng
+            np.concatenate(times_blocks[det_index]),
+            np.concatenate(energy_blocks[det_index]),
+            exp.response,
+            resp_rng,
         )
-        stream = np.empty(int(keep.sum()), dtype=EVENT_DTYPE)
+        times_blocks[det_index].clear()  # free the blocks before the next detector
+        energy_blocks[det_index].clear()
+        kept = np.flatnonzero(keep)
+        stamps = stamps[kept].astype(np.uint64)
+        # Stable, so that tied timestamps keep their block order.
+        order = np.argsort(stamps, kind="stable")
+        stamps = stamps[order]
+        live = _dead_time_mask(stamps, exp.response.dead_time_ns)
+        stream = np.empty(int(live.sum()), dtype=EVENT_DTYPE)
         stream["detector_id"] = det_index + 1
-        stream["timestamp_ns"] = stamps[keep].astype(np.uint64)
-        stream["energy_ev"] = recorded[keep].astype(np.uint32)
-        order = np.argsort(stream["timestamp_ns"], kind="stable")
-        live = _dead_time_mask(stream["timestamp_ns"][order], exp.response.dead_time_ns)
-        streams.append(stream[order[live]])
+        stream["timestamp_ns"] = stamps[live]
+        stream["energy_ev"] = recorded[kept[order[live]]].astype(np.uint32)
+        streams.append(stream)
 
-        # Pair members lead the bucket; carry the dead-time mask back
+        # Pair members lead the blocks; carry the dead-time mask back
         # through the sort to find which of them were recorded.
         survived = np.empty_like(live)
         survived[order] = live

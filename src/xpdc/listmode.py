@@ -20,6 +20,7 @@ to a temporary file in the target directory, then renamed atomically.
 from __future__ import annotations
 
 import os
+import stat
 import tempfile
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -96,23 +97,27 @@ def write_listmode(path: str, events: np.ndarray, header: ListModeHeader) -> Non
 
 
 def read_listmode(path: str) -> tuple[np.ndarray, ListModeHeader]:
-    """Read and validate a list-mode file."""
+    """Read and validate a list-mode file.  The body of a regular file is
+    read once, straight into the record array."""
     with open(path, "rb") as handle:
-        raw = handle.read()
-    if len(raw) < HEADER_SIZE:
-        raise ListModeFormatError("file shorter than header")
-    head = np.frombuffer(raw[:HEADER_SIZE], dtype=_HEADER_DTYPE)[0]
-    if bytes(head["magic"]) != MAGIC:
-        raise ListModeFormatError(f"bad magic {bytes(head['magic'])!r}")
-    if int(head["version"]) != FORMAT_VERSION:
-        raise ListModeFormatError(f"unsupported format version {head['version']}")
-    body = raw[HEADER_SIZE:]
+        raw = handle.read(HEADER_SIZE)
+        if len(raw) < HEADER_SIZE:
+            raise ListModeFormatError("file shorter than header")
+        head = np.frombuffer(raw, dtype=_HEADER_DTYPE)[0]
+        if bytes(head["magic"]) != MAGIC:
+            raise ListModeFormatError(f"bad magic {bytes(head['magic'])!r}")
+        if int(head["version"]) != FORMAT_VERSION:
+            raise ListModeFormatError(f"unsupported format version {head['version']}")
+        if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            body = np.fromfile(handle, dtype=np.uint8)
+        else:  # np.fromfile needs a file position, which a pipe lacks
+            body = np.frombuffer(handle.read(), dtype=np.uint8).copy()
     if len(body) % EVENT_DTYPE.itemsize:
         raise ListModeFormatError(
             f"record section size {len(body)} is not a multiple of "
             f"{EVENT_DTYPE.itemsize}"
         )
-    events = np.frombuffer(body, dtype=EVENT_DTYPE).copy()
+    events = body.view(EVENT_DTYPE)
     header = ListModeHeader(
         clock_tick_ns=int(head["clock_tick_ns"]),
         detector_count=int(head["detector_count"]),

@@ -214,14 +214,14 @@ class TestAnalyze:
         assert main(["analyze", str(path), *flags, "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.splitlines()[0].startswith(f"error: {message}")
 
-    @pytest.mark.parametrize("duration", ["-5", "nan"])
+    @pytest.mark.parametrize("duration", ["-5", "nan", "0", "inf"])
     def test_nonpositive_duration_is_usage_error_before_reading(
         self, tmp_path, capsys, duration
     ):
         path = tmp_path / "corrupt.xpdc"
         path.write_bytes(b"XPDC" + bytes(20))
         assert main(["analyze", str(path), "--duration", duration, "--out", str(tmp_path)]) == 1
-        assert capsys.readouterr().err.splitlines() == ["error: --duration must be > 0"]
+        assert capsys.readouterr().err.splitlines() == ["error: --duration must be finite and > 0"]
 
     @pytest.mark.parametrize("current", ["0", "-1", "nan", "inf"])
     def test_bad_mean_current_is_usage_error_before_reading(
@@ -259,6 +259,44 @@ class TestAnalyze:
         assert (float(report["duration_s"]), float(report["mean_current"])) == (
             duration, current
         )
+
+    def test_without_manifest_the_duration_is_the_stream_span(
+        self, short_config, tmp_path, capsys
+    ):
+        out = str(tmp_path / "run")
+        assert main(["simulate", "--config", short_config, "--out", out]) == 0
+        os.remove(os.path.join(out, "manifest.txt"))
+        path = os.path.join(out, "events.xpdc")
+        assert main(["analyze", path, "--out", out]) == 0
+        assert "using stream span" in capsys.readouterr().err
+        report = read_manifest(os.path.join(out, "analysis_report.txt"))
+        span = float(read_listmode(path)[0]["timestamp_ns"].max()) / 1e9
+        assert 29.9 < span < 30.0 and float(report["duration_s"]) == span
+
+    @pytest.mark.parametrize("key", ["duration_s", "mean_current"])
+    @pytest.mark.parametrize("value", ["0", "-1", "abc", "inf", "nan", ""])
+    def test_bad_manifest_value_is_one_line_data_error(
+        self, short_config, tmp_path, capsys, key, value
+    ):
+        out = str(tmp_path / "run")
+        assert main(["simulate", "--config", short_config, "--out", out]) == 0
+        manifest = os.path.join(out, "manifest.txt")
+        entries = {**read_manifest(manifest), key: value}
+        open(manifest, "w").write("".join(f"{k} = {v}\n" for k, v in entries.items()))
+        capsys.readouterr()
+        assert main(["analyze", os.path.join(out, "events.xpdc"), "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {key} = {value!r} in ")
+        assert not os.path.exists(os.path.join(out, "analysis_report.txt"))
+
+    def test_flag_overrides_a_bad_manifest_value(self, short_config, tmp_path):
+        out = str(tmp_path / "run")
+        assert main(["simulate", "--config", short_config, "--out", out]) == 0
+        manifest = tmp_path / "bad-manifest.txt"
+        manifest.write_text("duration_s = 0\nmean_current = abc\n")
+        argv = ["analyze", os.path.join(out, "events.xpdc"), "--manifest", str(manifest)]
+        assert main([*argv, "--duration", "5", "--mean-current", "2", "--out", out]) == 0
+        assert main([*argv, "--duration", "5", "--out", out]) == 2
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_detector_count_other_than_two_is_data_error(

@@ -1,6 +1,7 @@
 """List-mode binary format, manifests, CSV export."""
 
 import os
+import threading
 from unittest import mock
 
 import numpy as np
@@ -61,6 +62,27 @@ class TestRoundTrip:
         assert size == HEADER_SIZE + 13 * 7
         with open(path, "rb") as fh:
             assert fh.read(4) == b"XPDC"
+
+    def test_read_from_a_pipe(self, tmp_path):
+        events = random_events(np.random.default_rng(3), 300)
+        path = str(tmp_path / "events.xpdc")
+        write_listmode(path, events, HEADER)
+        fifo = str(tmp_path / "fifo")
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as sink, open(path, "rb") as source:
+                sink.write(source.read())
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            back, header = read_listmode(fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert back.tobytes() == events.tobytes() and header == HEADER
+        assert back.flags.writeable
 
     def test_empty_file_header_only(self, tmp_path):
         path = str(tmp_path / "empty.xpdc")

@@ -1,6 +1,7 @@
 """Property tests: the config parser and the list-mode reader on generated
-input either return or raise their own error type; CSV rendering in
-blocks equals rendering the rows one by one."""
+input either return or raise their own error type; `xpdc analyze` with
+any manifest text reports or exits 2; CSV rendering in blocks equals
+rendering the rows one by one."""
 
 import math
 from unittest import mock
@@ -11,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xpdc import listmode
+from xpdc.cli import main
 from xpdc.config import build_run_config, default_settings, parse_config_text
 from xpdc.events import EVENT_DTYPE, ConfigError
 from xpdc.listmode import (
     ListModeFormatError,
     ListModeHeader,
     read_listmode,
+    read_manifest,
     write_csv,
     write_events_csv,
     write_listmode,
@@ -143,6 +146,49 @@ def test_read_listmode_returns_or_raises_format_error(scratch, body):
     assert header == HEADER
     assert events.tobytes() == body
     assert set(np.unique(events["detector_id"])) <= {1, 2}
+
+
+MANIFEST_TEXTS = st.one_of(
+    st.text(max_size=120),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["duration_s", "mean_current", "seed"]),
+            st.one_of(NUMBERS, st.text(max_size=8)),
+        ),
+        max_size=4,
+    ).map(lambda lines: "\n".join(f"{key} = {value}" for key, value in lines)),
+)
+
+
+@pytest.fixture(scope="module")
+def paired_events(scratch):
+    """A list-mode file of 40 coincident 11 + 11 keV pairs."""
+    n = 40
+    events = np.empty(2 * n, dtype=EVENT_DTYPE)
+    events["detector_id"] = np.tile([1, 2], n)
+    events["timestamp_ns"] = np.repeat(np.arange(n, dtype=np.uint64) * 10**6, 2)
+    events["energy_ev"] = 11000
+    path = str(scratch / "paired.xpdc")
+    write_listmode(path, events, HEADER)
+    return path
+
+
+@PROPERTY
+@given(text=MANIFEST_TEXTS)
+def test_analyze_with_any_manifest_reports_or_exits_2(scratch, paired_events, text):
+    manifest = scratch / "any-manifest.txt"
+    manifest.write_text(text, encoding="utf-8")
+    out = scratch / "analysis"
+    report = out / "analysis_report.txt"
+    if report.exists():
+        report.unlink()
+    code = main(["analyze", paired_events, "--manifest", str(manifest), "--out", str(out)])
+    assert code in (0, 2)
+    if code == 0:
+        values = read_manifest(str(report))
+        assert int(values["pairs_accepted"]) == 40
+        for key in ("duration_s", "mean_current", "net_rate_per_hr"):
+            assert math.isfinite(float(values[key]))
 
 
 ROW_COUNTS = st.one_of(st.integers(0, 1), st.integers(5, 12))
