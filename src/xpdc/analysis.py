@@ -675,6 +675,8 @@ def conversion_efficiency(
         raise AnalysisError("incident rate must be > 0")
     observable = net_rate_per_hr / acceptance
     total = observable / chain_efficiency
+    if not math.isfinite(total):
+        raise AnalysisError(f"net rate {net_rate_per_hr} /hr does not unfold to a finite rate")
     incident_per_hr = incident_rate_per_s * 3600.0
     efficiency = total / incident_per_hr
     incident_per_pair = (

@@ -206,6 +206,14 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _number(text: str) -> float:
+    """float(text), or nan where text is not a number."""
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
 def _duration_and_current(args) -> tuple[float | None, float]:
     """Run duration (s) and mean beam current of the file to analyze.
 
@@ -228,10 +236,7 @@ def _duration_and_current(args) -> tuple[float | None, float]:
         for key in values:
             if values[key] is not None or key not in manifest:
                 continue
-            try:
-                values[key] = float(manifest[key])
-            except ValueError:
-                values[key] = math.nan
+            values[key] = _number(manifest[key])
             if not 0 < values[key] < math.inf:
                 raise ListModeFormatError(
                     f"{key} = {manifest[key]!r} in {path} is not a finite number > 0"
@@ -371,18 +376,26 @@ def cmd_scan(args) -> int:
 
 
 def cmd_report(args) -> int:
+    # A negative net rate (sidebands above the ROI) is reported as it is.
+    if args.net_rate is not None and not math.isfinite(args.net_rate):
+        raise ConfigError("--net-rate must be finite")
+    if args.acceptance is not None and not 0 < args.acceptance <= 1:
+        raise ConfigError("--acceptance must be in (0, 1]")
     settings = _load_settings(args)
     run = cfg.build_run_config(settings)
     exp = run.experiment
     net_rate = args.net_rate
     if net_rate is None:
         report_path = os.path.join(args.analysis, "analysis_report.txt")
-        report = listmode.read_manifest(report_path)
-        if "net_rate_per_hr" not in report:
-            print(f"error: no net rate in {report_path}", file=sys.stderr)
-            return EXIT_DATA
-        net_rate = float(report["net_rate_per_hr"])
-    acceptance = args.acceptance or _pair_acceptance(exp)
+        value = listmode.read_manifest(report_path).get("net_rate_per_hr")
+        if value is None:
+            raise ListModeFormatError(f"no net rate in {report_path}")
+        net_rate = _number(value)
+        if not math.isfinite(net_rate):
+            raise ListModeFormatError(
+                f"net_rate_per_hr = {value!r} in {report_path} is not a finite number"
+            )
+    acceptance = args.acceptance if args.acceptance is not None else _pair_acceptance(exp)
     pump = exp.beam.pump_energy_ev
     chain_eff = detection_chain_efficiency(pump / 2, pump / 2, exp.chain, pump)
     result = analysis.conversion_efficiency(

@@ -173,10 +173,54 @@ def write_csv(
     _atomic_write(path, chunks())
 
 
+def _decimal_digits(out: np.ndarray, values: np.ndarray) -> None:
+    """Write the digits 0-9 of the unsigned values, zero-padded on the
+    left, into the rows x width matrix out.  Wider values are split by
+    10**9 first: divisions on uint32 are several times faster."""
+    if out.shape[1] > 9:
+        high = values // 10**9
+        _decimal_digits(out[:, :-9], high)
+        out, values = out[:, -9:], values - high * 10**9
+    values = values.astype(np.uint32)
+    for j in range(out.shape[1] - 1, 0, -1):
+        rest = values // 10
+        out[:, j] = values - rest * 10
+        values = rest
+    out[:, 0] = values
+
+
+def _csv_rows(columns: Sequence[np.ndarray]) -> bytes:
+    """Comma-separated decimal lines of non-empty unsigned integer columns,
+    from an ASCII matrix with a row per line and each column as wide as its
+    largest value; a mask drops the leading zeros."""
+    widths = [len(str(int(column.max()))) for column in columns]
+    text = np.empty((len(columns[0]), sum(widths) + len(columns)), dtype=np.uint8)
+    keep = np.ones(text.shape, dtype=bool)
+    end = 0
+    for column, width in zip(columns, widths):
+        start, end = end, end + width
+        _decimal_digits(text[:, start:end], column)
+        text[:, start:end] += ord("0")
+        for j in range(start, end - 1):  # cell j holds the 10**(end-1-j) digit
+            np.greater_equal(column, 10 ** (end - 1 - j), out=keep[:, j])
+        text[:, end] = ord(",")
+        end += 1
+    text[:, -1] = ord("\n")
+    return text[keep].tobytes()
+
+
 def write_events_csv(path: str, events: np.ndarray) -> None:
-    """Events as CSV: detector_id,timestamp_ns,energy_ev."""
+    """Events as CSV: the header detector_id,timestamp_ns,energy_ev, then a
+    line per record in file order, rendered _CSV_BLOCK_ROWS at a time."""
     names = EVENT_DTYPE.names
-    write_csv(path, ",".join(names), "{},{},{}", [events[name] for name in names], {})
+
+    def chunks():
+        yield (",".join(names) + "\n").encode()
+        for start in range(0, len(events), _CSV_BLOCK_ROWS):
+            block = events[start : start + _CSV_BLOCK_ROWS]
+            yield _csv_rows([block[name] for name in names])
+
+    _atomic_write(path, chunks())
 
 
 def write_manifest(path: str, entries: dict[str, object]) -> None:

@@ -464,6 +464,9 @@ class TestConversionEfficiency:
             conversion_efficiency(130.0, 0.04, 1.5, 1e13)
         with pytest.raises(AnalysisError):
             conversion_efficiency(130.0, 0.04, 0.18, 0.0)
+        for net_rate in (math.nan, math.inf, 1e308):  # the last overflows when unfolded
+            with pytest.raises(AnalysisError, match="does not unfold to a finite rate"):
+                conversion_efficiency(net_rate, 0.04, 0.18, 1e13)
 
 
 class TestCriteriaValidation:

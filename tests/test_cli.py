@@ -455,6 +455,45 @@ class TestReport:
     def test_missing_analysis_is_error(self, tmp_path):
         assert main(["report", "--analysis", str(tmp_path / "none")]) == 1
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--net-rate", "nan"], "--net-rate must be finite"),
+            (["--net-rate", "inf"], "--net-rate must be finite"),
+            (["--net-rate=-inf"], "--net-rate must be finite"),
+            (["--acceptance", "0"], "--acceptance must be in (0, 1]"),
+            (["--acceptance", "-1"], "--acceptance must be in (0, 1]"),
+            (["--acceptance", "1.5"], "--acceptance must be in (0, 1]"),
+            (["--acceptance", "nan"], "--acceptance must be in (0, 1]"),
+        ],
+    )
+    def test_bad_flag_is_usage_error_before_config(self, monkeypatch, capsys, flags, message):
+        monkeypatch.setenv("XPDC_RUN_SEED", "abc")  # a config error, were it read
+        assert main(["report", "--net-rate", "130", *flags]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-inf", ""])
+    def test_bad_report_value_is_one_line_data_error(self, tmp_path, capsys, value):
+        (tmp_path / "analysis_report.txt").write_text(f"net_rate_per_hr = {value}\n")
+        assert main(["report", "--analysis", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: net_rate_per_hr = {value!r} in "
+            f"{tmp_path / 'analysis_report.txt'} is not a finite number"
+        ]
+
+    def test_net_rate_that_overflows_is_one_line_data_error(self, capsys):
+        assert main(["report", "--net-rate", "1e308", "--acceptance", "0.5"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: net rate 1e+308 /hr does not unfold to a finite rate"
+        ]
+
+    def test_negative_net_rate_and_given_acceptance_are_reported(self, tmp_path, capsys):
+        (tmp_path / "analysis_report.txt").write_text("net_rate_per_hr = -12.5\n")
+        assert main(["report", "--analysis", str(tmp_path), "--acceptance", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "net pair rate        : -12.5 /hr" in out
+        assert "pair acceptance      : 1.0000" in out
+
 
 class TestEnvironmentOverrides:
     def test_env_sets_duration(self, quiet_config, tmp_path, monkeypatch):

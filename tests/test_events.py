@@ -27,6 +27,7 @@ from xpdc.events import (
     _sample_pair_batch,
     simulate_run,
 )
+from xpdc.listmode import merge_streams, write_events_csv
 from xpdc.physics import PhysicsError, emission_angles
 
 
@@ -345,19 +346,21 @@ class TestSimulatedBytes:
     """The streams and manifest of fixed runs, pinned by sha256."""
 
     @pytest.mark.parametrize(
-        "tick, streams_sha, manifest_sha",
+        "tick, streams_sha, manifest_sha, csv_sha",
         [
             ("20 ns",
              "3a8e5a39d933e8161ceb3fb35a5c3f5107fd454881790f954602e12de054f32f",
-             "3733118ab25c74144a02e90b244c6e8c117ab8494d7d26982bcb35157b6c6326"),
+             "3733118ab25c74144a02e90b244c6e8c117ab8494d7d26982bcb35157b6c6326",
+             "b5b04efc8cd8e482089faf19d7ce4504d476635b9c8dcda25e1ef22aa14f79f2"),
             # Many tied timestamps: any sort that is not stable reorders them.
             ("100 us",
              "f656499d6aaabcd2fe2fc11bdd78315dd15c06861893dafe109dc3289b5901ca",
-             "6c9d0a70446d03dfe8c715388f238a079e7c4a413b0ef68870c31602b779a475"),
+             "6c9d0a70446d03dfe8c715388f238a079e7c4a413b0ef68870c31602b779a475",
+             "20df486de3bc9a5676e1c58f98f3def76cc3e1e63432d8b60c160ed9659251e9"),
         ],
         ids=["tick-20ns", "tick-100us"],
     )
-    def test_instrument_run_bytes(self, tick, streams_sha, manifest_sha):
+    def test_instrument_run_bytes(self, tmp_path, tick, streams_sha, manifest_sha, csv_sha):
         run = reference_run(
             **INSTRUMENT_SETTINGS, **{"run.duration": "60 s", "run.seed": "301",
                                       "response.clock_tick": tick}
@@ -366,6 +369,8 @@ class TestSimulatedBytes:
         text = "".join(f"{key} = {value}\n" for key, value in manifest.as_dict().items())
         assert hashlib.sha256(s1.tobytes() + s2.tobytes()).hexdigest() == streams_sha
         assert hashlib.sha256(text.encode()).hexdigest() == manifest_sha
+        write_events_csv(str(tmp_path / "events.csv"), merge_streams(s1, s2))
+        assert hashlib.sha256((tmp_path / "events.csv").read_bytes()).hexdigest() == csv_sha
 
     def test_peak_memory_per_event(self):
         # float64 (time, energy) column copies of every photon took the

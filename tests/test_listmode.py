@@ -2,6 +2,7 @@
 
 import os
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -168,6 +169,21 @@ class TestStreamHelpers:
         assert lines[0] == "detector_id,timestamp_ns,energy_ev"
         assert lines[1] == "1,0,11000"
         assert lines[2] == "2,20,10950"
+
+    def test_csv_memory_is_bounded_by_one_block(self, tmp_path):
+        block = listmode._CSV_BLOCK_ROWS
+        events = random_events(np.random.default_rng(9), 4 * block)
+        path = str(tmp_path / "events.csv")
+        write_events_csv(path, events[:block])  # the first call also fills caches
+        peaks = []
+        for blocks in (1, 4):
+            tracemalloc.start()
+            try:
+                write_events_csv(path, events[: blocks * block])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0] and peaks[1] <= 10e6
 
     def test_failing_row_source_leaves_no_file(self, tmp_path):
         class FailsAfterFirstBlock:

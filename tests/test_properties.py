@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xpdc import listmode
@@ -194,27 +194,41 @@ def test_analyze_with_any_manifest_reports_or_exits_2(scratch, paired_events, te
 ROW_COUNTS = st.one_of(st.integers(0, 1), st.integers(5, 12))
 
 
+def unsigned_of_every_width(bits: int):
+    """Values of an unsigned bits-wide integer: 0, the largest, and for each
+    k below the largest's digit count 10**k - 1, 10**k or any value below
+    10**(k + 1), so that every decimal width is drawn."""
+    top = 2**bits - 1
+    k = st.integers(0, len(str(top)) - 1)
+    return st.one_of(
+        st.sampled_from([0, top]),
+        k.map(lambda k: 10**k - 1),
+        k.map(lambda k: 10**k),
+        k.flatmap(lambda k: st.integers(0, min(10 ** (k + 1) - 1, top))),
+    )
+
+
+EVENT_ROWS = st.lists(
+    st.tuples(*(unsigned_of_every_width(8 * EVENT_DTYPE[name].itemsize)
+                for name in EVENT_DTYPE.names)),
+    max_size=12,
+)
+
+
 @PROPERTY
-@given(n=ROW_COUNTS, seed=st.integers(0, 2**32 - 1))
-def test_events_csv_in_blocks_equals_row_by_row(scratch, n, seed):
-    rng = np.random.default_rng(seed)
-    events = np.empty(n, dtype=EVENT_DTYPE)
-    events["detector_id"] = rng.integers(0, 256, n)
-    events["timestamp_ns"] = rng.integers(0, 2**64, n, dtype=np.uint64)
-    events["energy_ev"] = rng.integers(0, 2**32, n)
+@example(rows=[(0, 0, 0), (255, 2**64 - 1, 2**32 - 1), (9, 10**19, 9), (10, 10, 10)])
+@given(rows=EVENT_ROWS)
+def test_events_csv_in_blocks_equals_row_by_row(scratch, rows):
+    events = np.array(rows, dtype=EVENT_DTYPE)
     path = scratch / "events.csv"
     with mock.patch.object(listmode, "_CSV_BLOCK_ROWS", 2):
         write_events_csv(str(path), events)
-    lines = ["detector_id,timestamp_ns,energy_ev"] + [
-        f"{int(r['detector_id'])},{int(r['timestamp_ns'])},{int(r['energy_ev'])}"
-        for r in events
-    ]
+    lines = ["detector_id,timestamp_ns,energy_ev"] + [f"{d},{t},{e}" for d, t, e in rows]
     text = path.read_text(encoding="utf-8")
     assert text == "\n".join(lines) + "\n"
-    rows = [row.split(",") for row in text.splitlines()[1:]]
-    back = np.array(rows, dtype=np.uint64).reshape(n, 3)
+    back = np.array([row.split(",") for row in text.splitlines()[1:]], dtype=np.uint64)
     for k, name in enumerate(EVENT_DTYPE.names):
-        assert np.array_equal(back[:, k], events[name])
+        assert np.array_equal(back.reshape(len(rows), 3)[:, k], events[name])
 
 
 @PROPERTY
