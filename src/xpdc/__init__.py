@@ -22,12 +22,12 @@ from .events import (
     BeamCurrentProfile,
     ConfigError,
     DetectorResponse,
-    EVENT_DTYPE,
     ExperimentModel,
     GaussianLine,
     RunConfig,
     RunManifest,
     SourceModel,
+    Stream,
     simulate_run,
 )
 from .analysis import (
@@ -53,6 +53,7 @@ from .analysis import (
     select_candidates,
 )
 from .listmode import (
+    EVENT_DTYPE,
     ListModeFormatError,
     ListModeHeader,
     merge_streams,

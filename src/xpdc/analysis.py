@@ -6,8 +6,8 @@ the misalignment-scan power-law fit, and the conversion-efficiency
 arithmetic.
 
 All operations are pure transformations on immutable inputs.  Streams
-are structured arrays with fields timestamp_ns (u8) and energy_ev (u4),
-time-ordered.
+are events.Stream columns; analyze checks once that both are time-ordered
+below 2**63 ns, and the stages after it rely on that.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from .events import Stream, stamps_in_order
 
 PAIR_DTYPE = np.dtype(
     [
@@ -189,43 +191,32 @@ class AnalysisResult:
 # Stream operations
 
 
-def _require_sorted(stream: np.ndarray, name: str) -> None:
-    t = stream["timestamp_ns"]
-    if len(t) > 1 and np.any(np.diff(t.astype(np.int64)) < 0):
-        raise AnalysisError(f"{name} is not time-ordered")
-
-
-def select_candidates(
-    stream: np.ndarray, criteria: CoincidenceCriteria
-) -> np.ndarray:
+def select_candidates(stream: Stream, criteria: CoincidenceCriteria) -> Stream:
     """Keep events inside the single-photon energy window (closed on both
-    ends), preserving time order."""
-    _require_sorted(stream, "stream")
+    ends), preserving order.  The stream must be time-ordered, as
+    analyze checks."""
     lo, hi = criteria.single_energy_window_ev
-    e = stream["energy_ev"]
-    return stream[(e >= lo) & (e <= hi)]
+    e = stream.energy_ev
+    index = np.flatnonzero((e >= lo) & (e <= hi))
+    return Stream(stream.timestamp_ns.take(index), e.take(index))
 
 
 def find_coincidence_pairs(
-    stream1: np.ndarray,
-    stream2: np.ndarray,
-    criteria: CoincidenceCriteria,
-    exclusive: bool = False,
+    stream1: Stream, stream2: Stream, criteria: CoincidenceCriteria, exclusive: bool = False
 ) -> np.ndarray:
     """All cross-detector pairs passing the time and energy-sum windows.
 
-    Sort-merge sliding window over the two time-ordered streams,
-    O(n + m + k): a pair qualifies when |t2 - t1| <= max_abs_dt and
+    Sort-merge sliding window over the two streams, which must be
+    time-ordered with stamps below 2**63, as analyze checks; O(n + m + k):
+    a pair qualifies when |t2 - t1| <= max_abs_dt and
     |E1 + E2 - sum_center| <= sum_half_width.  By default one event may
     appear in several pairs; exclusive=True keeps a greedy
     smallest-|dt|-first matching instead.
 
     Returns a PAIR_DTYPE array with dt = t2 - t1.
     """
-    _require_sorted(stream1, "stream1")
-    _require_sorted(stream2, "stream2")
-    t1 = stream1["timestamp_ns"].astype(np.int64)
-    t2 = stream2["timestamp_ns"].astype(np.int64)
+    t1 = stream1.timestamp_ns.view(np.int64)
+    t2 = stream2.timestamp_ns.view(np.int64)
     horizon = int(criteria.max_abs_dt_ns)
     lo = np.searchsorted(t2, t1 - horizon, side="left")
     hi = np.searchsorted(t2, t1 + horizon, side="right")
@@ -237,18 +228,16 @@ def find_coincidence_pairs(
     offsets = np.repeat(np.cumsum(counts) - counts, counts)
     idx2 = np.arange(total) - offsets + np.repeat(lo, counts)
 
-    e1 = stream1["energy_ev"][idx1].astype(np.int64)
-    e2 = stream2["energy_ev"][idx2].astype(np.int64)
-    in_sum = (
-        np.abs(e1 + e2 - criteria.sum_center_ev) <= criteria.sum_half_width_ev
-    )
+    e1 = stream1.energy_ev[idx1].astype(np.int64)
+    e2 = stream2.energy_ev[idx2].astype(np.int64)
+    in_sum = np.abs(e1 + e2 - criteria.sum_center_ev) <= criteria.sum_half_width_ev
     idx1, idx2 = idx1[in_sum], idx2[in_sum]
 
     pairs = np.empty(len(idx1), dtype=PAIR_DTYPE)
     pairs["t1_ns"] = t1[idx1]
     pairs["t2_ns"] = t2[idx2]
-    pairs["e1_ev"] = stream1["energy_ev"][idx1]
-    pairs["e2_ev"] = stream2["energy_ev"][idx2]
+    pairs["e1_ev"] = e1[in_sum]
+    pairs["e2_ev"] = e2[in_sum]
     pairs["dt_ns"] = pairs["t2_ns"] - pairs["t1_ns"]
     if exclusive:
         pairs = _exclusive_subset(pairs, idx1, idx2)
@@ -704,8 +693,8 @@ def _optional(stage, *args):
 
 
 def analyze(
-    stream1: np.ndarray,
-    stream2: np.ndarray,
+    stream1: Stream,
+    stream2: Stream,
     criteria: CoincidenceCriteria,
     duration_s: float,
     mean_current: float = 1.0,
@@ -716,17 +705,20 @@ def analyze(
 ) -> AnalysisResult:
     """The coincidence analysis of two detector streams, end to end.
 
-    Selects candidates, pairs them (exclusive as in
-    find_coincidence_pairs), builds the (E1, dt) map and fits its dt
-    marginal.  The region of interest keeps the energy band of roi; its
-    time half-width and sideband edge become roi_sigmas and
-    sideband_sigmas times the fitted width.  roi is used as given
-    instead (its defaults assume the nominal 212 ns width) when the
-    time fit failed, or when the fitted half-width is under one dt bin
-    or the sidebands would start beyond 0.9 of the pairing horizon.
+    Checks that both streams are time-ordered, selects candidates, pairs
+    them (exclusive as in find_coincidence_pairs), builds the (E1, dt)
+    map and fits its dt marginal.  The region of interest keeps the
+    energy band of roi; its time half-width and sideband edge become
+    roi_sigmas and sideband_sigmas times the fitted width.  roi is used
+    as given instead (its defaults assume the nominal 212 ns width) when
+    the time fit failed, or when the fitted half-width is under one dt
+    bin or the sidebands would start beyond 0.9 of the pairing horizon.
     The net rate, the E1 fit and the E1 centroid are all measured in
     that one region.
     """
+    for name, stream in (("stream1", stream1), ("stream2", stream2)):
+        if not stamps_in_order(stream.timestamp_ns):
+            raise AnalysisError(f"{name} is not time-ordered below 2**63 ns")
     cand1 = select_candidates(stream1, criteria)
     cand2 = select_candidates(stream2, criteria)
     pairs = find_coincidence_pairs(cand1, cand2, criteria, exclusive=exclusive)

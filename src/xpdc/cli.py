@@ -253,9 +253,9 @@ def cmd_analyze(args) -> int:
     if header.detector_count != 2:
         raise ListModeFormatError(f"header says {header.detector_count} detectors, not 2")
     stream1, stream2 = listmode.split_streams(events_arr, header.detector_count)
-    del events_arr  # the streams hold every record; free the merged copy
+    del events_arr  # the streams' columns hold every record; free the file body
     if duration_s is None:
-        last = [float(s["timestamp_ns"][-1]) for s in (stream1, stream2) if len(s)]
+        last = [float(s.timestamp_ns[-1]) for s in (stream1, stream2) if len(s)]
         duration_s = max(max(last, default=0.0) / 1e9, 1e-9)
         print(
             f"warning: no manifest/duration given; using stream span {duration_s:.3f} s",

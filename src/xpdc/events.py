@@ -4,10 +4,11 @@ for the two coincidence detectors: down-converted pairs, fluorescence
 lines, Compton and elastic background, detector response, and
 beam-current drift.
 
-The output of a run is a pair of time-ordered structured arrays with
-fields (detector_id, timestamp_ns, energy_ev) plus a manifest of ground
-truth counts.  Everything is driven by one 64-bit seed; identical
-(config, seed) gives bit-identical streams.
+The output of a run is a pair of Streams, one per detector: time-ordered
+timestamp_ns (u8) and energy_ev (u4) columns, plus a manifest of ground
+truth counts.  Packed records exist only at the file boundary (see
+listmode).  Everything is driven by one 64-bit seed; identical (config,
+seed) gives bit-identical streams.
 """
 
 from __future__ import annotations
@@ -29,10 +30,28 @@ from .physics import (
     polarization_suppression,
 )
 
-# On-disk and in-memory event layout; packed to 13 bytes, little endian.
-EVENT_DTYPE = np.dtype(
-    [("detector_id", "<u1"), ("timestamp_ns", "<u8"), ("energy_ev", "<u4")]
-)
+
+@dataclass(frozen=True)
+class Stream:
+    """One detector's events as two aligned columns of equal length:
+    timestamp_ns (uint64, non-decreasing) and energy_ev (uint32)."""
+
+    timestamp_ns: np.ndarray
+    energy_ev: np.ndarray
+
+    def __post_init__(self):  # no copy where the dtypes already match
+        object.__setattr__(self, "timestamp_ns", np.asarray(self.timestamp_ns, dtype=np.uint64))
+        object.__setattr__(self, "energy_ev", np.asarray(self.energy_ev, dtype=np.uint32))
+
+    def __len__(self) -> int:
+        return len(self.timestamp_ns)
+
+
+def stamps_in_order(stamps: np.ndarray) -> bool:
+    """Whether uint64 stamps are non-decreasing and below 2**63 (pairing
+    computes in int64): as int64, non-decreasing from a first stamp >= 0."""
+    s = stamps.view(np.int64)
+    return not len(s) or bool(s[0] >= 0 and np.all(s[1:] >= s[:-1]))
 
 
 class ConfigError(ValueError):
@@ -226,6 +245,8 @@ class RunConfig:
     def __post_init__(self):
         if self.duration_s <= 0:
             raise ConfigError("duration must be > 0")
+        if self.duration_s * 1e9 >= 2**63:  # timestamps are analysed as int64 ns
+            raise ConfigError("duration must be under 2**63 ns (about 292 years)")
         if not 0 <= int(self.seed) < 2**64:
             raise ConfigError("seed must fit in 64 bits")
 
@@ -454,12 +475,12 @@ def _dead_time_mask(times_ns: np.ndarray, dead_time_ns: float) -> np.ndarray:
 
 def simulate_run(
     config: RunConfig, config_hash: int = 0
-) -> tuple[np.ndarray, np.ndarray, RunManifest]:
+) -> tuple[Stream, Stream, RunManifest]:
     """Simulate one acquisition and return the two event streams.
 
-    Streams are EVENT_DTYPE structured arrays sorted by timestamp.  The
-    manifest carries ground truth: pairs generated, pairs landed/detected
-    on both detectors, and background counts per component.
+    Each Stream is sorted by timestamp.  The manifest carries ground
+    truth: pairs generated, pairs landed/detected on both detectors, and
+    background counts per component.
     """
     expected = _expected_photons(config)
     if expected > _MAX_EXPECTED_EVENTS:
@@ -534,11 +555,7 @@ def simulate_run(
         order = np.argsort(stamps, kind="stable")
         stamps = stamps[order]
         live = _dead_time_mask(stamps, exp.response.dead_time_ns)
-        stream = np.empty(int(live.sum()), dtype=EVENT_DTYPE)
-        stream["detector_id"] = det_index + 1
-        stream["timestamp_ns"] = stamps[live]
-        stream["energy_ev"] = recorded[kept[order[live]]].astype(np.uint32)
-        streams.append(stream)
+        streams.append(Stream(stamps[live], recorded[kept[order[live]]].astype(np.uint32)))
 
         # Pair members lead the blocks; carry the dead-time mask back
         # through the sort to find which of them were recorded.

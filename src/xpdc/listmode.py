@@ -12,8 +12,10 @@ File layout (all integers little endian):
     18      ...   records, 13 bytes each:
                     detector_id (u8) | timestamp ns (u64) | energy eV (u32)
 
-Records are non-decreasing in timestamp within each detector id, and
-every detector id is in 1..detector count.  Every output file is written
+Records are non-decreasing in timestamp within each detector id, every
+timestamp is below 2**63, and every detector id is in 1..detector count.
+Records exist only at this file boundary: split_streams turns them into
+Streams, merge_streams packs Streams back.  Every output file is written
 to a temporary file in the target directory, then renamed atomically.
 """
 
@@ -27,11 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import EVENT_DTYPE
+from .events import Stream, stamps_in_order
 
 MAGIC = b"XPDC"
 FORMAT_VERSION = 1
 HEADER_SIZE = 18
+EVENT_DTYPE = np.dtype(  # one record, packed to 13 bytes
+    [("detector_id", "<u1"), ("timestamp_ns", "<u8"), ("energy_ev", "<u4")]
+)
 # CSV rows rendered per chunk, so no CSV is held in memory whole.
 _CSV_BLOCK_ROWS = 65536
 _HEADER_DTYPE = np.dtype(
@@ -97,8 +102,8 @@ def write_listmode(path: str, events: np.ndarray, header: ListModeHeader) -> Non
 
 
 def read_listmode(path: str) -> tuple[np.ndarray, ListModeHeader]:
-    """Read and validate a list-mode file.  The body of a regular file is
-    read once, straight into the record array."""
+    """Read and validate a list-mode file: (EVENT_DTYPE records, header).
+    A regular file's body is read once; the records are a view of it."""
     with open(path, "rb") as handle:
         raw = handle.read(HEADER_SIZE)
         if len(raw) < HEADER_SIZE:
@@ -132,27 +137,41 @@ def _validate_records(events: np.ndarray, detector_count: int) -> None:
     ids = events["detector_id"]
     if len(ids) and (ids.min() < 1 or ids.max() > detector_count):
         raise ListModeFormatError("detector id outside 1..detector count")
+    t = events["timestamp_ns"]
+    if not stamps_in_order(t):  # records in global time order pass in one test
+        for det in range(1, detector_count + 1):
+            if not stamps_in_order(t[ids == det]):
+                raise ListModeFormatError(
+                    f"timestamps for detector {det} decrease or reach 2**63 ns"
+                )
+
+
+def split_streams(events: np.ndarray, detector_count: int = 2) -> list[Stream]:
+    """One Stream per detector, in file order, from a record array whose
+    detector ids are in 1..detector_count.  Each detector's columns are
+    gathered with one index array; by indexing, not take(), which would
+    first copy each whole strided field."""
+    ids = events["detector_id"]
+    streams = []
     for det in range(1, detector_count + 1):
-        t = events["timestamp_ns"][ids == det].astype(np.int64)
-        if len(t) > 1 and np.any(np.diff(t) < 0):
-            raise ListModeFormatError(
-                f"timestamps for detector {det} are not non-decreasing"
-            )
+        index = np.flatnonzero(ids == det)
+        streams.append(Stream(events["timestamp_ns"][index], events["energy_ev"][index]))
+    return streams
 
 
-def split_streams(events: np.ndarray, detector_count: int = 2) -> list[np.ndarray]:
-    """Per-detector time-ordered streams from a merged record array."""
-    return [
-        events[events["detector_id"] == det]
-        for det in range(1, detector_count + 1)
-    ]
-
-
-def merge_streams(*streams: np.ndarray) -> np.ndarray:
-    """Merge per-detector streams into one timestamp-sorted array."""
-    merged = np.concatenate([np.asarray(s, dtype=EVENT_DTYPE) for s in streams])
-    order = np.argsort(merged["timestamp_ns"], kind="stable")
-    return merged[order]
+def merge_streams(*streams: Stream) -> np.ndarray:
+    """Pack Streams into one timestamp-sorted EVENT_DTYPE record array; the
+    k-th Stream gets detector id k + 1.  Tied timestamps keep the order of
+    the Streams, and their order within each."""
+    stamps = np.concatenate([s.timestamp_ns for s in streams])
+    order = np.argsort(stamps, kind="stable")
+    merged = np.empty(len(stamps), dtype=EVENT_DTYPE)
+    ids = np.repeat(np.arange(1, len(streams) + 1, dtype=np.uint8), [len(s) for s in streams])
+    merged["detector_id"] = ids[order]
+    stamps.sort()  # the values of stamps[order], without holding a copy of them
+    merged["timestamp_ns"] = stamps
+    merged["energy_ev"] = np.concatenate([s.energy_ev for s in streams])[order]
+    return merged
 
 
 def write_csv(

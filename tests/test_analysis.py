@@ -22,21 +22,17 @@ from xpdc.analysis import (
     roi_rate,
     select_candidates,
 )
-from xpdc.events import EVENT_DTYPE
+from xpdc.events import Stream
 
 
-def make_stream(detector_id, times_ns, energies_ev):
-    stream = np.empty(len(times_ns), dtype=EVENT_DTYPE)
-    stream["detector_id"] = detector_id
-    stream["timestamp_ns"] = np.asarray(times_ns, dtype=np.uint64)
-    stream["energy_ev"] = np.asarray(energies_ev, dtype=np.uint32)
-    return stream
+def make_stream(times_ns, energies_ev):
+    return Stream(np.asarray(times_ns, dtype=np.uint64), np.asarray(energies_ev, dtype=np.uint32))
 
 
-def random_stream(rng, detector_id, n, horizon_ns=100_000, e_range=(3000, 20000)):
+def random_stream(rng, n, horizon_ns=100_000, e_range=(3000, 20000)):
     times = np.sort(rng.integers(0, horizon_ns, n)) * 20 // 20 * 20
     energies = rng.integers(e_range[0], e_range[1], n)
-    return make_stream(detector_id, np.sort(times), energies)
+    return make_stream(np.sort(times), energies)
 
 
 CRIT = CoincidenceCriteria()
@@ -44,34 +40,26 @@ CRIT = CoincidenceCriteria()
 
 class TestSelectCandidates:
     def test_window_boundaries_closed(self):
-        stream = make_stream(1, [0, 20, 40, 60], [4900, 5000, 17000, 17100])
+        stream = make_stream([0, 20, 40, 60], [4900, 5000, 17000, 17100])
         kept = select_candidates(stream, CRIT)
-        assert list(kept["energy_ev"]) == [5000, 17000]
+        assert list(kept.energy_ev) == [5000, 17000]
 
     def test_order_preserving_and_matches_naive(self):
         rng = np.random.default_rng(12)
-        stream = random_stream(rng, 1, 10_000)
+        stream = random_stream(rng, 10_000)
         kept = select_candidates(stream, CRIT)
         lo, hi = CRIT.single_energy_window_ev
-        naive = [r for r in stream if lo <= r["energy_ev"] <= hi]
-        assert len(kept) == len(naive)
-        assert all(
-            k["timestamp_ns"] == n["timestamp_ns"] and k["energy_ev"] == n["energy_ev"]
-            for k, n in zip(kept, naive)
-        )
-        assert np.all(np.diff(kept["timestamp_ns"].astype(np.int64)) >= 0)
-
-    def test_unsorted_input_rejected(self):
-        stream = make_stream(1, [100, 40], [6000, 6000])
-        with pytest.raises(AnalysisError):
-            select_candidates(stream, CRIT)
+        events = zip(stream.timestamp_ns.tolist(), stream.energy_ev.tolist())
+        naive = [(t, e) for t, e in events if lo <= e <= hi]
+        assert list(zip(kept.timestamp_ns.tolist(), kept.energy_ev.tolist())) == naive
+        assert np.all(np.diff(kept.timestamp_ns.astype(np.int64)) >= 0)
 
 
 def brute_force_pairs(s1, s2, criteria):
-    t1 = s1["timestamp_ns"].astype(np.int64)[:, None]
-    t2 = s2["timestamp_ns"].astype(np.int64)[None, :]
-    e1 = s1["energy_ev"].astype(np.int64)[:, None]
-    e2 = s2["energy_ev"].astype(np.int64)[None, :]
+    t1 = s1.timestamp_ns.astype(np.int64)[:, None]
+    t2 = s2.timestamp_ns.astype(np.int64)[None, :]
+    e1 = s1.energy_ev.astype(np.int64)[:, None]
+    e2 = s2.energy_ev.astype(np.int64)[None, :]
     ok = (np.abs(t2 - t1) <= criteria.max_abs_dt_ns) & (
         np.abs(e1 + e2 - criteria.sum_center_ev) <= criteria.sum_half_width_ev
     )
@@ -88,12 +76,12 @@ def brute_force_pairs(s1, s2, criteria):
 
 class TestFindCoincidencePairs:
     def test_empty(self):
-        empty = make_stream(1, [], [])
+        empty = make_stream([], [])
         assert len(find_coincidence_pairs(empty, empty, CRIT)) == 0
 
     def test_constructed_example(self):
-        s1 = make_stream(1, [1000], [11000])
-        s2 = make_stream(2, [1100], [11200])
+        s1 = make_stream([1000], [11000])
+        s2 = make_stream([1100], [11200])
         pairs = find_coincidence_pairs(s1, s2, CRIT)
         assert len(pairs) == 1
         assert pairs[0]["dt_ns"] == 100
@@ -102,16 +90,16 @@ class TestFindCoincidencePairs:
     def test_sum_window_boundaries(self):
         # against 11000 eV partners: 11500 sums to the closed edge 22500,
         # 11501/10499 fall one eV outside, 10500 on the lower edge
-        s1 = make_stream(1, [1000], [11000])
-        s2 = make_stream(2, [900, 950, 1000, 1050], [11500, 11501, 10499, 10500])
+        s1 = make_stream([1000], [11000])
+        s2 = make_stream([900, 950, 1000, 1050], [11500, 11501, 10499, 10500])
         pairs = find_coincidence_pairs(s1, s2, CRIT)
         assert sorted(int(p["e2_ev"]) for p in pairs) == [10500, 11500]
 
     def test_matches_brute_force_on_random_streams(self):
         rng = np.random.default_rng(99)
         for _ in range(10):
-            s1 = random_stream(rng, 1, 400, horizon_ns=400_000, e_range=(9000, 13000))
-            s2 = random_stream(rng, 2, 400, horizon_ns=400_000, e_range=(9000, 13000))
+            s1 = random_stream(rng, 400, horizon_ns=400_000, e_range=(9000, 13000))
+            s2 = random_stream(rng, 400, horizon_ns=400_000, e_range=(9000, 13000))
             pairs = find_coincidence_pairs(s1, s2, CRIT)
             got = sorted(
                 zip(
@@ -125,8 +113,8 @@ class TestFindCoincidencePairs:
 
     def test_label_swap_negates_dt(self):
         rng = np.random.default_rng(5)
-        s1 = random_stream(rng, 1, 300, horizon_ns=200_000, e_range=(9000, 13000))
-        s2 = random_stream(rng, 2, 300, horizon_ns=200_000, e_range=(9000, 13000))
+        s1 = random_stream(rng, 300, horizon_ns=200_000, e_range=(9000, 13000))
+        s2 = random_stream(rng, 300, horizon_ns=200_000, e_range=(9000, 13000))
         forward = find_coincidence_pairs(s1, s2, CRIT)
         swapped = find_coincidence_pairs(s2, s1, CRIT)
         assert sorted(forward["dt_ns"].tolist()) == sorted(
@@ -136,22 +124,22 @@ class TestFindCoincidencePairs:
         assert sorted(forward["e1_ev"].tolist()) == sorted(swapped["e2_ev"].tolist())
 
     def test_all_pairs_multiplicity(self):
-        s1 = make_stream(1, [1000], [11000])
-        s2 = make_stream(2, [900, 1100], [11000, 11000])
+        s1 = make_stream([1000], [11000])
+        s2 = make_stream([900, 1100], [11000, 11000])
         pairs = find_coincidence_pairs(s1, s2, CRIT)
         assert len(pairs) == 2  # one detector-1 event appears twice
 
     def test_exclusive_matching(self):
-        s1 = make_stream(1, [1000], [11000])
-        s2 = make_stream(2, [900, 1100], [11000, 11000])
+        s1 = make_stream([1000], [11000])
+        s2 = make_stream([900, 1100], [11000, 11000])
         pairs = find_coincidence_pairs(s1, s2, CRIT, exclusive=True)
         assert len(pairs) == 1
 
 
 class TestCorrelationMap:
     def test_single_pair_single_bin(self):
-        s1 = make_stream(1, [1000], [11050])
-        s2 = make_stream(2, [1000], [10950])
+        s1 = make_stream([1000], [11050])
+        s2 = make_stream([1000], [10950])
         pairs = find_coincidence_pairs(s1, s2, CRIT)
         corr = build_correlation_map(pairs, CRIT, duration_s=1.0)
         assert corr.counts.sum() == 1
@@ -161,16 +149,16 @@ class TestCorrelationMap:
 
     def test_total_counts_equals_accepted_pairs(self):
         rng = np.random.default_rng(8)
-        s1 = random_stream(rng, 1, 2000, horizon_ns=10_000_000, e_range=(9000, 13000))
-        s2 = random_stream(rng, 2, 2000, horizon_ns=10_000_000, e_range=(9000, 13000))
+        s1 = random_stream(rng, 2000, horizon_ns=10_000_000, e_range=(9000, 13000))
+        s2 = random_stream(rng, 2000, horizon_ns=10_000_000, e_range=(9000, 13000))
         pairs = find_coincidence_pairs(s1, s2, CRIT)
         corr = build_correlation_map(pairs, CRIT, duration_s=0.01)
         assert corr.counts.sum() == len(pairs)
 
     def test_sharding_invariance(self):
         rng = np.random.default_rng(44)
-        s1 = random_stream(rng, 1, 1500, horizon_ns=5_000_000, e_range=(9000, 13000))
-        s2 = random_stream(rng, 2, 1500, horizon_ns=5_000_000, e_range=(9000, 13000))
+        s1 = random_stream(rng, 1500, horizon_ns=5_000_000, e_range=(9000, 13000))
+        s2 = random_stream(rng, 1500, horizon_ns=5_000_000, e_range=(9000, 13000))
         pairs = find_coincidence_pairs(s1, s2, CRIT)
         whole = build_correlation_map(pairs, CRIT, duration_s=0.005)
         half = len(pairs) // 2
@@ -243,7 +231,7 @@ class TestFitTimeProfile:
         pairs = np.empty(
             0,
             dtype=find_coincidence_pairs(
-                make_stream(1, [], []), make_stream(2, [], []), CRIT
+                make_stream([], []), make_stream([], []), CRIT
             ).dtype,
         )
         corr = build_correlation_map(pairs, CRIT, duration_s=1.0)
@@ -306,9 +294,8 @@ def peak_streams(n=400, seed=55):
     e1 = rng.normal(11000.0, 500.0, n)
     dts = rng.normal(0.0, 212.0, n)
     t1 = np.sort(rng.integers(0, 1_800_000_000_000, n))
-    s1 = make_stream(1, t1 // 20 * 20, np.rint(e1).astype(int))
+    s1 = make_stream(t1 // 20 * 20, np.rint(e1).astype(int))
     s2 = make_stream(
-        2,
         np.sort((t1 + dts).astype(np.int64)) // 20 * 20,
         np.rint(22000.0 - e1).astype(int),
     )
@@ -510,15 +497,23 @@ class TestAnalyze:
         assert result.roi_result == roi_rate(result.corr_map, nominal)
 
     def test_no_pairs_uses_nominal_roi(self):
-        result = analyze(make_stream(1, [], []), make_stream(2, [], []), CRIT, 10.0)
+        result = analyze(make_stream([], []), make_stream([], []), CRIT, 10.0)
         assert len(result.pairs) == 0
         assert result.time_fit is None and result.energy_fit is None
         assert result.energy_centroid is None
         assert result.roi == RoiSpec()
         assert result.roi_result.roi_counts == 0
 
+    @pytest.mark.parametrize("times", [[100, 40], [0, 2**63]], ids=["decreasing", "past-int64"])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_unsorted_input_rejected(self, times, which):
+        streams = [make_stream([0], [11000]), make_stream([0], [11000])]
+        streams[which] = make_stream(times, [6000, 6000])
+        with pytest.raises(AnalysisError, match=f"stream{which + 1} is not time-ordered"):
+            analyze(*streams, CRIT, 1.0)
+
     def test_exclusive_keeps_each_event_once(self):
-        s1 = make_stream(1, [1000, 1020], [11000, 11000])
-        s2 = make_stream(2, [1000], [11000])
+        s1 = make_stream([1000, 1020], [11000, 11000])
+        s2 = make_stream([1000], [11000])
         assert len(analyze(s1, s2, CRIT, 1.0).pairs) == 2
         assert len(analyze(s1, s2, CRIT, 1.0, exclusive=True).pairs) == 1

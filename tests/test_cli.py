@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, outputs, exit codes."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -145,6 +146,9 @@ class TestSimulate:
         assert manifest["config_hash"] == f"{header.config_hash:016x}"
 
 
+WIDE_WINDOWS = ["--sum-half", "6", "--horizon", "2000000", "--dt-bin", "20000"]
+
+
 class TestAnalyze:
     def test_pipeline_and_outputs(self, short_config, tmp_path, capsys):
         out = str(tmp_path / "run")
@@ -196,6 +200,42 @@ class TestAnalyze:
             expected["peak_e1_ev"] = f"{result.energy_fit.center:.1f}"
         assert {key: report.get(key) for key in expected} == expected
         assert ("peak_e1_ev" in report) == (result.energy_fit is not None)
+
+    @pytest.mark.parametrize(
+        "flags, report_sha, map_sha",
+        [
+            ([],
+             "2dac83da553b8a94a161ad65d5a32ca3e3f4dedd5193d30d2ee0173422a11177",
+             "dfaa0deda6f8fcc877dd2f3282beee4177f67c75412b73caba5e1900a72eba39"),
+            (["--exclusive"],
+             "2dac83da553b8a94a161ad65d5a32ca3e3f4dedd5193d30d2ee0173422a11177",
+             "dfaa0deda6f8fcc877dd2f3282beee4177f67c75412b73caba5e1900a72eba39"),
+            # Windows wide enough for 145 accidental pairs, 132 of them exclusive.
+            (WIDE_WINDOWS,
+             "06a401f7a057a9061cc3025e7dc28ad03b92ed875e6a05ed3e6a9e0ec1acd05f",
+             "d79f48e721921914bf1d4a0cf9f21940a9c23a797af2227c6b689679c9d70290"),
+            ([*WIDE_WINDOWS, "--exclusive"],
+             "33a0668a1953659b8568ea70c36e9b87a2878dc286d25e61ea1f732dcece5234",
+             "d8ca3fa8190f3e08795b98b9ff1419bd2de4265c188009fe25e092148ff16839"),
+        ],
+        ids=["all-pairs", "exclusive", "wide-all-pairs", "wide-exclusive"],
+    )
+    def test_output_bytes(self, tmp_path, flags, report_sha, map_sha):
+        # The 60 s, 20 ns-tick instrument run that test_events pins.
+        cfg = tmp_path / "instrument.cfg"
+        cfg.write_text(
+            "response.dead_time = 1 us\nchain.model = table\n"
+            "chain.table = 5000:0.35,11000:0.42,17000:0.5\n"
+            "run.current_segments = 1.0,0.96,1.04,0.92,1.06,1.02\nrun.duration = 60 s\n"
+        )
+        out = str(tmp_path / "run")
+        assert main(["simulate", "--config", str(cfg), "--seed", "301", "--out", out]) == 0
+        assert main(["analyze", os.path.join(out, "events.xpdc"), *flags, "--out", out]) == 0
+        digests = [
+            hashlib.sha256(open(os.path.join(out, name), "rb").read()).hexdigest()
+            for name in ("analysis_report.txt", "correlation_map.csv")
+        ]
+        assert digests == [report_sha, map_sha]
 
     def test_missing_file_is_config_error(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.xpdc")]) == 1
@@ -564,11 +604,25 @@ class TestEnvironmentOverrides:
             raise AssertionError("sampled an over-budget run")
 
         monkeypatch.setattr(events, "_poisson_times", no_sampling)
-        monkeypatch.setenv("XPDC_RUN_DURATION", "1e30 s")
+        # about 8e10 photons, in a duration whose timestamps fit in int64
+        monkeypatch.setenv("XPDC_RUN_DURATION", "1e8 s")
         assert main(["simulate", "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "above the limit of 1e+09" in err[0]
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("duration", ["2e10 s", "9223372037 s", "1e30 s"])
+    def test_duration_past_int64_stamps_is_config_error(
+        self, quiet_config, monkeypatch, capsys, tmp_path, duration
+    ):
+        # Under the photon budget (no sources): such a run wrote every
+        # stamp as 0 once the float -> uint64 cast overflowed.
+        monkeypatch.setenv("XPDC_RUN_DURATION", duration)
+        assert main(["simulate", "--config", quiet_config, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: duration must be under 2**63 ns (about 292 years)"
+        ]
+        assert not os.path.exists(tmp_path / "o")
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:

@@ -10,8 +10,8 @@ import pytest
 
 from xpdc import listmode
 from xpdc.cli import main
-from xpdc.events import EVENT_DTYPE
 from xpdc.listmode import (
+    EVENT_DTYPE,
     HEADER_SIZE,
     ListModeFormatError,
     ListModeHeader,
@@ -134,6 +134,38 @@ class TestValidation:
         with pytest.raises(ListModeFormatError):
             write_listmode(str(tmp_path / "y.xpdc"), events, HEADER)
 
+    @pytest.mark.parametrize(
+        # Cast to int64, the first pair read as (-1, 1) and passed, the
+        # second as decreasing and failed.
+        "stamps", [(2**64 - 1, 1), (0, 2**63), (2**63, 2**63)],
+        ids=["decreasing-past-2**63", "sorted-to-2**63", "tied-at-2**63"],
+    )
+    def test_order_is_compared_in_uint64_below_2_63(self, tmp_path, capsys, stamps):
+        message = "timestamps for detector 1 decrease or reach 2\\*\\*63 ns"
+        events = np.zeros(3, dtype=EVENT_DTYPE)
+        events["detector_id"] = (1, 2, 1)
+        events["timestamp_ns"] = (stamps[0], 5, stamps[1])
+        path = str(tmp_path / "big.xpdc")
+        write_listmode(path, events[:0], HEADER)
+        with open(path, "ab") as handle:
+            handle.write(events.tobytes())
+        with pytest.raises(ListModeFormatError, match=message):
+            read_listmode(path)
+        with pytest.raises(ListModeFormatError, match=message):
+            write_listmode(str(tmp_path / "w.xpdc"), events, HEADER)
+        capsys.readouterr()
+        assert main(["analyze", path, "--duration", "1", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_largest_int64_stamp_allowed(self, tmp_path):
+        events = np.zeros(3, dtype=EVENT_DTYPE)
+        events["detector_id"] = (1, 2, 1)
+        events["timestamp_ns"] = (0, 2**63 - 1, 2**63 - 1)
+        path = str(tmp_path / "edge.xpdc")
+        write_listmode(path, events, HEADER)
+        assert read_listmode(path)[0].tobytes() == events.tobytes()
+
     def test_interleaved_detectors_allowed(self, tmp_path):
         # global order may interleave; only per-detector order matters
         events = np.zeros(4, dtype=EVENT_DTYPE)
@@ -152,6 +184,11 @@ class TestStreamHelpers:
         events = random_events(rng, 300)
         streams = split_streams(events, 2)
         assert sum(len(s) for s in streams) == 300
+        for det, stream in enumerate(streams, start=1):
+            mine = events[events["detector_id"] == det]
+            assert stream.timestamp_ns.dtype == np.uint64 and stream.energy_ev.dtype == np.uint32
+            assert np.array_equal(stream.timestamp_ns, mine["timestamp_ns"])
+            assert np.array_equal(stream.energy_ev, mine["energy_ev"])
         merged = merge_streams(*streams)
         assert np.array_equal(
             np.sort(merged, order=["timestamp_ns", "detector_id"]),

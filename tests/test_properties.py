@@ -1,6 +1,7 @@
 """Property tests: the config parser and the list-mode reader on generated
 input either return or raise their own error type; `xpdc analyze` with
-any manifest text reports or exits 2; CSV rendering in blocks equals
+any manifest text reports or exits 2; split, candidate cut and pairing
+equal a record-by-record reference; CSV rendering in blocks equals
 rendering the rows one by one."""
 
 import math
@@ -12,14 +13,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xpdc import listmode
+from xpdc.analysis import CoincidenceCriteria, find_coincidence_pairs, select_candidates
 from xpdc.cli import main
 from xpdc.config import build_run_config, default_settings, parse_config_text
-from xpdc.events import EVENT_DTYPE, ConfigError
+from xpdc.events import ConfigError
 from xpdc.listmode import (
+    EVENT_DTYPE,
     ListModeFormatError,
     ListModeHeader,
     read_listmode,
     read_manifest,
+    split_streams,
     write_csv,
     write_events_csv,
     write_listmode,
@@ -189,6 +193,88 @@ def test_analyze_with_any_manifest_reports_or_exits_2(scratch, paired_events, te
         assert int(values["pairs_accepted"]) == 40
         for key in ("duration_s", "mean_current", "net_rate_per_hr"):
             assert math.isfinite(float(values[key]))
+
+
+# Gaps between a detector's stamps: on a 1 us grid, so that ties and the
+# 2 us horizon are met exactly, or any gap up to past the horizon.
+GRID_GAPS = st.sampled_from([0, 1000, 2000, 3000])
+STAMP_GAPS = st.one_of(GRID_GAPS, st.integers(0, 2500))
+# Mostly energies that sum into the 22 +/- 0.5 keV window, then the edges
+# of the windows, a pair whose uint32 sum wraps into it, and any value.
+ENERGIES = st.one_of(
+    st.integers(10400, 11600),
+    st.integers(10400, 11600),
+    st.sampled_from([
+        4999, 5000, 5001, 10499, 10500, 11000, 11500, 16999, 17000, 17001, 22001, 2**32 - 1
+    ]),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@st.composite
+def interleaved_records(draw):
+    """Records of two detectors, each time-ordered, merged in any order, so
+    that the file order need not be the global time order; stamps start
+    at 0, at 2**62 or just below 2**63."""
+    n = draw(st.integers(0, 40))
+    labels = draw(st.lists(st.sampled_from([1, 2]), min_size=n, max_size=n))
+    records = np.zeros(len(labels), dtype=EVENT_DTYPE)
+    records["detector_id"] = labels
+    offset = draw(st.sampled_from([0, 2**62, 2**63 - 10**6]))
+    grid = draw(st.booleans())  # every gap on the 1 us grid
+    for det in (1, 2):
+        mine = records["detector_id"] == det
+        count = int(mine.sum())
+        gaps = draw(st.lists(GRID_GAPS if grid else STAMP_GAPS, min_size=count, max_size=count))
+        records["timestamp_ns"][mine] = offset + np.cumsum(gaps, dtype=np.uint64)
+    records["energy_ev"] = draw(st.lists(ENERGIES, min_size=len(labels), max_size=len(labels)))
+    return records
+
+
+def reference_pairs(records, criteria, exclusive):
+    """Pairs as (t1, t2, e1, e2, dt) tuples, from a boolean-mask split and
+    cut of the records and a test of every cross-detector pair in Python
+    integers, ordered by detector-1 then detector-2 event.  exclusive
+    keeps pairs smallest |dt| first (ties in that order) while both
+    events are unused."""
+    lo, hi = criteria.single_energy_window_ev
+    events = []
+    for det in (1, 2):
+        mine = records[records["detector_id"] == det]
+        cut = mine[(mine["energy_ev"] >= lo) & (mine["energy_ev"] <= hi)]
+        events.append(list(zip(cut["timestamp_ns"].tolist(), cut["energy_ev"].tolist())))
+    found = [
+        (i, j, (t1, t2, e1, e2, t2 - t1))
+        for i, (t1, e1) in enumerate(events[0])
+        for j, (t2, e2) in enumerate(events[1])
+        if abs(t2 - t1) <= criteria.max_abs_dt_ns
+        and abs(e1 + e2 - criteria.sum_center_ev) <= criteria.sum_half_width_ev
+    ]
+    if exclusive:
+        used1, used2, kept = set(), set(), []
+        for i, j, pair in sorted(found, key=lambda entry: abs(entry[2][4])):
+            if i not in used1 and j not in used2:
+                used1.add(i)
+                used2.add(j)
+                kept.append((i, j, pair))
+        found = sorted(kept)
+    return [pair for _, _, pair in found]
+
+
+@PROPERTY
+@given(
+    records=interleaved_records(),
+    criteria=st.sampled_from([
+        CoincidenceCriteria(),
+        CoincidenceCriteria(single_energy_window_ev=(4999.5, 17000.5), sum_half_width_ev=0.5),
+        CoincidenceCriteria(single_energy_window_ev=(0.0, 2.0**32)),
+    ]),
+    exclusive=st.booleans(),
+)
+def test_split_cut_and_pairs_equal_record_by_record_reference(records, criteria, exclusive):
+    streams = [select_candidates(s, criteria) for s in split_streams(records, 2)]
+    pairs = find_coincidence_pairs(*streams, criteria, exclusive=exclusive)
+    assert pairs.tolist() == reference_pairs(records, criteria, exclusive)
 
 
 ROW_COUNTS = st.one_of(st.integers(0, 1), st.integers(5, 12))
