@@ -193,11 +193,13 @@ class AnalysisResult:
 
 def select_candidates(stream: Stream, criteria: CoincidenceCriteria) -> Stream:
     """Keep events inside the single-photon energy window (closed on both
-    ends), preserving order.  The stream must be time-ordered, as
-    analyze checks."""
+    ends), preserving order; stream itself when the window keeps every
+    event.  The stream must be time-ordered, as analyze checks."""
     lo, hi = criteria.single_energy_window_ev
     e = stream.energy_ev
     index = np.flatnonzero((e >= lo) & (e <= hi))
+    if len(index) == len(e):
+        return stream
     return Stream(stream.timestamp_ns.take(index), e.take(index))
 
 

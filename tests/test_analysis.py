@@ -54,6 +54,11 @@ class TestSelectCandidates:
         assert list(zip(kept.timestamp_ns.tolist(), kept.energy_ev.tolist())) == naive
         assert np.all(np.diff(kept.timestamp_ns.astype(np.int64)) >= 0)
 
+    def test_window_that_keeps_every_event_returns_the_input(self):
+        stream = make_stream([0, 20, 40], [5000, 11000, 17000])
+        assert select_candidates(stream, CRIT) is stream
+        assert select_candidates(make_stream([], []), CRIT).energy_ev.size == 0
+
 
 def brute_force_pairs(s1, s2, criteria):
     t1 = s1.timestamp_ns.astype(np.int64)[:, None]

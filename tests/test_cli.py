@@ -420,6 +420,52 @@ class TestScan:
         ).roi_result
         assert rows[1:] == [f"10.0,{roi.net_rate_per_hr:.4f},{roi.net_rate_err_per_hr:.4f}"]
 
+    def test_output_bytes(self, tmp_path, capsys):
+        # Digests from the serial scan; any reordering of points or seeds
+        # between the workers and the averages changes them.
+        cfg = tmp_path / "pin.cfg"
+        cfg.write_text("run.duration = 60 s\n")
+        out = tmp_path / "scan"
+        assert main(
+            [
+                "scan", "--config", str(cfg), "--detunings", "5,10,20",
+                "--seeds", "1,2", "--roi-e-half", "2", "--out", str(out),
+            ]
+        ) == 0
+        stdout = capsys.readouterr().out.encode()
+        csv = (out / "scan_result.csv").read_bytes()
+        assert hashlib.sha256(csv).hexdigest() == (
+            "dfe81fed3eaf32f9e96fc68a1b1d82b8ef09287bc278858050eeec1a4c126418"
+        )
+        assert hashlib.sha256(stdout).hexdigest() == (
+            "e338503fe9a066547826bef38c3e3e8ab345c2f08acfce38abd6bc58ac621c2b"
+        )
+
+    def test_error_in_a_worker_is_one_line_config_error(self, tmp_path, capsys, monkeypatch):
+        parent = os.getpid()
+        simulate = events.simulate_run
+
+        def in_worker(*args, **kwargs):
+            assert os.getpid() != parent, "simulated in the parent process"
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(events, "simulate_run", in_worker)
+        monkeypatch.setenv("XPDC_RUN_DURATION", "1e8 s")  # over the photon budget
+        out = tmp_path / "scan"
+        assert main(["scan", "--detunings", "5,10", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "above the limit of 1e+09" in err[0]
+        assert not (out / "scan_result.csv").exists()
+
+    def test_worker_death_is_one_line_data_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(events, "simulate_run", lambda *args, **kwargs: os._exit(1))
+        out = tmp_path / "scan"
+        assert main(["scan", "--detunings", "5,10", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (out / "scan_result.csv").exists()
+
     def test_nonpositive_detuning_rejected(self, tmp_path):
         assert main(["scan", "--detunings", "-5", "--out", str(tmp_path)]) == 1
 
