@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import Stream, stamps_in_order
+from .events import Stream, stamps_in_order, thread_map
 
 PAIR_DTYPE = np.dtype(
     [
@@ -29,6 +29,12 @@ PAIR_DTYPE = np.dtype(
         ("dt_ns", "<i8"),
     ]
 )
+
+
+# Least stream-1 events per pairing block: few enough that a block's index
+# arrays stay small, enough that a block takes longer than starting the
+# thread that runs it (about 1 ms).
+_PAIR_BLOCK = 1 << 15
 
 
 class AnalysisError(ValueError):
@@ -208,59 +214,74 @@ def find_coincidence_pairs(
 ) -> np.ndarray:
     """All cross-detector pairs passing the time and energy-sum windows.
 
-    Sort-merge sliding window over the two streams, which must be
-    time-ordered with stamps below 2**63, as analyze checks; O(n + m + k):
-    a pair qualifies when |t2 - t1| <= max_abs_dt and
-    |E1 + E2 - sum_center| <= sum_half_width.  By default one event may
-    appear in several pairs; exclusive=True keeps a greedy
-    smallest-|dt|-first matching instead.
+    A pair qualifies when |t2 - t1| <= max_abs_dt and
+    |E1 + E2 - sum_center| <= sum_half_width.  Both streams must be
+    time-ordered with stamps below 2**63, as analyze checks.  Stream 1 is
+    cut into equal blocks of at least _PAIR_BLOCK events, which run on a
+    thread pool (thread_map); each block bisects only the slice of stream 2
+    its windows span, and the blocks' pairs are joined in block order, so
+    the result does not depend on the block size or the thread count.
+    Pairs are ordered by stream-1 event, then stream-2 event.  By default
+    one event may appear in several pairs; exclusive=True keeps the
+    greedy smallest-|dt|-first matching instead.
 
     Returns a PAIR_DTYPE array with dt = t2 - t1.
     """
-    t1 = stream1.timestamp_ns.view(np.int64)
-    t2 = stream2.timestamp_ns.view(np.int64)
+    t1 = stream1.timestamp_ns
+    t2 = stream2.timestamp_ns
     horizon = int(criteria.max_abs_dt_ns)
-    lo = np.searchsorted(t2, t1 - horizon, side="left")
-    hi = np.searchsorted(t2, t1 + horizon, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    if total == 0:
+    if not len(t1):
         return np.empty(0, dtype=PAIR_DTYPE)
-    idx1 = np.repeat(np.arange(len(t1)), counts)
-    offsets = np.repeat(np.cumsum(counts) - counts, counts)
-    idx2 = np.arange(total) - offsets + np.repeat(lo, counts)
 
-    e1 = stream1.energy_ev[idx1].astype(np.int64)
-    e2 = stream2.energy_ev[idx2].astype(np.int64)
-    in_sum = np.abs(e1 + e2 - criteria.sum_center_ev) <= criteria.sum_half_width_ev
-    idx1, idx2 = idx1[in_sum], idx2[in_sum]
+    blocks = max(len(t1) // _PAIR_BLOCK, 1)  # near-equal, of _PAIR_BLOCK keys or more
 
+    def block_pairs(block: int) -> tuple[np.ndarray, np.ndarray]:
+        start = len(t1) * block // blocks
+        keys = t1[start : len(t1) * (block + 1) // blocks]
+        # Lower edges in int64 can go below 0; upper edges in uint64 do
+        # not wrap for stamps below 2**63.
+        lows = keys.view(np.int64) - horizon
+        highs = keys + np.uint64(horizon)
+        first = int(np.searchsorted(t2.view(np.int64), lows[0], side="left"))
+        window = t2[first : np.searchsorted(t2, highs[-1], side="right")]
+        lo = np.searchsorted(window.view(np.int64), lows, side="left")
+        counts = np.searchsorted(window, highs, side="right") - lo
+        total = int(counts.sum())
+        idx1 = np.repeat(np.arange(start, start + len(keys)), counts)
+        # Pair p of key k is stream-2 event first + lo[k] + (p - pairs before k).
+        idx2 = np.arange(total) - np.repeat(np.cumsum(counts) - counts - lo - first, counts)
+        e_sum = stream1.energy_ev[idx1].astype(np.int64) + stream2.energy_ev[idx2]
+        in_sum = np.abs(e_sum - criteria.sum_center_ev) <= criteria.sum_half_width_ev
+        return idx1[in_sum], idx2[in_sum]
+
+    idx1, idx2 = (np.concatenate(parts) for parts in zip(*thread_map(block_pairs, range(blocks))))
     pairs = np.empty(len(idx1), dtype=PAIR_DTYPE)
     pairs["t1_ns"] = t1[idx1]
     pairs["t2_ns"] = t2[idx2]
-    pairs["e1_ev"] = e1[in_sum]
-    pairs["e2_ev"] = e2[in_sum]
+    pairs["e1_ev"] = stream1.energy_ev[idx1]
+    pairs["e2_ev"] = stream2.energy_ev[idx2]
     pairs["dt_ns"] = pairs["t2_ns"] - pairs["t1_ns"]
     if exclusive:
         pairs = _exclusive_subset(pairs, idx1, idx2)
     return pairs
 
 
-def _exclusive_subset(
-    pairs: np.ndarray, idx1: np.ndarray, idx2: np.ndarray
-) -> np.ndarray:
-    order = np.argsort(np.abs(pairs["dt_ns"]), kind="stable")
-    used1: set[int] = set()
-    used2: set[int] = set()
-    keep = []
-    for k in order:
-        i, j = int(idx1[k]), int(idx2[k])
-        if i in used1 or j in used2:
-            continue
-        used1.add(i)
-        used2.add(j)
-        keep.append(k)
-    keep.sort()
+def _exclusive_subset(pairs: np.ndarray, idx1: np.ndarray, idx2: np.ndarray) -> np.ndarray:
+    """The pairs (events idx1[k], idx2[k]) that a greedy pass in stable |dt|
+    order keeps while both events are unused, found in rounds: a live pair
+    first at both its events is kept, as every earlier pair there shares an
+    event with a kept pair; then each live pair at a kept event is dropped."""
+    keep = np.zeros(len(pairs), dtype=bool)
+    live = np.argsort(np.abs(pairs["dt_ns"]), kind="stable")  # pair numbers, in greedy order
+    while len(live):
+        leads = np.ones(len(live), dtype=bool)
+        labels = []  # each live pair's event, numbered from 0 per stream
+        for idx in (idx1, idx2):
+            _, first, label = np.unique(idx[live], return_index=True, return_inverse=True)
+            leads &= first[label] == np.arange(len(live))
+            labels.append(label)
+        keep[live[leads]] = True
+        live = live[~(np.isin(labels[0], labels[0][leads]) | np.isin(labels[1], labels[1][leads]))]
     return pairs[keep]
 
 

@@ -348,7 +348,7 @@ def cmd_scan(args) -> int:
             runs.append(cfg.build_run_config(run_settings))
     os.makedirs(args.out, exist_ok=True)
     # fork: the workers inherit the imported modules instead of importing them again.
-    workers = min(len(runs), len(os.sched_getaffinity(0)))
+    workers = min(len(runs), events.usable_cpus())
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
         try:
             results = list(pool.map(_scan_point, runs, itertools.repeat(run_analysis)))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import Stream, stamps_in_order
+from .events import Stream, stamps_in_order, thread_map
 
 MAGIC = b"XPDC"
 FORMAT_VERSION = 1
@@ -150,13 +150,15 @@ def split_streams(events: np.ndarray, detector_count: int = 2) -> list[Stream]:
     """One Stream per detector, in file order, from a record array whose
     detector ids are in 1..detector_count.  Each detector's columns are
     gathered with one index array; by indexing, not take(), which would
-    first copy each whole strided field."""
+    first copy each whole strided field.  The detectors run as tasks of
+    thread_map."""
     ids = events["detector_id"]
-    streams = []
-    for det in range(1, detector_count + 1):
+
+    def stream(det: int) -> Stream:
         index = np.flatnonzero(ids == det)
-        streams.append(Stream(events["timestamp_ns"][index], events["energy_ev"][index]))
-    return streams
+        return Stream(events["timestamp_ns"][index], events["energy_ev"][index])
+
+    return thread_map(stream, range(1, detector_count + 1))
 
 
 def merge_streams(*streams: Stream) -> np.ndarray:

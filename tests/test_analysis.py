@@ -1,11 +1,13 @@
 """Coincidence analysis: filtering, pairing, maps, fits, rates."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from xpdc import analysis, events
 from xpdc.analysis import (
     AnalysisError,
     CoincidenceCriteria,
@@ -23,6 +25,7 @@ from xpdc.analysis import (
     select_candidates,
 )
 from xpdc.events import Stream
+from xpdc.listmode import merge_streams, split_streams
 
 
 def make_stream(times_ns, energies_ev):
@@ -139,6 +142,85 @@ class TestFindCoincidencePairs:
         s2 = make_stream([900, 1100], [11000, 11000])
         pairs = find_coincidence_pairs(s1, s2, CRIT, exclusive=True)
         assert len(pairs) == 1
+
+
+def greedy_loop(pairs, idx1, idx2):
+    """The exclusive matching, pair by pair: pairs in stable |dt| order,
+    each kept while neither of its events is used."""
+    order = np.argsort(np.abs(pairs["dt_ns"]), kind="stable")
+    used1: set[int] = set()
+    used2: set[int] = set()
+    keep = []
+    for k in order:
+        i, j = int(idx1[k]), int(idx2[k])
+        if i in used1 or j in used2:
+            continue
+        used1.add(i)
+        used2.add(j)
+        keep.append(k)
+    keep.sort()
+    return pairs[keep]
+
+
+def dense_streams(seed, n=300, ticks=1000):
+    """Streams of n events each at distinct 20 ns ticks of a 20 us span,
+    every energy summing into the window: each event has about 60
+    partners, and many pairs tie in |dt|."""
+    rng = np.random.default_rng(seed)
+    return [
+        make_stream(np.sort(rng.choice(ticks, n, replace=False)) * 20, np.full(n, 11000))
+        for _ in range(2)
+    ]
+
+
+class TestBlockedPairing:
+    @pytest.mark.parametrize("seed", [7, 8])
+    @pytest.mark.parametrize("block", [3, 1 << 15])
+    def test_dense_exclusive_equals_greedy_loop(self, seed, block):
+        s1, s2 = dense_streams(seed)
+        with mock.patch.object(analysis, "_PAIR_BLOCK", block):
+            every = find_coincidence_pairs(s1, s2, CRIT)
+            kept = find_coincidence_pairs(s1, s2, CRIT, exclusive=True)
+        assert len(every) > 40 * len(kept) > 0
+        # Stamps are distinct within each stream, so they give back the events.
+        idx1 = np.searchsorted(s1.timestamp_ns, every["t1_ns"].astype(np.uint64))
+        idx2 = np.searchsorted(s2.timestamp_ns, every["t2_ns"].astype(np.uint64))
+        assert kept.tobytes() == greedy_loop(every, idx1, idx2).tobytes()
+
+    @pytest.mark.parametrize("exclusive", [False, True])
+    def test_pairs_and_split_do_not_depend_on_cpu_count(self, exclusive):
+        rng = np.random.default_rng(21)
+        s1 = random_stream(rng, 500, horizon_ns=200_000, e_range=(9000, 13000))
+        s2 = random_stream(rng, 500, horizon_ns=200_000, e_range=(9000, 13000))
+        records = merge_streams(s1, s2)
+        results = []
+        for cpus in (1, 4):  # 4: more threads than this test may have CPUs
+            with mock.patch.object(events, "usable_cpus", return_value=cpus), \
+                    mock.patch.object(analysis, "_PAIR_BLOCK", 16):
+                split = split_streams(records, 2)
+                pairs = find_coincidence_pairs(*split, CRIT, exclusive=exclusive)
+            columns = [column for s in split for column in (s.timestamp_ns, s.energy_ev)]
+            results.append([array.tobytes() for array in (pairs, *columns)])
+        assert len(pairs) > 20
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("exclusive", [False, True])
+    def test_empty_stream_on_either_side(self, exclusive):
+        empty = make_stream([], [])
+        full = make_stream(np.arange(10) * 500, np.full(10, 11000))
+        with mock.patch.object(analysis, "_PAIR_BLOCK", 2):
+            for s1, s2 in ((empty, full), (full, empty)):
+                pairs = find_coincidence_pairs(s1, s2, CRIT, exclusive=exclusive)
+                assert pairs.dtype == analysis.PAIR_DTYPE and len(pairs) == 0
+
+    def test_windows_reaching_past_the_top_stamp(self):
+        top = 2**63 - 1
+        s1 = make_stream([top - 3000, top - 1], [11000, 11000])
+        s2 = make_stream([top - 1000, top], [11000, 11000])
+        pairs = find_coincidence_pairs(s1, s2, CRIT)
+        assert pairs[["t1_ns", "t2_ns"]].tolist() == [
+            (top - 3000, top - 1000), (top - 1, top - 1000), (top - 1, top)
+        ]
 
 
 class TestCorrelationMap:

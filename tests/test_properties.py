@@ -1,8 +1,8 @@
 """Property tests: the config parser and the list-mode reader on generated
 input either return or raise their own error type; `xpdc analyze` with
-any manifest text reports or exits 2; split, candidate cut and pairing
-equal a record-by-record reference; CSV rendering in blocks equals
-rendering the rows one by one."""
+any manifest text reports or exits 2; split, candidate cut and pairing,
+whole and in blocks of 1-3 events, equal a record-by-record reference;
+CSV rendering in blocks equals rendering the rows one by one."""
 
 import math
 from unittest import mock
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xpdc import listmode
+from xpdc import analysis, listmode
 from xpdc.analysis import CoincidenceCriteria, find_coincidence_pairs, select_candidates
 from xpdc.cli import main
 from xpdc.config import build_run_config, default_settings, parse_config_text
@@ -261,20 +261,36 @@ def reference_pairs(records, criteria, exclusive):
     return [pair for _, _, pair in found]
 
 
-@PROPERTY
-@given(
-    records=interleaved_records(),
-    criteria=st.sampled_from([
-        CoincidenceCriteria(),
-        CoincidenceCriteria(single_energy_window_ev=(4999.5, 17000.5), sum_half_width_ev=0.5),
-        CoincidenceCriteria(single_energy_window_ev=(0.0, 2.0**32)),
-    ]),
-    exclusive=st.booleans(),
-)
-def test_split_cut_and_pairs_equal_record_by_record_reference(records, criteria, exclusive):
+PAIRING_CRITERIA = st.sampled_from([
+    CoincidenceCriteria(),
+    CoincidenceCriteria(single_energy_window_ev=(4999.5, 17000.5), sum_half_width_ev=0.5),
+    CoincidenceCriteria(single_energy_window_ev=(0.0, 2.0**32)),
+])
+
+
+def split_cut_and_pair(records, criteria, exclusive):
     streams = [select_candidates(s, criteria) for s in split_streams(records, 2)]
-    pairs = find_coincidence_pairs(*streams, criteria, exclusive=exclusive)
-    assert pairs.tolist() == reference_pairs(records, criteria, exclusive)
+    return find_coincidence_pairs(*streams, criteria, exclusive=exclusive).tolist()
+
+
+@PROPERTY
+@given(records=interleaved_records(), criteria=PAIRING_CRITERIA, exclusive=st.booleans())
+def test_split_cut_and_pairs_equal_record_by_record_reference(records, criteria, exclusive):
+    assert split_cut_and_pair(records, criteria, exclusive) == reference_pairs(
+        records, criteria, exclusive
+    )
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+@PROPERTY
+@given(records=interleaved_records(), criteria=PAIRING_CRITERIA, exclusive=st.booleans())
+def test_pairing_in_small_blocks_equals_record_by_record_reference(
+    block, records, criteria, exclusive
+):
+    """Blocks of 1-3 stream-1 events, so that pair windows straddle block edges."""
+    with mock.patch.object(analysis, "_PAIR_BLOCK", block):
+        pairs = split_cut_and_pair(records, criteria, exclusive)
+    assert pairs == reference_pairs(records, criteria, exclusive)
 
 
 ROW_COUNTS = st.one_of(st.integers(0, 1), st.integers(5, 12))
