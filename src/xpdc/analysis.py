@@ -332,6 +332,15 @@ def build_correlation_map(
 # 1e-5 of its error); it fails after _MAX_ITERATIONS steps.
 _DECREMENT_TOL = 1e-10
 _MAX_ITERATIONS = 100
+# The coarse (center, sigma) grid a second start is taken from, and how
+# much lower its optimum's loss must be to replace the moment start's
+# (far above the loss left at convergence, under _DECREMENT_TOL / 2).
+_GRID_CENTERS = 41
+_GRID_SIGMAS = 11
+_LOSS_MARGIN = 1e-6
+# Unless both starts end on one peak, the grid start's optimum must lower
+# the loss by this much: a likelihood-ratio chi^2 of 25.
+_NEW_PEAK_GAIN = 12.5
 
 
 def _moment_seeds(centers: np.ndarray, counts: np.ndarray):
@@ -399,22 +408,79 @@ def _fit_gaussian(
     window, half a bin <= sigma <= the window span (a negative sigma is
     mirrored first: mu depends on sigma^2) and, for Poisson, baseline >
     0.  A parameter held at a bound by its gradient, or with no
-    curvature, sits a step out.  Raises AnalysisError when
-    _MAX_ITERATIONS steps do not converge or no damping lowers the loss.
+    curvature, sits a step out.
+
+    The fit starts from the profile moments and from the best point of
+    a coarse (center, sigma) grid (_grid_start), and returns the moment
+    start's optimum unless the grid start's has a lower loss: lower by
+    more than _LOSS_MARGIN where both describe one peak (amplitudes > 0,
+    each center within two sigmas of the other), otherwise by
+    _NEW_PEAK_GAIN, since some noise bump, or a spike of half a bin,
+    always fits a profile a little better.  Raises AnalysisError when
+    neither start converges in _MAX_ITERATIONS steps with some damping
+    lowering the loss.
     """
     poisson = errors is None
     floor = 1e-9 * y.max() if poisson else -np.inf
     lo = np.array([0.0, x[0], 0.5 * abs(x[1] - x[0]), floor])
     hi = np.array([np.inf, x[-1], x[-1] - x[0], np.inf])
 
-    def loss(mu):
+    def loss(mu):  # per row of mu
         if poisson:  # half the likelihood-ratio chi^2
-            return float(np.sum(mu - y + y * np.log(np.where(y > 0, y, 1.0) / mu)))
-        return 0.5 * float(np.sum(((y - mu) / errors) ** 2))
+            return np.sum(mu - y + y * np.log(np.where(y > 0, y, 1.0) / mu), axis=-1)
+        return 0.5 * np.sum(((y - mu) / errors) ** 2, axis=-1)
 
-    p = np.clip(_moment_seeds(x, y), lo, hi)
+    fits, failures = [], []
+    for start in (_moment_seeds(x, y), _grid_start(x, y, errors, lo, hi, loss)):
+        try:
+            fits.append(_levenberg_marquardt(x, y, errors, np.clip(start, lo, hi), lo, hi, loss))
+        except AnalysisError as exc:
+            failures.append(exc)
+    if not fits:
+        raise failures[0]
+    (fit, value), (other, other_value) = fits[0], fits[-1]
+    one_peak = min(fit.amplitude, other.amplitude) > 0 and abs(
+        fit.center - other.center
+    ) <= 2 * min(fit.sigma, other.sigma)
+    margin = _LOSS_MARGIN if one_peak else _NEW_PEAK_GAIN
+    return other if other_value < value - margin else fit
+
+
+def _grid_start(x, y, errors, lo, hi, loss) -> np.ndarray:
+    """The grid point of lowest loss among _GRID_CENTERS centers across
+    the window and _GRID_SIGMAS log-spaced sigmas from the least to the
+    largest in the box.  Given center and sigma the model is linear in
+    amplitude and baseline, so at each point they come from a weighted
+    linear least-squares fit (unit weights for Poisson), clipped to the
+    box."""
+    w = np.ones_like(y) if errors is None else errors**-2.0
+    sw, swy = w.sum(), w @ y
+    centers = np.linspace(x[0], x[-1], _GRID_CENTERS)
+    half_square = -0.5 * (x - centers[:, None]) ** 2
+    best, best_loss = None, np.inf
+    for sigma in np.geomspace(lo[2], hi[2], _GRID_SIGMAS):
+        g = np.exp(half_square / sigma**2)
+        swg, swgg, swgy = g @ w, (g * g) @ w, g @ (w * y)
+        det = swgg * sw - swg * swg
+        with np.errstate(divide="ignore", invalid="ignore"):  # det 0: no start there
+            amplitude = (swgy * sw - swg * swy) / det
+            baseline = (swgg * swy - swg * swgy) / det
+            p = np.column_stack([amplitude, centers, np.full_like(centers, sigma), baseline])
+            p = np.clip(p, lo, hi)
+            values = loss(p[:, :1] * g + p[:, 3:])
+        values = np.where(np.isfinite(values), values, np.inf)
+        i = int(np.argmin(values))
+        if best is None or values[i] < best_loss:
+            best, best_loss = p[i], values[i]
+    return best
+
+
+def _levenberg_marquardt(x, y, errors, p, lo, hi, loss) -> tuple[GaussianFit, float]:
+    """The fit of _fit_gaussian from the start p inside the box [lo, hi],
+    and its loss."""
+    poisson = errors is None
     mu, jac = _model(x, p)
-    current = loss(mu)
+    current = float(loss(mu))
     damping, growth = 1e-3, 2.0  # Madsen, Nielsen & Tingleff (2004), sec. 3.2
     for _ in range(_MAX_ITERATIONS):
         weight = 1.0 / mu if poisson else errors**-2.0
@@ -429,7 +495,7 @@ def _fit_gaussian(
         if g @ np.linalg.solve(a + 1e-12 * eye, g) < _DECREMENT_TOL:
             on_bound = (p == lo) | (p == hi)
             errs = _fit_errors(x, y, p, mu, jac, weight, poisson, on_bound)
-            return GaussianFit(*p.tolist(), *errs.tolist())
+            return GaussianFit(*p.tolist(), *errs.tolist()), current
         while True:
             step = np.zeros(4)
             step[free] = np.linalg.solve(a + damping * eye, g) / scale[free]
@@ -439,7 +505,7 @@ def _fit_gaussian(
             step = trial - p
             predicted = step @ descent - 0.5 * step @ fisher @ step
             trial_mu, trial_jac = _model(x, trial)
-            trial_loss = loss(trial_mu)
+            trial_loss = float(loss(trial_mu))
             if predicted > 0 and trial_loss < current:
                 gain = (current - trial_loss) / predicted
                 damping *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)

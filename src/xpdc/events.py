@@ -308,7 +308,7 @@ class RunManifest:
 # Sampling
 
 # Refuse runs expecting more generated photons than this: 14 times a 24 h
-# default run, about 50 GB at the ~50 B per event a simulation peaks at.
+# default run, about 26 GB at the ~26 B per event a simulation peaks at.
 _MAX_EXPECTED_EVENTS = 1e9
 
 
@@ -446,28 +446,47 @@ def _apply_response_batch(
     response: DetectorResponse,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Smear photons through the recording chain.
+    """Smear photons through the recording chain, in place.
 
-    Adds Gaussian energy noise (sigma = fwhm / 2.355) and Gaussian time
-    jitter, quantizes the timestamp to the clock tick and the energy to
+    Adds Gaussian time jitter and Gaussian energy noise (sigma = fwhm /
+    2.355), quantizes the timestamp to the clock tick and the energy to
     integer eV, and drops the event if the recorded energy falls outside
     the recordable range (or the jittered time precedes the run start).
-    Returns (timestamps, recorded energies, keep mask), index-aligned
-    with the inputs; only entries with keep True are valid records.
+    The float64 inputs are overwritten with the recorded values and
+    returned with the keep mask: (timestamps, energies, keep); only
+    entries with keep True are valid records.
     """
     n = len(times_ns)
     if response.time_jitter_sigma_ns > 0:
-        times_ns = times_ns + rng.normal(0.0, response.time_jitter_sigma_ns, n)
+        times_ns += rng.normal(0.0, response.time_jitter_sigma_ns, n)
     if response.energy_resolution_fwhm_ev > 0:
-        energies_ev = energies_ev + rng.normal(
+        energies_ev += rng.normal(
             0.0, response.energy_resolution_fwhm_ev / FWHM_OVER_SIGMA, n
         )
     tick = response.clock_tick_ns
-    stamps = np.floor(times_ns / tick + 0.5) * tick
-    recorded = np.rint(energies_ev)
+    times_ns /= tick  # floor(t / tick + 0.5) * tick, without temporaries
+    times_ns += 0.5
+    np.floor(times_ns, out=times_ns)
+    times_ns *= tick
+    np.rint(energies_ev, out=energies_ev)
     lo, hi = response.energy_range_ev
-    keep = (stamps >= 0) & (recorded >= lo) & (recorded <= hi)
-    return stamps, recorded, keep
+    keep = (times_ns >= 0) & (energies_ev >= lo) & (energies_ev <= hi)
+    return times_ns, energies_ev, keep
+
+
+def _members_recorded(kept: np.ndarray, order: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Which of the leading entries of a detector's block were recorded.
+
+    kept is the response keep mask over those entries, order the stable
+    argsort of all kept stamps and live the dead-time mask over the
+    sorted stamps.  The kept leading entries are the first
+    count_nonzero(kept) of the kept ones, so they sit where order is
+    below that count.
+    """
+    recorded = np.zeros(len(kept), dtype=bool)
+    at = np.flatnonzero(order < np.count_nonzero(kept))
+    recorded[np.flatnonzero(kept)[order[at[live[at]]]]] = True
+    return recorded
 
 
 def _dead_time_mask(times_ns: np.ndarray, dead_time_ns: float) -> np.ndarray:
@@ -482,7 +501,7 @@ def _dead_time_mask(times_ns: np.ndarray, dead_time_ns: float) -> np.ndarray:
     keep = np.ones(len(times_ns), dtype=bool)
     if dead_time_ns <= 0:
         return keep
-    t = times_ns.astype(np.int64)
+    t = times_ns.view(np.int64)  # uint64 stamps below 2**63: the same values
     short = np.flatnonzero(np.diff(t) < dead_time_ns) + 1
     last = None  # the last kept event
     for i, t_i, t_before in zip(short.tolist(), t[short], t[short - 1]):
@@ -520,13 +539,10 @@ def simulate_run(
         mean_current=profile.mean,
     )
 
-    # Per detector, a list of time blocks (ns) and a list of energy
-    # blocks (eV): pair members first, then the background components.
-    times_blocks: tuple[list, list] = ([np.empty(0)], [np.empty(0)])
-    energy_blocks: tuple[list, list] = ([np.empty(0)], [np.empty(0)])
+    # Down-converted pairs (only when the cone is open): the times and
+    # energies of the members each detector receives.
     pair_members = np.zeros((2, 0), dtype=bool)  # pairs sending a photon to each
-
-    # Down-converted pairs (only when the cone is open).
+    member_blocks = [(np.empty(0), np.empty(0))] * 2
     if exp.crystal.detuning_rad > 0 and exp.source.true_pair_rate_per_s > 0:
         rng = np.random.default_rng(pair_seq)
         rate = exp.source.true_pair_rate_per_s * exp.crystal.effective_rate_scale
@@ -537,52 +553,50 @@ def simulate_run(
             np.sum(batch["signal_landed"] & batch["idler_landed"])
         )
         pair_members = np.stack([batch["signal_detected"], batch["idler_detected"]])
-        for det_index, energy in enumerate(("e_signal", "e_idler")):
-            mask = pair_members[det_index]
-            times_blocks[det_index].append(times[mask])
-            energy_blocks[det_index].append(batch[energy][mask])
+        member_blocks = [
+            (times[mask], batch[energy][mask])
+            for mask, energy in zip(pair_members, ("e_signal", "e_idler"))
+        ]
 
-    # Backgrounds, independent per detector.
+    # One detector at a time: its background (an independent generator
+    # per detector), then the response (one generator, detector 1
+    # first), sort and dead time, freeing each full-length array as soon
+    # as the next one is made.
     suppression = polarization_suppression(
         exp.theta_b(), exp.beam.polarization_angle_rad
     )
-    for det_index, seq in enumerate((bg1_seq, bg2_seq)):
-        rng = np.random.default_rng(seq)
-        bg_times, bg_energies, counts = _background_arrays(
-            rng, exp.source, duration, det_index + 1, suppression, profile
-        )
-        manifest.background_counts.update(counts)
-        times_blocks[det_index].extend(bg_times)
-        energy_blocks[det_index].extend(bg_energies)
-
-    # Detector response and stream assembly.
     resp_rng = np.random.default_rng(resp_seq)
     streams = []
     recorded_members = np.zeros_like(pair_members)
-    for det_index in range(2):
-        stamps, recorded, keep = _apply_response_batch(
-            np.concatenate(times_blocks[det_index]),
-            np.concatenate(energy_blocks[det_index]),
-            exp.response,
-            resp_rng,
+    for det_index, seq in enumerate((bg1_seq, bg2_seq)):
+        bg_times, bg_energies, counts = _background_arrays(
+            np.random.default_rng(seq), exp.source, duration, det_index + 1, suppression, profile
         )
-        times_blocks[det_index].clear()  # free the blocks before the next detector
-        energy_blocks[det_index].clear()
-        kept = np.flatnonzero(keep)
-        stamps = stamps[kept].astype(np.uint64)
+        manifest.background_counts.update(counts)
+        member_times, member_energies = member_blocks[det_index]
+        times = np.concatenate([member_times, *bg_times])  # pair members lead
+        bg_times.clear()
+        energies = np.concatenate([member_energies, *bg_energies])
+        bg_energies.clear()
+        _, _, keep = _apply_response_batch(times, energies, exp.response, resp_rng)
+        times = times[keep]
+        energies = energies[keep]
+        kept_members = keep[: len(member_times)].copy()  # not a view holding keep
+        del keep
+        stamps = times.astype(np.uint64)
+        del times
+        energies = energies.astype(np.uint32)
         # Stable, so that tied timestamps keep their block order.
         order = np.argsort(stamps, kind="stable")
         stamps = stamps[order]
+        energies = energies[order]
         live = _dead_time_mask(stamps, exp.response.dead_time_ns)
-        streams.append(Stream(stamps[live], recorded[kept[order[live]]].astype(np.uint32)))
-
-        # Pair members lead the blocks; carry the dead-time mask back
-        # through the sort to find which of them were recorded.
-        survived = np.empty_like(live)
-        survived[order] = live
-        keep[keep] = survived
-        members = pair_members[det_index]
-        recorded_members[det_index, members] = keep[: members.sum()]
+        recorded_members[det_index, pair_members[det_index]] = _members_recorded(
+            kept_members, order, live
+        )
+        del order
+        streams.append(Stream(stamps[live], energies[live]))
+        del stamps, energies, live
 
     both = recorded_members[0] & recorded_members[1]
     manifest.pairs_detected_both = int(both.sum())

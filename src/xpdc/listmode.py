@@ -39,6 +39,8 @@ EVENT_DTYPE = np.dtype(  # one record, packed to 13 bytes
 )
 # CSV rows rendered per chunk, so no CSV is held in memory whole.
 _CSV_BLOCK_ROWS = 65536
+# Stream-1 events merged per block by merge_streams.
+_MERGE_BLOCK = 65536
 _HEADER_DTYPE = np.dtype(
     [
         ("magic", "S4"),
@@ -164,15 +166,32 @@ def split_streams(events: np.ndarray, detector_count: int = 2) -> list[Stream]:
 def merge_streams(*streams: Stream) -> np.ndarray:
     """Pack Streams into one timestamp-sorted EVENT_DTYPE record array; the
     k-th Stream gets detector id k + 1.  Tied timestamps keep the order of
-    the Streams, and their order within each."""
-    stamps = np.concatenate([s.timestamp_ns for s in streams])
-    order = np.argsort(stamps, kind="stable")
-    merged = np.empty(len(stamps), dtype=EVENT_DTYPE)
-    ids = np.repeat(np.arange(1, len(streams) + 1, dtype=np.uint8), [len(s) for s in streams])
-    merged["detector_id"] = ids[order]
-    stamps.sort()  # the values of stamps[order], without holding a copy of them
-    merged["timestamp_ns"] = stamps
-    merged["energy_ev"] = np.concatenate([s.energy_ev for s in streams])[order]
+    the Streams, and their order within each.
+
+    Stream 1 is cut into blocks of _MERGE_BLOCK events; every other
+    Stream's share of a block ends before the first stamp of the next
+    block (side="left", so Stream 1 wins ties).  Each block is sorted
+    stably into its own slice of the result, so no temporary is longer
+    than a block and its share of the other Streams."""
+    merged = np.empty(sum(len(s) for s in streams), dtype=EVENT_DTYPE)
+    first = streams[0].timestamp_ns
+    cuts = np.arange(_MERGE_BLOCK, len(first), _MERGE_BLOCK)
+    edges = [np.concatenate(([0], cuts, [len(first)]))]
+    edges += [
+        np.concatenate(([0], np.searchsorted(s.timestamp_ns, first[cuts], side="left"), [len(s)]))
+        for s in streams[1:]
+    ]
+    ids = np.arange(1, len(streams) + 1, dtype=np.uint8)
+    start = 0
+    for block in range(len(cuts) + 1):
+        parts = [(s, e[block], e[block + 1]) for s, e in zip(streams, edges)]
+        stamps = np.concatenate([s.timestamp_ns[lo:hi] for s, lo, hi in parts])
+        order = np.argsort(stamps, kind="stable")
+        out = merged[start : start + len(stamps)]
+        out["detector_id"] = np.repeat(ids, [hi - lo for _, lo, hi in parts])[order]
+        out["timestamp_ns"] = stamps[order]
+        out["energy_ev"] = np.concatenate([s.energy_ev[lo:hi] for s, lo, hi in parts])[order]
+        start += len(stamps)
     return merged
 
 
@@ -196,38 +215,40 @@ def write_csv(
 
 def _decimal_digits(out: np.ndarray, values: np.ndarray) -> None:
     """Write the digits 0-9 of the unsigned values, zero-padded on the
-    left, into the rows x width matrix out.  Wider values are split by
-    10**9 first: divisions on uint32 are several times faster."""
-    if out.shape[1] > 9:
+    left, into the width x rows matrix out, one contiguous row per digit.
+    Wider values are split by 10**9 first: divisions on uint32 are
+    several times faster."""
+    if out.shape[0] > 9:
         high = values // 10**9
-        _decimal_digits(out[:, :-9], high)
-        out, values = out[:, -9:], values - high * 10**9
+        _decimal_digits(out[:-9], high)
+        out, values = out[-9:], values - high * 10**9
     values = values.astype(np.uint32)
-    for j in range(out.shape[1] - 1, 0, -1):
+    for j in range(out.shape[0] - 1, 0, -1):
         rest = values // 10
-        out[:, j] = values - rest * 10
+        out[j] = values - rest * 10
         values = rest
-    out[:, 0] = values
+    out[0] = values
 
 
 def _csv_rows(columns: Sequence[np.ndarray]) -> bytes:
     """Comma-separated decimal lines of non-empty unsigned integer columns,
-    from an ASCII matrix with a row per line and each column as wide as its
-    largest value; a mask drops the leading zeros."""
+    from an ASCII matrix of character position x line, with each column as
+    wide as its largest value; a mask drops the leading zeros.  Built
+    transposed, so every digit and mask write is contiguous."""
     widths = [len(str(int(column.max()))) for column in columns]
-    text = np.empty((len(columns[0]), sum(widths) + len(columns)), dtype=np.uint8)
+    text = np.empty((sum(widths) + len(columns), len(columns[0])), dtype=np.uint8)
     keep = np.ones(text.shape, dtype=bool)
     end = 0
     for column, width in zip(columns, widths):
         start, end = end, end + width
-        _decimal_digits(text[:, start:end], column)
-        text[:, start:end] += ord("0")
-        for j in range(start, end - 1):  # cell j holds the 10**(end-1-j) digit
-            np.greater_equal(column, 10 ** (end - 1 - j), out=keep[:, j])
-        text[:, end] = ord(",")
+        _decimal_digits(text[start:end], column)
+        text[start:end] += ord("0")
+        for j in range(start, end - 1):  # row j holds the 10**(end-1-j) digit
+            np.greater_equal(column, 10 ** (end - 1 - j), out=keep[j])
+        text[end] = ord(",")
         end += 1
-    text[:, -1] = ord("\n")
-    return text[keep].tobytes()
+    text[-1] = ord("\n")
+    return text.T[keep.T].tobytes()
 
 
 def write_events_csv(path: str, events: np.ndarray) -> None:

@@ -365,6 +365,35 @@ class TestFitTimeProfile:
         assert math.isinf(fit.center_err) and math.isinf(fit.sigma_err)
         assert math.isfinite(fit.amplitude_err) and math.isfinite(fit.baseline_err)
 
+    def test_sparse_profile_reaches_lower_optimum(self):
+        # 8 pairs in the time profile: from the moment seeds alone the fit
+        # stopped at a half likelihood-ratio chi^2 of 14.600 (sigma 202 ns);
+        # the grid start reaches 14.062 (center 83 ns, sigma 98 ns).
+        from xpdc.config import build_run_config, default_settings
+        from xpdc.events import simulate_run
+
+        settings = default_settings()
+        settings.update({"crystal.detuning": "50 mdeg", "run.duration": "600 s", "run.seed": "6"})
+        s1, s2, _ = simulate_run(build_run_config(settings))
+        corr = analyze(s1, s2, CRIT, 600.0).corr_map
+        x, y = corr.dt_centers_ns, corr.dt_marginal.astype(np.float64)
+        fit = fit_time_profile(corr)
+        mu = fit.amplitude * np.exp(-0.5 * ((x - fit.center) / fit.sigma) ** 2) + fit.baseline
+        loss = np.sum(mu - y + y * np.log(np.where(y > 0, y, 1.0) / mu))
+        assert y.sum() == 8 and loss <= 14.07
+
+    @pytest.mark.parametrize("seed", [35, 101, 164, 166])
+    def test_dense_profile_fitted_at_planted_center(self, seed):
+        # A 212 ns peak of about 2200 pairs on a floor of 700 pairs per bin,
+        # like the high-background benchmark map.  At these seeds the
+        # moment seeds alone led to a noise spike or the window edge.
+        corr = synthetic_map(
+            amplitude=85.0, sigma_ns=212.0, baseline=700.0, rng=np.random.default_rng(seed)
+        )
+        fit = fit_time_profile(corr)
+        assert abs(fit.center) < 3.0 * fit.center_err < 100.0
+        assert abs(fit.sigma - 212.0) < 3.0 * fit.sigma_err
+
     def test_iteration_cap_raises(self, monkeypatch):
         import xpdc.analysis
 

@@ -222,6 +222,24 @@ class TestStreamHelpers:
                 tracemalloc.stop()
         assert peaks[1] <= 1.2 * peaks[0] and peaks[1] <= 10e6
 
+    def test_merge_memory_is_bounded_by_one_block(self):
+        # Beyond its inputs and its result, a merge holds one block's
+        # temporaries, whatever the number of blocks.
+        block = listmode._MERGE_BLOCK
+        events = random_events(np.random.default_rng(9), 9 * block)
+        merge_streams(*split_streams(events[: 2 * block]))  # the first call also fills caches
+        extra = []
+        for rows in (2 * block, 9 * block):  # stream 1 in 1 and in at least 4 blocks
+            streams = split_streams(events[:rows])
+            tracemalloc.start()
+            try:
+                merged = merge_streams(*streams)
+                extra.append(tracemalloc.get_traced_memory()[1] - merged.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert len(streams[0]) >= 4 * block
+        assert extra[1] <= 1.2 * extra[0]
+
     def test_failing_row_source_leaves_no_file(self, tmp_path):
         class FailsAfterFirstBlock:
             def __getitem__(self, rows):

@@ -2,7 +2,8 @@
 input either return or raise their own error type; `xpdc analyze` with
 any manifest text reports or exits 2; split, candidate cut and pairing,
 whole and in blocks of 1-3 events, equal a record-by-record reference;
-CSV rendering in blocks equals rendering the rows one by one."""
+CSV rendering in blocks equals rendering the rows one by one; merging
+Streams in blocks of 1-3 events equals one stable sort."""
 
 import math
 from unittest import mock
@@ -16,11 +17,12 @@ from xpdc import analysis, listmode
 from xpdc.analysis import CoincidenceCriteria, find_coincidence_pairs, select_candidates
 from xpdc.cli import main
 from xpdc.config import build_run_config, default_settings, parse_config_text
-from xpdc.events import ConfigError
+from xpdc.events import ConfigError, Stream
 from xpdc.listmode import (
     EVENT_DTYPE,
     ListModeFormatError,
     ListModeHeader,
+    merge_streams,
     read_listmode,
     read_manifest,
     split_streams,
@@ -348,3 +350,40 @@ def test_csv_with_meta_in_blocks_equals_single_string(scratch, n, values, meta):
     lines = [f"# {key} = {value}" for key, value in meta.items()] + ["x,counts"]
     lines += [f"{x[i]:.1f},{int(counts[i])}" for i in range(n)]
     assert path.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+
+
+def reference_merge(*streams: Stream) -> np.ndarray:
+    """merge_streams as one stable argsort of all the Streams' stamps."""
+    stamps = np.concatenate([s.timestamp_ns for s in streams])
+    order = np.argsort(stamps, kind="stable")
+    merged = np.empty(len(stamps), dtype=EVENT_DTYPE)
+    ids = np.repeat(np.arange(1, len(streams) + 1, dtype=np.uint8), [len(s) for s in streams])
+    merged["detector_id"] = ids[order]
+    merged["timestamp_ns"] = stamps[order]
+    merged["energy_ev"] = np.concatenate([s.energy_ev for s in streams])[order]
+    return merged
+
+
+# 1-3 Streams of 0-12 stamps, mostly from a few values so that stamps tie
+# within and across Streams; at 0 and up to 2**63 - 1.
+TIED_STAMPS = st.lists(
+    st.lists(st.one_of(st.integers(0, 4), st.sampled_from([2**62, 2**63 - 1])), max_size=12),
+    min_size=1,
+    max_size=3,
+)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+@PROPERTY
+@example(stamps=[[], [0, 0], [0]])
+@example(stamps=[[3, 3, 3], [], [3]])
+@given(stamps=TIED_STAMPS)
+def test_merge_in_small_blocks_equals_one_stable_sort(block, stamps):
+    """Energies number the events, so any reordering of ties shows."""
+    streams = [
+        Stream(np.sort(np.array(s, dtype=np.uint64)), 100 * k + np.arange(len(s)))
+        for k, s in enumerate(stamps)
+    ]
+    with mock.patch.object(listmode, "_MERGE_BLOCK", block):
+        merged = merge_streams(*streams)
+    assert merged.tobytes() == reference_merge(*streams).tobytes()
