@@ -46,7 +46,6 @@ from .analysis import (
     conversion_efficiency,
     energy_peak_centroid,
     find_coincidence_pairs,
-    fit_energy_profile,
     fit_misalignment_scan,
     fit_time_profile,
     roi_rate,

@@ -60,9 +60,15 @@ def _load_settings(args) -> dict[str, str]:
 def _analysis(args):
     """analysis.analyze bound to the criteria and region-of-interest
     flags; flags that no data could satisfy are a usage error."""
+    for name in ("e_min", "e_max", "sum_center", "sum_half", "roi_e_center", "roi_e_half",
+                 "roi_sigmas", "sideband_sigmas"):
+        if not math.isfinite(getattr(args, name)):
+            raise ConfigError(f"--{name.replace('_', '-')} must be finite")
+    if args.roi_sigmas <= 0:
+        raise ConfigError("--roi-sigmas must be > 0")
     if args.sideband_sigmas <= args.roi_sigmas:
         raise ConfigError("--sideband-sigmas must exceed --roi-sigmas")
-    if not args.roi_e_half > 0:  # nan too
+    if args.roi_e_half <= 0:
         raise ConfigError("--roi-e-half must be > 0")
     try:
         criteria = CoincidenceCriteria(
@@ -279,7 +285,7 @@ def cmd_analyze(args) -> int:
         map_meta,
     )
 
-    time_fit, energy_fit, roi = result.time_fit, result.energy_fit, result.roi_result
+    time_fit, roi = result.time_fit, result.roi_result
     report: dict[str, object] = {
         "events_d1": len(stream1),
         "events_d2": len(stream2),
@@ -294,14 +300,11 @@ def cmd_analyze(args) -> int:
             time_center_ns=f"{time_fit.center:.2f}",
             time_center_err_ns=f"{time_fit.center_err:.2f}",
         )
-    if energy_fit is not None:
-        report.update(
-            peak_e1_ev=f"{energy_fit.center:.1f}",
-            peak_e1_err_ev=f"{energy_fit.center_err:.1f}",
-            peak_e1_sigma_ev=f"{energy_fit.sigma:.1f}",
-        )
     if result.energy_centroid is not None:
-        report["peak_e1_centroid_ev"] = f"{result.energy_centroid:.1f}"
+        report.update(
+            peak_e1_centroid_ev=f"{result.energy_centroid:.1f}",
+            peak_e1_centroid_err_ev=f"{result.energy_centroid_err:.1f}",
+        )
     report.update(
         roi_counts=roi.roi_counts,
         sideband_counts=roi.sideband_counts,

@@ -39,7 +39,7 @@ EVENT_DTYPE = np.dtype(  # one record, packed to 13 bytes
 )
 # CSV rows rendered per chunk, so no CSV is held in memory whole.
 _CSV_BLOCK_ROWS = 65536
-# Stream-1 events merged per block by merge_streams.
+# Events of the longest Stream merged per block by merge_streams.
 _MERGE_BLOCK = 65536
 _HEADER_DTYPE = np.dtype(
     [
@@ -168,19 +168,19 @@ def merge_streams(*streams: Stream) -> np.ndarray:
     k-th Stream gets detector id k + 1.  Tied timestamps keep the order of
     the Streams, and their order within each.
 
-    Stream 1 is cut into blocks of _MERGE_BLOCK events; every other
-    Stream's share of a block ends before the first stamp of the next
-    block (side="left", so Stream 1 wins ties).  Each block is sorted
-    stably into its own slice of the result, so no temporary is longer
-    than a block and its share of the other Streams."""
+    The longest Stream, k, is cut into blocks of _MERGE_BLOCK events; at
+    the cut stamps the Streams before k take side="right" and those after
+    it side="left", so each block is a run of the merged order.  Each
+    block is sorted stably into its own slice of the result, so no
+    temporary is longer than a block and its share of the other Streams."""
     merged = np.empty(sum(len(s) for s in streams), dtype=EVENT_DTYPE)
-    first = streams[0].timestamp_ns
-    cuts = np.arange(_MERGE_BLOCK, len(first), _MERGE_BLOCK)
-    edges = [np.concatenate(([0], cuts, [len(first)]))]
-    edges += [
-        np.concatenate(([0], np.searchsorted(s.timestamp_ns, first[cuts], side="left"), [len(s)]))
-        for s in streams[1:]
-    ]
+    k = int(np.argmax([len(s) for s in streams]))
+    cuts = np.arange(_MERGE_BLOCK, len(streams[k]), _MERGE_BLOCK)
+    at = streams[k].timestamp_ns[cuts]
+    edges = []
+    for j, s in enumerate(streams):
+        ends = cuts if j == k else np.searchsorted(s.timestamp_ns, at, "right" if j < k else "left")
+        edges.append(np.concatenate(([0], ends, [len(s)])))
     ids = np.arange(1, len(streams) + 1, dtype=np.uint8)
     start = 0
     for block in range(len(cuts) + 1):

@@ -28,6 +28,14 @@ BAD_ANALYSIS_FLAGS = [
     (["--roi-sigmas", "5", "--sideband-sigmas", "3"], "--sideband-sigmas must exceed"),
     (["--horizon", "50"], "pairing horizon must span at least 5 dt bins"),
     (["--roi-e-half", "-1"], "--roi-e-half must be > 0"),
+    (["--sum-half", "nan"], "--sum-half must be finite"),
+    (["--sum-center", "nan"], "--sum-center must be finite"),
+    (["--roi-sigmas", "nan"], "--roi-sigmas must be finite"),
+    (["--sideband-sigmas", "nan"], "--sideband-sigmas must be finite"),
+    (["--roi-e-center", "nan"], "--roi-e-center must be finite"),
+    (["--roi-e-center", "inf"], "--roi-e-center must be finite"),
+    (["--roi-sigmas", "0"], "--roi-sigmas must be > 0"),
+    (["--roi-sigmas", "-2", "--sideband-sigmas", "-1"], "--roi-sigmas must be > 0"),
 ]
 
 # Flags that each subcommand does not read, with a value where they take one.
@@ -190,16 +198,15 @@ class TestAnalyze:
             "time_center_ns": f"{time_fit.center:.2f}",
             "time_center_err_ns": f"{time_fit.center_err:.2f}",
             "peak_e1_centroid_ev": f"{result.energy_centroid:.1f}",
+            "peak_e1_centroid_err_ev": f"{result.energy_centroid_err:.1f}",
             "roi_counts": str(roi.roi_counts),
             "sideband_counts": str(roi.sideband_counts),
             "sideband_estimate": f"{roi.sideband_estimate:.3f}",
             "net_rate_per_hr": f"{roi.net_rate_per_hr:.3f}",
             "net_rate_err_per_hr": f"{roi.net_rate_err_per_hr:.3f}",
         }
-        if result.energy_fit is not None:
-            expected["peak_e1_ev"] = f"{result.energy_fit.center:.1f}"
         assert {key: report.get(key) for key in expected} == expected
-        assert ("peak_e1_ev" in report) == (result.energy_fit is not None)
+        assert not any(key.startswith("peak_e1") and key not in expected for key in report)
 
     @pytest.mark.parametrize(
         "flags, report_sha, map_sha",
@@ -212,10 +219,10 @@ class TestAnalyze:
              "dfaa0deda6f8fcc877dd2f3282beee4177f67c75412b73caba5e1900a72eba39"),
             # Windows wide enough for 145 accidental pairs, 132 of them exclusive.
             (WIDE_WINDOWS,
-             "06a401f7a057a9061cc3025e7dc28ad03b92ed875e6a05ed3e6a9e0ec1acd05f",
+             "1504578de4d5152d41d26824efea667707ddbaabce9a10bfe9be74a57ae6db18",
              "d79f48e721921914bf1d4a0cf9f21940a9c23a797af2227c6b689679c9d70290"),
             ([*WIDE_WINDOWS, "--exclusive"],
-             "33a0668a1953659b8568ea70c36e9b87a2878dc286d25e61ea1f732dcece5234",
+             "f7041d74b10882392ddc8ddd28ece9473bea267d3b66a733941d6404ec92b095",
              "d8ca3fa8190f3e08795b98b9ff1419bd2de4265c188009fe25e092148ff16839"),
         ],
         ids=["all-pairs", "exclusive", "wide-all-pairs", "wide-exclusive"],
@@ -720,3 +727,14 @@ def test_cli_import_leaves_scipy_out():
         env=env, capture_output=True, text=True, check=True,
     )
     assert probe.stdout.strip() == "False"
+
+
+def test_package_version_has_one_source():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as handle:
+        pyproject = tomllib.load(handle)
+    assert "version" not in pyproject["project"]
+    assert pyproject["project"]["dynamic"] == ["version"]
+    assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "xpdc.__version__"}
+    assert isinstance(xpdc.__version__, str) and xpdc.__version__

@@ -10,6 +10,7 @@ import pytest
 
 from xpdc import listmode
 from xpdc.cli import main
+from xpdc.events import Stream
 from xpdc.listmode import (
     EVENT_DTYPE,
     HEADER_SIZE,
@@ -239,6 +240,24 @@ class TestStreamHelpers:
                 tracemalloc.stop()
         assert len(streams[0]) >= 4 * block
         assert extra[1] <= 1.2 * extra[0]
+
+    def test_merge_memory_is_bounded_when_stream_1_is_sparse(self):
+        # 10 events in stream 1 and 1.4 M in stream 2: the blocks are cut on
+        # the longer stream, so no block holds all of stream 2.
+        rng = np.random.default_rng(11)
+        streams = [
+            Stream(np.sort(rng.integers(0, 10**12, n)).astype(np.uint64),
+                   rng.integers(0, 20000, n).astype(np.uint32))
+            for n in (10, 1_400_000)
+        ]
+        merge_streams(*streams)  # the first call also fills caches
+        tracemalloc.start()
+        try:
+            merged = merge_streams(*streams)
+            extra = tracemalloc.get_traced_memory()[1] - merged.nbytes
+        finally:
+            tracemalloc.stop()
+        assert extra <= 4e6
 
     def test_failing_row_source_leaves_no_file(self, tmp_path):
         class FailsAfterFirstBlock:
