@@ -58,6 +58,7 @@ from .listmode import (
     merge_streams,
     read_listmode,
     read_manifest,
+    read_streams,
     split_streams,
     write_listmode,
     write_manifest,

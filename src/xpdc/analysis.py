@@ -137,6 +137,10 @@ class RoiSpec:
             sideband_inner_ns=sideband_sigmas * abs(fit.sigma),
         )
 
+    def energy_rows(self, e_centers_ev: np.ndarray) -> np.ndarray:
+        """Which E1 bins, by their centers, the region of interest keeps."""
+        return np.abs(e_centers_ev - self.e_center_ev) <= self.e_half_width_ev
+
 
 @dataclass
 class RoiResult:
@@ -203,9 +207,10 @@ def select_candidates(stream: Stream, criteria: CoincidenceCriteria) -> Stream:
     event.  The stream must be time-ordered, as analyze checks."""
     lo, hi = criteria.single_energy_window_ev
     e = stream.energy_ev
-    index = np.flatnonzero((e >= lo) & (e <= hi))
-    if len(index) == len(e):
+    keep = (e >= lo) & (e <= hi)
+    if np.count_nonzero(keep) == len(e):
         return stream
+    index = np.flatnonzero(keep)
     return Stream(stream.timestamp_ns.take(index), e.take(index))
 
 
@@ -613,7 +618,7 @@ def roi_rate(corr_map: CorrelationMap, roi: RoiSpec) -> RoiResult:
     """
     if roi.sideband_inner_ns <= roi.t_half_width_ns:
         raise AnalysisError("sidebands overlap the region of interest")
-    e_rows = np.abs(corr_map.e_centers_ev - roi.e_center_ev) <= roi.e_half_width_ev
+    e_rows = roi.energy_rows(corr_map.e_centers_ev)
     if not e_rows.any():
         raise AnalysisError("region of interest selects no bins")
     roi_cols, sb_cols, scale = _signal_and_sidebands(

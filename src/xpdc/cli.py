@@ -82,6 +82,9 @@ def _analysis(args):
     except AnalysisError as exc:
         raise ConfigError(str(exc)) from exc
     roi = RoiSpec(e_center_ev=args.roi_e_center * 1e3, e_half_width_ev=args.roi_e_half * 1e3)
+    empty_map = analysis.build_correlation_map(np.empty(0, analysis.PAIR_DTYPE), criteria, 1.0)
+    if not roi.energy_rows(empty_map.e_centers_ev).any():
+        raise ConfigError("--roi-e-center and --roi-e-half select no E1 bin")
     return functools.partial(
         analysis.analyze,
         criteria=criteria,
@@ -256,11 +259,10 @@ def _duration_and_current(args) -> tuple[float | None, float]:
 def cmd_analyze(args) -> int:
     run_analysis = _analysis(args)
     duration_s, mean_current = _duration_and_current(args)
-    events_arr, header = listmode.read_listmode(args.events)
+    streams, header = listmode.read_streams(args.events)
     if header.detector_count != 2:
         raise ListModeFormatError(f"header says {header.detector_count} detectors, not 2")
-    stream1, stream2 = listmode.split_streams(events_arr, header.detector_count)
-    del events_arr  # the streams' columns hold every record; free the file body
+    stream1, stream2 = streams
     if duration_s is None:
         last = [float(s.timestamp_ns[-1]) for s in (stream1, stream2) if len(s)]
         duration_s = max(max(last, default=0.0) / 1e9, 1e-9)

@@ -14,18 +14,20 @@ File layout (all integers little endian):
 
 Records are non-decreasing in timestamp within each detector id, every
 timestamp is below 2**63, and every detector id is in 1..detector count.
-Records exist only at this file boundary: split_streams turns them into
-Streams, merge_streams packs Streams back.  Every output file is written
+Records exist only at this file boundary: split_streams (or read_streams,
+straight from a file) turns them into Streams, merge_streams packs
+Streams back.  Every output file is written
 to a temporary file in the target directory, then renamed atomically.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import stat
 import tempfile
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,15 +43,8 @@ EVENT_DTYPE = np.dtype(  # one record, packed to 13 bytes
 _CSV_BLOCK_ROWS = 65536
 # Events of the longest Stream merged per block by merge_streams.
 _MERGE_BLOCK = 65536
-_HEADER_DTYPE = np.dtype(
-    [
-        ("magic", "S4"),
-        ("version", "<u1"),
-        ("clock_tick_ns", "<u4"),
-        ("detector_count", "<u1"),
-        ("config_hash", "<u8"),
-    ]
-)
+_HEADER_DTYPE = np.dtype([("magic", "S4"), ("version", "<u1"), ("clock_tick_ns", "<u4"),
+                          ("detector_count", "<u1"), ("config_hash", "<u8")])
 
 
 class ListModeFormatError(ValueError):
@@ -103,9 +98,11 @@ def write_listmode(path: str, events: np.ndarray, header: ListModeHeader) -> Non
     _atomic_write(path, (np.array([head], dtype=_HEADER_DTYPE), events))
 
 
-def read_listmode(path: str) -> tuple[np.ndarray, ListModeHeader]:
-    """Read and validate a list-mode file: (EVENT_DTYPE records, header).
-    A regular file's body is read once; the records are a view of it."""
+def _read_records(path: str) -> tuple[np.ndarray, ListModeHeader]:
+    """The header and the unvalidated, writeable records of a list-mode
+    file.  A regular file's records are a copy-on-write map of it: pages
+    are read as they are touched, and writes stay in memory.  A pipe, or
+    a file with no records, is read."""
     with open(path, "rb") as handle:
         raw = handle.read(HEADER_SIZE)
         if len(raw) < HEADER_SIZE:
@@ -115,52 +112,67 @@ def read_listmode(path: str) -> tuple[np.ndarray, ListModeHeader]:
             raise ListModeFormatError(f"bad magic {bytes(head['magic'])!r}")
         if int(head["version"]) != FORMAT_VERSION:
             raise ListModeFormatError(f"unsupported format version {head['version']}")
-        if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
-            body = np.fromfile(handle, dtype=np.uint8)
-        else:  # np.fromfile needs a file position, which a pipe lacks
-            body = np.frombuffer(handle.read(), dtype=np.uint8).copy()
+        info = os.fstat(handle.fileno())
+        if stat.S_ISREG(info.st_mode) and info.st_size > HEADER_SIZE:
+            mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_COPY)
+            body = np.frombuffer(mapped, dtype=np.uint8, offset=HEADER_SIZE)
+        else:
+            body = np.frombuffer(bytearray(handle.read()), dtype=np.uint8)
     if len(body) % EVENT_DTYPE.itemsize:
         raise ListModeFormatError(
-            f"record section size {len(body)} is not a multiple of "
-            f"{EVENT_DTYPE.itemsize}"
+            f"record section size {len(body)} is not a multiple of {EVENT_DTYPE.itemsize}"
         )
-    events = body.view(EVENT_DTYPE)
-    header = ListModeHeader(
-        clock_tick_ns=int(head["clock_tick_ns"]),
-        detector_count=int(head["detector_count"]),
-        config_hash=int(head["config_hash"]),
-        version=int(head["version"]),
-    )
+    header = ListModeHeader(*(int(head[field.name]) for field in fields(ListModeHeader)))
+    return body.view(EVENT_DTYPE), header
+
+
+def read_listmode(path: str) -> tuple[np.ndarray, ListModeHeader]:
+    """Read and validate a list-mode file: (EVENT_DTYPE records, header)."""
+    events, header = _read_records(path)
     _validate_records(events, header.detector_count)
     return events, header
 
 
-def _validate_records(events: np.ndarray, detector_count: int) -> None:
-    ids = events["detector_id"]
-    if len(ids) and (ids.min() < 1 or ids.max() > detector_count):
+def read_streams(path: str) -> tuple[list[Stream], ListModeHeader]:
+    """Read a list-mode file as (one Stream per detector, header), by split_streams."""
+    events, header = _read_records(path)
+    return split_streams(events, header.detector_count), header
+
+
+def _check(ids_in_range: bool, ordered: Iterable[bool]) -> None:
+    """Raise the format error for ids out of range, else for the first
+    detector k + 1 whose ordered[k] is False."""
+    if not ids_in_range:
         raise ListModeFormatError("detector id outside 1..detector count")
-    t = events["timestamp_ns"]
-    if not stamps_in_order(t):  # records in global time order pass in one test
-        for det in range(1, detector_count + 1):
-            if not stamps_in_order(t[ids == det]):
-                raise ListModeFormatError(
-                    f"timestamps for detector {det} decrease or reach 2**63 ns"
-                )
+    for det, in_order in enumerate(ordered, start=1):
+        if not in_order:
+            raise ListModeFormatError(f"timestamps for detector {det} decrease or reach 2**63 ns")
+
+
+def _validate_records(events: np.ndarray, detector_count: int) -> None:
+    ids, t = events["detector_id"], events["timestamp_ns"]
+    in_range = not len(ids) or (ids.min() >= 1 and ids.max() <= detector_count)
+    # Records in global time order pass in one test; else each detector is tested.
+    detectors = () if stamps_in_order(t) else range(1, detector_count + 1)
+    _check(in_range, (stamps_in_order(t[ids == det]) for det in detectors))
 
 
 def split_streams(events: np.ndarray, detector_count: int = 2) -> list[Stream]:
-    """One Stream per detector, in file order, from a record array whose
-    detector ids are in 1..detector_count.  Each detector's columns are
-    gathered with one index array; by indexing, not take(), which would
-    first copy each whole strided field.  The detectors run as tasks of
-    thread_map."""
-    ids = events["detector_id"]
+    """One Stream per detector, in file order, from a record array; raises
+    read_listmode's ListModeFormatError for ids outside 1..detector_count
+    or stamps out of order.  The id column is copied once; each detector's
+    index, from that copy, gathers its columns by indexing (take() would
+    first copy each whole strided field), on thread_map.  The ids are all
+    in range exactly when the detectors' events add up to the records."""
+    ids = np.ascontiguousarray(events["detector_id"])
 
     def stream(det: int) -> Stream:
         index = np.flatnonzero(ids == det)
         return Stream(events["timestamp_ns"][index], events["energy_ev"][index])
 
-    return thread_map(stream, range(1, detector_count + 1))
+    streams = thread_map(stream, range(1, detector_count + 1))
+    _check(sum(map(len, streams)) == len(ids), (stamps_in_order(s.timestamp_ns) for s in streams))
+    return streams
 
 
 def merge_streams(*streams: Stream) -> np.ndarray:

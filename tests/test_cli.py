@@ -36,6 +36,9 @@ BAD_ANALYSIS_FLAGS = [
     (["--roi-e-center", "inf"], "--roi-e-center must be finite"),
     (["--roi-sigmas", "0"], "--roi-sigmas must be > 0"),
     (["--roi-sigmas", "-2", "--sideband-sigmas", "-1"], "--roi-sigmas must be > 0"),
+    (["--roi-e-center", "30"], "--roi-e-center and --roi-e-half select no E1 bin"),
+    (["--roi-e-center", "17.04", "--roi-e-half", "0.01"],
+     "--roi-e-center and --roi-e-half select no E1 bin"),
 ]
 
 # Flags that each subcommand does not read, with a value where they take one.

@@ -20,6 +20,7 @@ from xpdc.listmode import (
     merge_streams,
     read_listmode,
     read_manifest,
+    read_streams,
     split_streams,
     write_csv,
     write_events_csv,
@@ -35,6 +36,37 @@ def random_events(rng, n, detector_count=2):
     # merged stream ordered in time, which also orders each detector
     events["timestamp_ns"] = np.sort(rng.integers(0, 10**12, n)) // 20 * 20
     return events
+
+
+def interleaved_events(rng, n, detector_count=2):
+    """Records in time order within each detector, not across them."""
+    events = random_events(rng, n, detector_count)
+    for det in range(1, detector_count + 1):
+        mine = events["detector_id"] == det
+        events["timestamp_ns"][mine] = np.sort(rng.integers(0, 10**9, np.count_nonzero(mine)))
+    return events
+
+
+def read_through_a_pipe(tmp_path, path, read):
+    """read(fifo), while a thread writes the file at path into the fifo."""
+    fifo = str(tmp_path / "fifo")
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as sink, open(path, "rb") as source:
+            sink.write(source.read())
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        return read(fifo)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+def columns(streams):
+    return [(s.timestamp_ns.tobytes(), s.energy_ev.tobytes()) for s in streams]
 
 
 HEADER = ListModeHeader(clock_tick_ns=20, detector_count=2, config_hash=0xDEADBEEF)
@@ -69,22 +101,16 @@ class TestRoundTrip:
         events = random_events(np.random.default_rng(3), 300)
         path = str(tmp_path / "events.xpdc")
         write_listmode(path, events, HEADER)
-        fifo = str(tmp_path / "fifo")
-        os.mkfifo(fifo)
-
-        def feed():
-            with open(fifo, "wb") as sink, open(path, "rb") as source:
-                sink.write(source.read())
-
-        writer = threading.Thread(target=feed, daemon=True)
-        writer.start()
-        try:
-            back, header = read_listmode(fifo)
-        finally:
-            writer.join(timeout=10)
-        assert not writer.is_alive()
+        back, header = read_through_a_pipe(tmp_path, path, read_listmode)
         assert back.tobytes() == events.tobytes() and header == HEADER
         assert back.flags.writeable
+
+    def test_read_streams_from_a_pipe(self, tmp_path):
+        events = random_events(np.random.default_rng(31), 300)
+        path = str(tmp_path / "events.xpdc")
+        write_listmode(path, events, HEADER)
+        streams, header = read_through_a_pipe(tmp_path, path, read_streams)
+        assert columns(streams) == columns(split_streams(events, 2)) and header == HEADER
 
     def test_empty_file_header_only(self, tmp_path):
         path = str(tmp_path / "empty.xpdc")
@@ -92,6 +118,8 @@ class TestRoundTrip:
         assert os.path.getsize(path) == HEADER_SIZE
         back, header = read_listmode(path)
         assert len(back) == 0 and header.config_hash == 0xDEADBEEF
+        streams, header = read_streams(path)
+        assert [len(s) for s in streams] == [0, 0] and header == HEADER
 
 
 class TestValidation:
@@ -177,6 +205,74 @@ class TestValidation:
         write_listmode(path, events, HEADER)
         back, _ = read_listmode(path)
         assert len(back) == 4
+
+
+class TestMappedReader:
+    def test_records_are_writeable_and_writes_stay_out_of_the_file(self, tmp_path):
+        events = random_events(np.random.default_rng(30), 1000)
+        path = str(tmp_path / "events.xpdc")
+        write_listmode(path, events, HEADER)
+        with open(path, "rb") as handle:
+            before = handle.read()
+        back, _ = read_listmode(path)
+        assert back.flags.writeable
+        back["energy_ev"] += 1
+        back["detector_id"][:10] = 7
+        with open(path, "rb") as handle:
+            assert handle.read() == before
+        assert read_listmode(path)[0].tobytes() == events.tobytes()
+
+    def test_read_listmode_peaks_under_2_bytes_per_event(self, tmp_path):
+        # The records are mapped, not copied; what remains is the order check.
+        n = 400_000
+        path = str(tmp_path / "events.xpdc")
+        write_listmode(path, random_events(np.random.default_rng(32), n), HEADER)
+        read_listmode(path)  # the first call also fills caches
+        tracemalloc.start()
+        try:
+            back, _ = read_listmode(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(back) == n and peak < 2 * n
+
+    @pytest.mark.parametrize("detector_count", [1, 2, 3])
+    def test_read_streams_equals_split_of_read_listmode(self, tmp_path, detector_count):
+        rng = np.random.default_rng(40 + detector_count)
+        path = str(tmp_path / "events.xpdc")
+        for i, make in enumerate([random_events, interleaved_events] * 3):
+            events = make(rng, int(rng.integers(0, 3000)), detector_count)
+            header = ListModeHeader(clock_tick_ns=20, detector_count=detector_count, config_hash=i)
+            write_listmode(path, events, header)
+            streams, header_s = read_streams(path)
+            records, header_l = read_listmode(path)
+            assert header_s == header_l == header
+            assert columns(streams) == columns(split_streams(records, detector_count))
+            assert sum(len(s) for s in streams) == len(events)
+
+    @pytest.mark.parametrize(
+        "ids, stamps, message",
+        [
+            ((1, 0, 2), (1, 2, 3), "detector id outside 1..detector count"),
+            ((1, 3, 2), (1, 2, 3), "detector id outside 1..detector count"),
+            ((3, 2, 2), (1, 9, 8), "detector id outside 1..detector count"),
+            ((1, 2, 2), (1, 9, 8), "timestamps for detector 2 decrease or reach 2\\*\\*63 ns"),
+            ((1, 2, 1), (1, 2, 2**63), "timestamps for detector 1 decrease or reach 2\\*\\*63 ns"),
+            ((2, 1, 2), (5, 2**64 - 1, 7), "timestamps for detector 1 decrease or reach 2\\*\\*63 ns"),
+        ],
+        ids=["id-0", "id-3", "id-and-order", "decreasing", "sorted-to-2**63", "first-at-2**64-1"],
+    )
+    def test_readers_raise_the_same_messages(self, tmp_path, ids, stamps, message):
+        events = np.zeros(len(ids), dtype=EVENT_DTYPE)
+        events["detector_id"] = ids
+        events["timestamp_ns"] = stamps
+        path = str(tmp_path / "bad.xpdc")
+        write_listmode(path, events[:0], HEADER)
+        with open(path, "ab") as handle:
+            handle.write(events.tobytes())
+        for read in (read_listmode, read_streams, lambda p: split_streams(events, 2)):
+            with pytest.raises(ListModeFormatError, match=f"^{message}$"):
+                read(path)
 
 
 class TestStreamHelpers:
