@@ -197,9 +197,7 @@ class ExperimentModel:
 
     def degenerate_offset(self) -> float:
         """Emission angle of the degenerate x = 0.5 split."""
-        return emission_angles_exact(
-            0.5, abs(self.crystal.detuning_rad), self.theta_b()
-        ).r_x
+        return emission_angles_exact(0.5, self.crystal.detuning_rad, self.theta_b()).r_x
 
     def positioned_detectors(self) -> tuple[DetectorGeometry, DetectorGeometry]:
         """Detectors with zero offsets replaced by the degenerate angle."""

@@ -1,9 +1,8 @@
 """
-Closed-form and numerically solved geometry of near-Bragg parametric
-down-conversion: Bragg angles, pair emission angles (small-angle formula
-and exact momentum-closure solver), polarization suppression of elastic
-and Compton background, thin-ring geometric acceptance, and the
-detection-chain efficiency model.
+Closed-form geometry of near-Bragg parametric down-conversion: Bragg
+angles, pair emission angles (small-angle and exact), polarization
+suppression of elastic and Compton background, thin-ring geometric
+acceptance, and the detection-chain efficiency model.
 
 Conventions: energies in eV, angles in radians, lengths in mm (lattice
 constants in Angstrom), rates per second.  All functions here are pure
@@ -195,21 +194,17 @@ def emission_angle_approx(x: float, detuning_rad: float, theta_b_rad: float) -> 
 def emission_angles(
     x, detuning_rad: float, theta_b_rad: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the full momentum-closure system for the pair emission angles.
+    """Exact pair emission angles for every split in the array x.
 
-    Solves, without small-angle approximation and for every split in the
-    array x,
+    With y = 1 - x and dk = detuning * sin(2 theta_B), momentum closure
 
-        x sin(r_x) = (1-x) sin(r_y)                      (transverse)
-        x cos(r_x) + (1-x) cos(r_y) = 1 - dk             (longitudinal)
+        x sin(r_x) = y sin(r_y)                          (transverse)
+        x cos(r_x) + y cos(r_y) = 1 - dk                 (longitudinal)
 
-    with dk = detuning * sin(2 theta_B), by eliminating r_y through the
-    transverse condition.  The longitudinal defect in r_x falls
-    monotonically from dk at r_x = 0 to the end of the bracket
-    [0, r_max], so the root is unique.  Newton steps, seeded from the
-    small-angle formula, are taken while they stay inside the shrinking
-    bracket, and the bracket is bisected otherwise.  Both closure
-    conditions are converged to |defect| <= 1e-12.
+    makes the momenta x, y and the pump-side length 1 - dk a triangle.
+    Its law of cosines gives 1 - cos(r_x) = dk (y - dk/2) / (x (1 - dk)),
+    and r_y with x and y swapped.  Each angle is evaluated as
+    2 asin(sqrt((1 - cos r) / 2)), exact to rounding at small angles.
 
     Returns
     -------
@@ -219,7 +214,9 @@ def emission_angles(
     Raises
     ------
     PhaseMatchingError
-        If detuning <= 0 or no real solution exists for some split.
+        If detuning <= 0, or for some split the triangle does not close
+        (1 - dk <= |x - y|) or one angle would pass 90 degrees
+        ((1 - dk)^2 < |x - y|).
     """
     x = np.asarray(x, dtype=np.float64)
     _check_split(x)
@@ -233,47 +230,13 @@ def emission_angles(
         raise PhaseMatchingError(
             "phase-matching unreachable: longitudinal closure "
             f"{closure:.6g} below the minimum {gap.max():.6g} "
-            f"for x = {x[gap.argmax()]:.4g}"
+            f"for x = {x.flat[gap.argmax()]:.4g}"
         )
-
-    def defect(r):
-        s = x * np.sin(r)
-        root = np.sqrt(np.maximum(y * y - s * s, 0.0))
-        return x * np.cos(r) + root - closure, root
-
-    lo = np.zeros_like(x)
-    hi = np.where(x > y, np.arcsin(np.minimum(y / x, 1.0)), 0.5 * math.pi)
-    if np.any(defect(hi)[0] > 0.0):
+    if np.any(closure * closure < gap):
         raise PhaseMatchingError("phase-matching unreachable: no real emission angle")
-    r = np.sqrt(2.0 * dk * y / x)
-    r = np.where(r < hi, r, 0.5 * hi)
-    done = np.zeros(x.shape, dtype=bool)
-    for _ in range(200):
-        f, root = defect(r)
-        lo = np.where(f > 0.0, r, lo)
-        hi = np.where(f < 0.0, r, hi)
-        slope = -x * np.sin(r) * (1.0 + x * np.cos(r) / np.maximum(root, 1e-300))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = r - f / slope
-        converged = np.abs(f) <= 1e-13
-        # A converged angle keeps its value when the last Newton step
-        # would leave the bracket, rather than jumping to its midpoint.
-        step = np.where(
-            (newton > lo) & (newton < hi),
-            newton,
-            np.where(converged, r, 0.5 * (lo + hi)),
-        )
-        # Each angle takes one step past convergence and then stays, so it
-        # does not depend on the other splits in the array.
-        r = np.where(done, r, step)
-        done |= converged
-        if done.all():
-            break
-    r_y = np.arcsin(np.minimum(1.0, x * np.sin(r) / y))
-    residual = np.abs(x * np.sin(r) - y * np.sin(r_y))
-    if np.any(np.abs(defect(r)[0]) > 1e-12) or np.any(residual > 1e-12):
-        raise PhaseMatchingError("emission-angle solver failed to converge")
-    return r, r_y
+    r_x = 2.0 * np.arcsin(np.sqrt(dk * (y - 0.5 * dk) / (2.0 * x * closure)))
+    r_y = 2.0 * np.arcsin(np.sqrt(dk * (x - 0.5 * dk) / (2.0 * y * closure)))
+    return r_x, r_y
 
 
 def emission_angles_exact(
@@ -286,7 +249,7 @@ def emission_angles_exact(
     PhaseMatchingError
         If detuning <= 0 or no real solution exists.
     """
-    r_x, r_y = (float(r[0]) for r in emission_angles([x], detuning_rad, theta_b_rad))
+    r_x, r_y = map(float, emission_angles(x, detuning_rad, theta_b_rad))
     residual = abs(x * math.sin(r_x) - (1.0 - x) * math.sin(r_y))
     return EmissionSolution(x=x, y=1.0 - x, r_x=r_x, r_y=r_y, residual=residual)
 

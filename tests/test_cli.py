@@ -551,6 +551,18 @@ class TestReport:
     def test_missing_analysis_is_error(self, tmp_path):
         assert main(["report", "--analysis", str(tmp_path / "none")]) == 1
 
+    @pytest.mark.parametrize("detuning", ["0 mdeg", "-10 mdeg"])
+    def test_closed_cone_is_config_error(self, tmp_path, capsys, detuning):
+        cfg = tmp_path / "closed.cfg"
+        cfg.write_text(f"crystal.detuning = {detuning}\n")
+        assert main(["report", "--config", str(cfg), "--net-rate", "130"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: detuning must be > 0 for a real emission cone"
+        ]
+        # A given acceptance needs no cone.
+        flags = ["--net-rate", "130", "--acceptance", "0.0382"]
+        assert main(["report", "--config", str(cfg), *flags]) == 0
+
     @pytest.mark.parametrize(
         "flags, message",
         [

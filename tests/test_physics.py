@@ -166,6 +166,36 @@ class TestEmissionAnglesExact:
         with pytest.raises(PhysicsError):
             emission_angles(np.array([0.5, 1.0]), 10 * MDEG, THETA_B_REF)
 
+    def test_unreachable_scalar_split_raises(self):
+        # A 0-d split must reach the phase-matching message, not fail in it.
+        with pytest.raises(PhaseMatchingError, match="for x = 0.95"):
+            emission_angles(0.95, 0.9, THETA_B_REF)
+
+    def test_small_detuning_limit(self):
+        # At vanishing detuning the exact angles tend to the small-angle
+        # formula; the closed form keeps their full precision there.
+        detuning = 1e-6 * MDEG
+        xs = np.linspace(0.05, 0.95, 19)
+        r_x, r_y = emission_angles(xs, detuning, THETA_B_REF)
+        for x, rx, ry in zip(xs, r_x, r_y):
+            x = float(x)
+            assert rx == pytest.approx(
+                emission_angle_approx(x, detuning, THETA_B_REF), rel=1e-9
+            )
+            assert ry == pytest.approx(
+                emission_angle_approx(1.0 - x, detuning, THETA_B_REF), rel=1e-9
+            )
+
+    def test_angle_past_ninety_degrees_raises(self):
+        # The triangle closes, but the softer photon would leave at more
+        # than 90 degrees from the Laue direction.
+        for x in (0.9, 0.1):
+            with pytest.raises(PhaseMatchingError, match="no real emission angle"):
+                emission_angles(x, 0.15, THETA_B_REF)
+        sol = emission_angles_exact(0.9, 0.10, THETA_B_REF)
+        assert sol.r_y == pytest.approx(1.5099, abs=1e-4)
+        assert sol.r_y < 0.5 * math.pi
+
 
 class TestPolarizationSuppression:
     def test_full_suppression_at_right_angle(self):
