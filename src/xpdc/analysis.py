@@ -224,8 +224,10 @@ def find_coincidence_pairs(
     time-ordered with stamps below 2**63, as analyze checks.  Stream 1 is
     cut into equal blocks of at least _PAIR_BLOCK events, which run on a
     thread pool (thread_map); each block bisects only the slice of stream 2
-    its windows span, and the blocks' pairs are joined in block order, so
-    the result does not depend on the block size or the thread count.
+    its windows span: once per event for its first candidate, and once more,
+    for the window's end, only per event whose first candidate is in its
+    window.  The blocks' pairs are joined in block order, so the result
+    does not depend on the block size or the thread count.
     Pairs are ordered by stream-1 event, then stream-2 event.  By default
     one event may appear in several pairs; exclusive=True keeps the
     greedy smallest-|dt|-first matching instead.
@@ -249,12 +251,16 @@ def find_coincidence_pairs(
         highs = keys + np.uint64(horizon)
         first = int(np.searchsorted(t2.view(np.int64), lows[0], side="left"))
         window = t2[first : np.searchsorted(t2, highs[-1], side="right")]
+        if not len(window):
+            return np.empty(0, np.intp), np.empty(0, np.intp)
         lo = np.searchsorted(window.view(np.int64), lows, side="left")
-        counts = np.searchsorted(window, highs, side="right") - lo
-        total = int(counts.sum())
-        idx1 = np.repeat(np.arange(start, start + len(keys)), counts)
-        # Pair p of key k is stream-2 event first + lo[k] + (p - pairs before k).
-        idx2 = np.arange(total) - np.repeat(np.cumsum(counts) - counts - lo - first, counts)
+        # Live keys have a partner in time; on busy streams most keys have none.
+        live = np.flatnonzero((lo < len(window)) & (window.take(lo, mode="clip") <= highs))
+        lo = lo[live]
+        counts = np.searchsorted(window, highs[live], side="right") - lo
+        idx1 = np.repeat(start + live, counts)
+        # Pair p of live key k is stream-2 event first + lo[k] + (p - pairs before k).
+        idx2 = np.arange(len(idx1)) - np.repeat(np.cumsum(counts) - counts - lo - first, counts)
         e_sum = stream1.energy_ev[idx1].astype(np.int64) + stream2.energy_ev[idx2]
         in_sum = np.abs(e_sum - criteria.sum_center_ev) <= criteria.sum_half_width_ev
         return idx1[in_sum], idx2[in_sum]
@@ -300,7 +306,8 @@ def build_correlation_map(
 
     Energy bins are half-open [lo, hi) with the top bin closed; dt bins
     are centered on multiples of dt_bin so quantized time differences
-    fall at bin centers.
+    fall at bin centers.  Each pair is counted in the bin np.histogram2d
+    gives it over the same edges, and pairs outside them are dropped.
     """
     # Rates divide by the exposure in hours, duration x mean current.
     hours = duration_s / 3600.0 * mean_current
@@ -314,18 +321,30 @@ def build_correlation_map(
     dt_edges = -criteria.max_abs_dt_ns - half + criteria.dt_bin_ns * np.arange(
         n_dt + 1, dtype=np.float64
     )
-    counts, _, _ = np.histogram2d(
-        pairs["e1_ev"].astype(np.float64),
-        pairs["dt_ns"].astype(np.float64),
-        bins=(e_edges, dt_edges),
-    )
+    # Pairs outside the edges are counted in a padding row or column.
+    rows = _padded_bins(pairs["e1_ev"], e_edges)
+    flat = rows * (n_dt + 2) + _padded_bins(pairs["dt_ns"], dt_edges)
+    padded = np.bincount(flat, minlength=(n_e + 2) * (n_dt + 2)).reshape(n_e + 2, n_dt + 2)
     return CorrelationMap(
         e_edges_ev=e_edges,
         dt_edges_ns=dt_edges,
-        counts=counts.astype(np.int64),
+        counts=padded[1:-1, 1:-1].astype(np.int64),
         duration_s=duration_s,
         mean_current=mean_current,
     )
+
+
+def _padded_bins(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """1 + the bin k of each value with edges[k] <= value < edges[k + 1],
+    the top edge closed (np.histogram2d's bin); 0 below the edges and
+    len(edges) above.  The edges are evenly spaced, so a division finds
+    the edge nearest each value, to well within half a bin, and one
+    comparison with that float edge gives the side the value is on."""
+    x = values.astype(np.float64)
+    upper = np.append(edges[:-1], np.nextafter(edges[-1], np.inf))
+    nearest = np.rint((x - edges[0]) / (edges[1] - edges[0]))
+    nearest = np.clip(nearest, 0, len(edges) - 1).astype(np.intp)
+    return nearest + (x >= upper[nearest])
 
 
 # ---------------------------------------------------------------------------

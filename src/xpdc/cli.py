@@ -259,10 +259,7 @@ def _duration_and_current(args) -> tuple[float | None, float]:
 def cmd_analyze(args) -> int:
     run_analysis = _analysis(args)
     duration_s, mean_current = _duration_and_current(args)
-    streams, header = listmode.read_streams(args.events)
-    if header.detector_count != 2:
-        raise ListModeFormatError(f"header says {header.detector_count} detectors, not 2")
-    stream1, stream2 = streams
+    (stream1, stream2), _ = listmode.read_streams(args.events, detector_count=2)
     if duration_s is None:
         last = [float(s.timestamp_ns[-1]) for s in (stream1, stream2) if len(s)]
         duration_s = max(max(last, default=0.0) / 1e9, 1e-9)

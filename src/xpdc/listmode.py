@@ -133,9 +133,16 @@ def read_listmode(path: str) -> tuple[np.ndarray, ListModeHeader]:
     return events, header
 
 
-def read_streams(path: str) -> tuple[list[Stream], ListModeHeader]:
-    """Read a list-mode file as (one Stream per detector, header), by split_streams."""
+def read_streams(
+    path: str, detector_count: int | None = None
+) -> tuple[list[Stream], ListModeHeader]:
+    """Read a list-mode file as (one Stream per detector, header), by split_streams;
+    a header naming other than detector_count detectors, if given, raises first."""
     events, header = _read_records(path)
+    if detector_count is not None and header.detector_count != detector_count:
+        raise ListModeFormatError(
+            f"header says {header.detector_count} detectors, not {detector_count}"
+        )
     return split_streams(events, header.detector_count), header
 
 

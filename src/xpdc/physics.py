@@ -186,7 +186,7 @@ def emission_angle_approx(x: float, detuning_rad: float, theta_b_rad: float) -> 
         R(x) in radians.
     """
     _check_split(x)
-    if detuning_rad <= 0:
+    if not detuning_rad > 0:  # nan too
         raise PhaseMatchingError("detuning must be > 0 for a real emission cone")
     return math.sqrt(2.0 * detuning_rad * ((1.0 - x) / x) * math.sin(2.0 * theta_b_rad))
 
@@ -214,13 +214,13 @@ def emission_angles(
     Raises
     ------
     PhaseMatchingError
-        If detuning <= 0, or for some split the triangle does not close
+        If detuning is not > 0, or for some split the triangle does not close
         (1 - dk <= |x - y|) or one angle would pass 90 degrees
         ((1 - dk)^2 < |x - y|).
     """
     x = np.asarray(x, dtype=np.float64)
     _check_split(x)
-    if detuning_rad <= 0:
+    if not detuning_rad > 0:  # nan too
         raise PhaseMatchingError("detuning must be > 0 for a real emission cone")
     y = 1.0 - x
     dk = detuning_rad * math.sin(2.0 * theta_b_rad)
@@ -247,7 +247,7 @@ def emission_angles_exact(
     Raises
     ------
     PhaseMatchingError
-        If detuning <= 0 or no real solution exists.
+        If detuning is not > 0 or no real solution exists.
     """
     r_x, r_y = map(float, emission_angles(x, detuning_rad, theta_b_rad))
     residual = abs(x * math.sin(r_x) - (1.0 - x) * math.sin(r_y))

@@ -4,12 +4,13 @@ import hashlib
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import xpdc
-from xpdc import events
+from xpdc import events, listmode
 from xpdc.analysis import CoincidenceCriteria, RoiSpec, analyze
 from xpdc.cli import main
 from xpdc.config import build_run_config, load_config_file, merge_settings
@@ -348,7 +349,7 @@ class TestAnalyze:
         assert main([*argv, "--duration", "5", "--mean-current", "2", "--out", out]) == 0
         assert main([*argv, "--duration", "5", "--out", out]) == 2
 
-    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("count", [1, 3, 255])
     def test_detector_count_other_than_two_is_data_error(
         self, short_config, tmp_path, capsys, count
     ):
@@ -359,9 +360,12 @@ class TestAnalyze:
         raw[9] = count  # the header's detector count
         open(path, "wb").write(bytes(raw))
         capsys.readouterr()
-        assert main(["analyze", path, "--out", out]) == 2
+        # The count is checked before the records are split by detector.
+        with mock.patch.object(listmode, "split_streams") as split:
+            assert main(["analyze", path, "--out", out]) == 2
+        split.assert_not_called()
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
+        assert err == [f"error: header says {count} detectors, not 2"]
 
 
 class TestScan:

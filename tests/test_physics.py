@@ -86,6 +86,8 @@ class TestEmissionAngleApprox:
             emission_angle_approx(0.5, 0.0, THETA_B_REF)
         with pytest.raises(PhaseMatchingError):
             emission_angle_approx(0.5, -10 * MDEG, THETA_B_REF)
+        with pytest.raises(PhaseMatchingError):
+            emission_angle_approx(0.5, math.nan, THETA_B_REF)
 
     def test_bad_split_raises(self):
         for x in (0.0, 1.0, -0.1, 1.5):
@@ -147,6 +149,8 @@ class TestEmissionAnglesExact:
     def test_unreachable_raises(self):
         with pytest.raises(PhaseMatchingError):
             emission_angles_exact(0.5, -10 * MDEG, THETA_B_REF)
+        with pytest.raises(PhaseMatchingError):
+            emission_angles([0.5], math.nan, THETA_B_REF)
         # Extreme detuning with an asymmetric split: closure too short.
         with pytest.raises(PhaseMatchingError):
             emission_angles_exact(0.95, 0.9, THETA_B_REF)

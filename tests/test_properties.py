@@ -2,6 +2,7 @@
 input either return or raise their own error type; `xpdc analyze` with
 any manifest text reports or exits 2; split, candidate cut and pairing,
 whole and in blocks of 1-3 events, equal a record-by-record reference;
+correlation-map counts equal np.histogram2d over the same edges;
 CSV rendering in blocks equals rendering the rows one by one; merging
 Streams in blocks of 1-3 events equals one stable sort."""
 
@@ -14,7 +15,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xpdc import analysis, listmode
-from xpdc.analysis import CoincidenceCriteria, find_coincidence_pairs, select_candidates
+from xpdc.analysis import (
+    PAIR_DTYPE,
+    CoincidenceCriteria,
+    build_correlation_map,
+    find_coincidence_pairs,
+    select_candidates,
+)
 from xpdc.cli import main
 from xpdc.config import build_run_config, default_settings, parse_config_text
 from xpdc.events import ConfigError, Stream
@@ -283,8 +290,33 @@ def test_split_cut_and_pairs_equal_record_by_record_reference(records, criteria,
     )
 
 
+def two_detectors(stamps1, stamps2):
+    """Records of 11 keV events of detector 1 and of detector 2 at the given stamps."""
+    streams = (Stream(stamps, np.full(len(stamps), 11000)) for stamps in (stamps1, stamps2))
+    return merge_streams(*streams)
+
+
+# Stream 2 wholly before, then wholly after stream 1, so that every
+# block's stream-2 window is empty; then keys without a partner, some
+# with an empty window, next to keys with seven partners from exactly
+# -2000 to +2000 ns (and events 1 ns beyond), and keys whose one partner
+# is at exactly +2000 or -2000 ns.
+SPARSE_RECORDS = [
+    two_detectors([10**6, 10**6 + 10, 10**6 + 5000], [0, 10, 20]),
+    two_detectors([0, 10, 20], [10**6, 10**6 + 10]),
+    two_detectors(
+        [0, 5000, 10000, 10000, 16000, 20000, 30000, 36000],
+        [7999, 8000, 9000, 9500, 10000, 10000, 11000, 12000, 12001, 22000, 34000, 40000],
+    ),
+]
+
+
 @pytest.mark.parametrize("block", [1, 2, 3])
 @PROPERTY
+@example(records=SPARSE_RECORDS[0], criteria=CoincidenceCriteria(), exclusive=False)
+@example(records=SPARSE_RECORDS[1], criteria=CoincidenceCriteria(), exclusive=True)
+@example(records=SPARSE_RECORDS[2], criteria=CoincidenceCriteria(), exclusive=False)
+@example(records=SPARSE_RECORDS[2], criteria=CoincidenceCriteria(), exclusive=True)
 @given(records=interleaved_records(), criteria=PAIRING_CRITERIA, exclusive=st.booleans())
 def test_pairing_in_small_blocks_equals_record_by_record_reference(
     block, records, criteria, exclusive
@@ -293,6 +325,61 @@ def test_pairing_in_small_blocks_equals_record_by_record_reference(
     with mock.patch.object(analysis, "_PAIR_BLOCK", block):
         pairs = split_cut_and_pair(records, criteria, exclusive)
     assert pairs == reference_pairs(records, criteria, exclusive)
+
+
+@st.composite
+def criteria_and_pairs(draw):
+    """Criteria with whole or half-eV energy windows and odd or even bin
+    widths, and pairs whose E1 and dt lie on an edge, 1 beside one, below
+    or above both ranges, or anywhere."""
+    lo = draw(st.sampled_from([5000.0, 4999.5, 0.0, 10.25]))
+    dt_bin = draw(st.sampled_from([1, 7, 20]))
+    criteria = CoincidenceCriteria(
+        single_energy_window_ev=(lo, lo + draw(st.sampled_from([12000.0, 12001.0, 333.5]))),
+        max_abs_dt_ns=dt_bin * draw(st.integers(5, 100)) + draw(st.integers(0, dt_bin - 1)),
+        dt_bin_ns=dt_bin,
+        e_bin_ev=draw(st.sampled_from([100, 7, 333, 1000])),
+    )
+    edges = build_correlation_map(np.empty(0, PAIR_DTYPE), criteria, 1.0)
+    columns = []
+    for edge_values, extremes in (
+        (edges.e_edges_ev, [0, 2**32 - 1]), (edges.dt_edges_ns, [-(2**62), 2**62])
+    ):
+        near = np.concatenate([np.floor(edge_values), np.ceil(edge_values)]).astype(np.int64)
+        values = st.one_of(
+            st.sampled_from(sorted({*near, *(near - 1), *(near + 1), *extremes})),
+            st.integers(*extremes),
+        )
+        columns.append(draw(st.lists(values, min_size=1, max_size=60)))
+    pairs = np.zeros(min(map(len, columns)), dtype=PAIR_DTYPE)
+    pairs["e1_ev"], pairs["dt_ns"] = (column[: len(pairs)] for column in columns)
+    return criteria, pairs
+
+
+def every_edge_pair():
+    """Default criteria, and a pair at each (E1, dt) on or 1 beside an edge."""
+    edges = build_correlation_map(np.empty(0, PAIR_DTYPE), CoincidenceCriteria(), 1.0)
+    e1, dt = np.meshgrid(
+        *(np.concatenate([e - 1, e, e + 1]) for e in (edges.e_edges_ev, edges.dt_edges_ns))
+    )
+    pairs = np.zeros(e1.size, dtype=PAIR_DTYPE)
+    pairs["e1_ev"], pairs["dt_ns"] = e1.ravel(), dt.ravel()
+    return CoincidenceCriteria(), pairs
+
+
+@PROPERTY
+@example(case=(CoincidenceCriteria(), np.empty(0, PAIR_DTYPE)))  # as cli._analysis builds it
+@example(case=every_edge_pair())
+@given(case=criteria_and_pairs())
+def test_correlation_map_counts_equal_histogram2d(case):
+    criteria, pairs = case
+    corr = build_correlation_map(pairs, criteria, 1.0)
+    expected, _, _ = np.histogram2d(
+        pairs["e1_ev"].astype(np.float64), pairs["dt_ns"].astype(np.float64),
+        bins=(corr.e_edges_ev, corr.dt_edges_ns),
+    )
+    assert corr.counts.dtype == np.int64
+    assert np.array_equal(corr.counts, expected)
 
 
 ROW_COUNTS = st.one_of(st.integers(0, 1), st.integers(5, 12))
