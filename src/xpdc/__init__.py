@@ -6,7 +6,6 @@ from .physics import (
     ChainEfficiencyModel,
     CrystalConfig,
     DetectorGeometry,
-    EmissionSolution,
     PhaseMatchingError,
     PhysicsError,
     ReflectionUnreachableError,
@@ -14,7 +13,6 @@ from .physics import (
     detection_chain_efficiency,
     emission_angle_approx,
     emission_angles,
-    emission_angles_exact,
     geometric_acceptance,
     polarization_suppression,
 )

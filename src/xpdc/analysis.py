@@ -6,8 +6,8 @@ the misalignment-scan power-law fit, and the conversion-efficiency
 arithmetic.
 
 All operations are pure transformations on immutable inputs.  Streams
-are events.Stream columns; analyze checks once that both are time-ordered
-below 2**63 ns, and the stages after it rely on that.
+are events.Stream columns, which are time-ordered below 2**63 ns by
+construction.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import Stream, stamps_in_order, thread_map
+from .events import Stream, thread_map
 
 PAIR_DTYPE = np.dtype(
     [
@@ -204,7 +204,7 @@ class AnalysisResult:
 def select_candidates(stream: Stream, criteria: CoincidenceCriteria) -> Stream:
     """Keep events inside the single-photon energy window (closed on both
     ends), preserving order; stream itself when the window keeps every
-    event.  The stream must be time-ordered, as analyze checks."""
+    event."""
     lo, hi = criteria.single_energy_window_ev
     e = stream.energy_ev
     keep = (e >= lo) & (e <= hi)
@@ -220,11 +220,10 @@ def find_coincidence_pairs(
     """All cross-detector pairs passing the time and energy-sum windows.
 
     A pair qualifies when |t2 - t1| <= max_abs_dt and
-    |E1 + E2 - sum_center| <= sum_half_width.  Both streams must be
-    time-ordered with stamps below 2**63, as analyze checks.  Stream 1 is
-    cut into equal blocks of at least _PAIR_BLOCK events, which run on a
-    thread pool (thread_map); each block bisects only the slice of stream 2
-    its windows span: once per event for its first candidate, and once more,
+    |E1 + E2 - sum_center| <= sum_half_width.  Stream 1 is cut into
+    equal blocks of at least _PAIR_BLOCK events, which run on a thread
+    pool (thread_map); each block bisects only the slice of stream 2 its
+    windows span: once per event for its first candidate, and once more,
     for the window's end, only per event whose first candidate is in its
     window.  The blocks' pairs are joined in block order, so the result
     does not depend on the block size or the thread count.
@@ -789,20 +788,17 @@ def analyze(
 ) -> AnalysisResult:
     """The coincidence analysis of two detector streams, end to end.
 
-    Checks that both streams are time-ordered, selects candidates, pairs
-    them (exclusive as in find_coincidence_pairs), builds the (E1, dt)
-    map and fits its dt marginal.  The region of interest keeps the
-    energy band of roi; its time half-width and sideband edge become
-    roi_sigmas and sideband_sigmas times the fitted width.  roi is used
-    as given instead (its defaults assume the nominal 212 ns width) when
+    Selects candidates, pairs them (exclusive as in
+    find_coincidence_pairs), builds the (E1, dt) map and fits its dt
+    marginal.  The region of interest keeps the energy band of roi; its
+    time half-width and sideband edge become roi_sigmas and
+    sideband_sigmas times the fitted width.  roi is used as given
+    instead (its defaults assume the nominal 212 ns width) when
     the time fit failed, or when the fitted half-width is under one dt
     bin or the sidebands would start beyond 0.9 of the pairing horizon.
     The net rate and the E1 centroid are both measured in that one
     region.
     """
-    for name, stream in (("stream1", stream1), ("stream2", stream2)):
-        if not stamps_in_order(stream.timestamp_ns):
-            raise AnalysisError(f"{name} is not time-ordered below 2**63 ns")
     cand1 = select_candidates(stream1, criteria)
     cand2 = select_candidates(stream2, criteria)
     pairs = find_coincidence_pairs(cand1, cand2, criteria, exclusive=exclusive)

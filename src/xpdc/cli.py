@@ -23,7 +23,7 @@ from .physics import (
     DEG,
     PhysicsError,
     detection_chain_efficiency,
-    emission_angles_exact,
+    emission_angles,
     geometric_acceptance,
     polarization_suppression,
 )
@@ -156,11 +156,8 @@ def cmd_plan(args) -> int:
     print(f"2 theta_B            : {2 * theta_b / DEG:.3f} deg")
     print(f"detuning             : {exp.crystal.detuning_rad / DEG * 1e3:.2f} mdeg")
     for x in (0.25, 0.50, 0.75):
-        sol = emission_angles_exact(x, exp.crystal.detuning_rad, theta_b)
-        print(
-            f"R(x={x:.2f})            : {sol.r_x / DEG:.4f} deg"
-            f"   (idler {sol.r_y / DEG:.4f} deg)"
-        )
+        r_x, r_y = emission_angles(x, exp.crystal.detuning_rad, theta_b)
+        print(f"R(x={x:.2f})            : {r_x / DEG:.4f} deg   (idler {r_y / DEG:.4f} deg)")
     r0 = exp.degenerate_offset()
     print(
         f"detector angles      : {(2 * theta_b + r0) / DEG:.3f} / "
@@ -317,14 +314,14 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _scan_point(run: events.RunConfig, run_analysis) -> tuple[float, float, float, float]:
-    """Simulate and analyze one scan point: its net rate and error (/hr),
-    duration (s) and mean current.  Runs in a scan worker process."""
+def _scan_point(run: events.RunConfig, run_analysis) -> tuple[float, float]:
+    """Simulate and analyze one scan point: its net rate and error (/hr).
+    Runs in a scan worker process."""
     stream1, stream2, manifest = events.simulate_run(run)
     roi = run_analysis(
         stream1, stream2, duration_s=manifest.duration_s, mean_current=manifest.mean_current
     ).roi_result
-    return roi.net_rate_per_hr, roi.net_rate_err_per_hr, manifest.duration_s, manifest.mean_current
+    return roi.net_rate_per_hr, roi.net_rate_err_per_hr
 
 
 def cmd_scan(args) -> int:
@@ -360,17 +357,16 @@ def cmd_scan(args) -> int:
     points = []
     n_seeds = len(args.seeds)
     for i, detuning in enumerate(args.detunings):
-        rates, errors, _, _ = zip(*results[i * n_seeds:(i + 1) * n_seeds])
+        rates, errors = zip(*results[i * n_seeds:(i + 1) * n_seeds])
         rate = float(np.mean(rates))
         err = math.sqrt(sum(e**2 for e in errors)) / n_seeds
         points.append((detuning, rate, err))
         print(f"detuning {detuning:6.1f} mdeg: net rate {rate:8.2f} +/- {err:.2f} /hr")
-    duration_s, mean_current = results[-1][2:]
 
     meta: dict[str, object] = {  # the same for every run of the scan
         "seeds": ",".join(map(str, args.seeds)),
-        "duration_s": duration_s,
-        "mean_current": mean_current,
+        "duration_s": runs[-1].duration_s,
+        "mean_current": runs[-1].beam_current_profile.mean,
     }
     try:
         fit = analysis.fit_misalignment_scan(points)

@@ -28,7 +28,6 @@ from .physics import (
     FWHM_OVER_SIGMA,
     bragg_angle,
     emission_angles,
-    emission_angles_exact,
     polarization_suppression,
 )
 
@@ -36,7 +35,9 @@ from .physics import (
 @dataclass(frozen=True)
 class Stream:
     """One detector's events as two aligned columns of equal length:
-    timestamp_ns (uint64, non-decreasing) and energy_ev (uint32)."""
+    timestamp_ns (uint64, non-decreasing, below 2**63) and energy_ev
+    (uint32).  Construction raises ValueError for any other columns, so
+    every stage may take a Stream's order as given."""
 
     timestamp_ns: np.ndarray
     energy_ev: np.ndarray
@@ -44,6 +45,10 @@ class Stream:
     def __post_init__(self):  # no copy where the dtypes already match
         object.__setattr__(self, "timestamp_ns", np.asarray(self.timestamp_ns, dtype=np.uint64))
         object.__setattr__(self, "energy_ev", np.asarray(self.energy_ev, dtype=np.uint32))
+        if self.timestamp_ns.ndim != 1 or self.timestamp_ns.shape != self.energy_ev.shape:
+            raise ValueError("Stream columns must be one-dimensional and of equal length")
+        if not stamps_in_order(self.timestamp_ns):
+            raise ValueError("Stream timestamps decrease or reach 2**63 ns")
 
     def __len__(self) -> int:
         return len(self.timestamp_ns)
@@ -134,6 +139,8 @@ class DetectorResponse:
             raise ConfigError("response widths must be >= 0")
         if self.clock_tick_ns <= 0:
             raise ConfigError("clock tick must be > 0")
+        if self.clock_tick_ns >= 2**32:  # the list-mode header's u32 field
+            raise ConfigError("clock tick must be under 2**32 ns (about 4.3 s)")
         lo, hi = self.energy_range_ev
         if not 0 < lo < hi:
             raise ConfigError("energy range must satisfy 0 < min < max")
@@ -197,7 +204,7 @@ class ExperimentModel:
 
     def degenerate_offset(self) -> float:
         """Emission angle of the degenerate x = 0.5 split."""
-        return emission_angles_exact(0.5, self.crystal.detuning_rad, self.theta_b()).r_x
+        return float(emission_angles(0.5, self.crystal.detuning_rad, self.theta_b())[0])
 
     def positioned_detectors(self) -> tuple[DetectorGeometry, DetectorGeometry]:
         """Detectors with zero offsets replaced by the degenerate angle."""

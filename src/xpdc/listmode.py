@@ -146,40 +146,45 @@ def read_streams(
     return split_streams(events, header.detector_count), header
 
 
-def _check(ids_in_range: bool, ordered: Iterable[bool]) -> None:
-    """Raise the format error for ids out of range, else for the first
-    detector k + 1 whose ordered[k] is False."""
-    if not ids_in_range:
+def _check_ids(ids: np.ndarray, detector_count: int) -> None:
+    """Raise the format error for ids outside 1..detector_count."""
+    if len(ids) and (ids.min() < 1 or ids.max() > detector_count):
         raise ListModeFormatError("detector id outside 1..detector count")
-    for det, in_order in enumerate(ordered, start=1):
-        if not in_order:
-            raise ListModeFormatError(f"timestamps for detector {det} decrease or reach 2**63 ns")
+
+
+def _order_error(det: int) -> ListModeFormatError:
+    return ListModeFormatError(f"timestamps for detector {det} decrease or reach 2**63 ns")
 
 
 def _validate_records(events: np.ndarray, detector_count: int) -> None:
     ids, t = events["detector_id"], events["timestamp_ns"]
-    in_range = not len(ids) or (ids.min() >= 1 and ids.max() <= detector_count)
+    _check_ids(ids, detector_count)
     # Records in global time order pass in one test; else each detector is tested.
-    detectors = () if stamps_in_order(t) else range(1, detector_count + 1)
-    _check(in_range, (stamps_in_order(t[ids == det]) for det in detectors))
+    if not stamps_in_order(t):
+        for det in range(1, detector_count + 1):
+            if not stamps_in_order(t[ids == det]):
+                raise _order_error(det)
 
 
 def split_streams(events: np.ndarray, detector_count: int = 2) -> list[Stream]:
     """One Stream per detector, in file order, from a record array; raises
-    read_listmode's ListModeFormatError for ids outside 1..detector_count
-    or stamps out of order.  The id column is copied once; each detector's
-    index, from that copy, gathers its columns by indexing (take() would
-    first copy each whole strided field), on thread_map.  The ids are all
-    in range exactly when the detectors' events add up to the records."""
+    read_listmode's ListModeFormatError for ids outside 1..detector_count,
+    before any gather, or for the first detector whose stamps are out of
+    order.  The id column is copied once; each detector's index, from
+    that copy, gathers its columns by indexing (take() would first copy
+    each whole strided field) into the Stream that checks their order,
+    on thread_map."""
     ids = np.ascontiguousarray(events["detector_id"])
+    _check_ids(ids, detector_count)
 
     def stream(det: int) -> Stream:
         index = np.flatnonzero(ids == det)
-        return Stream(events["timestamp_ns"][index], events["energy_ev"][index])
+        try:
+            return Stream(events["timestamp_ns"][index], events["energy_ev"][index])
+        except ValueError:
+            raise _order_error(det) from None
 
-    streams = thread_map(stream, range(1, detector_count + 1))
-    _check(sum(map(len, streams)) == len(ids), (stamps_in_order(s.timestamp_ns) for s in streams))
-    return streams
+    return thread_map(stream, range(1, detector_count + 1))
 
 
 def merge_streams(*streams: Stream) -> np.ndarray:

@@ -117,22 +117,6 @@ class DetectorGeometry:
         return 0.5 * self.side_mm / self.distance_mm
 
 
-@dataclass(frozen=True)
-class EmissionSolution:
-    """Exact pair emission solution for an energy split x + y = 1.
-
-    r_x and r_y are the signal/idler angular offsets from the Laue
-    direction.  residual is the transverse momentum-closure defect
-    |x sin(r_x) - y sin(r_y)| and must be <= 1e-12.
-    """
-
-    x: float
-    y: float
-    r_x: float
-    r_y: float
-    residual: float
-
-
 def bragg_angle(pump_energy_ev: float, crystal: CrystalConfig) -> float:
     """Bragg angle theta_B for the crystal's reflection at a pump energy.
 
@@ -237,21 +221,6 @@ def emission_angles(
     r_x = 2.0 * np.arcsin(np.sqrt(dk * (y - 0.5 * dk) / (2.0 * x * closure)))
     r_y = 2.0 * np.arcsin(np.sqrt(dk * (x - 0.5 * dk) / (2.0 * y * closure)))
     return r_x, r_y
-
-
-def emission_angles_exact(
-    x: float, detuning_rad: float, theta_b_rad: float
-) -> EmissionSolution:
-    """emission_angles for one split x, with its transverse residual.
-
-    Raises
-    ------
-    PhaseMatchingError
-        If detuning is not > 0 or no real solution exists.
-    """
-    r_x, r_y = map(float, emission_angles(x, detuning_rad, theta_b_rad))
-    residual = abs(x * math.sin(r_x) - (1.0 - x) * math.sin(r_y))
-    return EmissionSolution(x=x, y=1.0 - x, r_x=r_x, r_y=r_y, residual=residual)
 
 
 def polarization_suppression(theta_b_rad: float, chi_rad: float) -> float:

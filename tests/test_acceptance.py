@@ -29,7 +29,7 @@ from xpdc.physics import (
     DEG,
     MDEG,
     emission_angle_approx,
-    emission_angles_exact,
+    emission_angles,
     polarization_suppression,
 )
 
@@ -83,7 +83,7 @@ def test_criterion_2_oracle_agreement():
         detuning = float(detuning_mdeg) * MDEG
         for x in np.linspace(0.23, 0.77, 50):
             approx = emission_angle_approx(float(x), detuning, THETA_B)
-            exact = emission_angles_exact(float(x), detuning, THETA_B).r_x
+            exact = emission_angles(float(x), detuning, THETA_B)[0]
             rel = abs(approx - exact) / exact
             if rel > worst:
                 worst, where = rel, (float(detuning_mdeg), float(x))

@@ -86,6 +86,14 @@ class TestFindCoincidencePairs:
         empty = make_stream([], [])
         assert len(find_coincidence_pairs(empty, empty, CRIT)) == 0
 
+    def test_unordered_stream_cannot_be_paired(self):
+        # Pairing bisects stream 2 by time, so unordered streams would lose
+        # pairs (these two have 2); such a Stream cannot be built.
+        with pytest.raises(ValueError, match="decrease or reach 2"):
+            find_coincidence_pairs(
+                Stream([5000, 1000], [11000, 11000]), Stream([1000, 5000], [11000, 11000]), CRIT
+            )
+
     def test_constructed_example(self):
         s1 = make_stream([1000], [11000])
         s2 = make_stream([1100], [11200])
@@ -646,10 +654,28 @@ class TestAnalyze:
     @pytest.mark.parametrize("times", [[100, 40], [0, 2**63]], ids=["decreasing", "past-int64"])
     @pytest.mark.parametrize("which", [0, 1])
     def test_unsorted_input_rejected(self, times, which):
+        # Unordered stamps cannot make a Stream, so analyze never sees them.
         streams = [make_stream([0], [11000]), make_stream([0], [11000])]
-        streams[which] = make_stream(times, [6000, 6000])
-        with pytest.raises(AnalysisError, match=f"stream{which + 1} is not time-ordered"):
-            analyze(*streams, CRIT, 1.0)
+        with pytest.raises(ValueError, match=r"^Stream timestamps decrease or reach 2\*\*63 ns$"):
+            streams[which] = make_stream(times, [6000, 6000])
+
+    def test_given_streams_are_not_checked_again(self, monkeypatch):
+        # Only a Stream the candidate cut makes shorter is built, and checked.
+        checked = []
+        in_order = events.stamps_in_order
+
+        def counted(stamps):
+            checked.append(len(stamps))
+            return in_order(stamps)
+
+        s1 = make_stream([0, 20, 40], [11000, 11000, 11000])
+        s2 = make_stream([0, 20, 40], [11000, 11000, 30000])
+        monkeypatch.setattr(events, "stamps_in_order", counted)
+        analyze(s1, s1, CRIT, 1.0)
+        assert checked == []
+        analyze(s1, s2, CRIT, 1.0)
+        assert checked == [2]
+        assert not hasattr(analysis, "stamps_in_order")
 
     def test_exclusive_keeps_each_event_once(self):
         s1 = make_stream([1000, 1020], [11000, 11000])

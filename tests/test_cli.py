@@ -349,6 +349,36 @@ class TestAnalyze:
         assert main([*argv, "--duration", "5", "--mean-current", "2", "--out", out]) == 0
         assert main([*argv, "--duration", "5", "--out", out]) == 2
 
+    @pytest.mark.parametrize(
+        "window", [[], ["--e-min", "0", "--e-max", "100"]], ids=["window-cuts", "window-keeps-all"]
+    )
+    def test_order_is_checked_once_where_each_stream_is_built(
+        self, short_config, tmp_path, monkeypatch, window
+    ):
+        # The split checks each detector's stamps as it builds its Stream;
+        # after it only a candidate Stream, which a window that drops
+        # events builds anew, checks its own (shorter) column.
+        out = str(tmp_path / "run")
+        assert main(["simulate", "--config", short_config, "--out", out]) == 0
+        path = os.path.join(out, "events.xpdc")
+        streams, _ = listmode.read_streams(path)
+        lo, hi = (5000, 17000) if not window else (0, 100000)
+        kept = [np.count_nonzero((s.energy_ev >= lo) & (s.energy_ev <= hi)) for s in streams]
+        checked = []
+        in_order = events.stamps_in_order
+
+        def counted(stamps):
+            checked.append(len(stamps))
+            return in_order(stamps)
+
+        monkeypatch.setattr(events, "stamps_in_order", counted)
+        monkeypatch.setattr(listmode, "stamps_in_order", counted)
+        assert main(["analyze", path, *window, "--out", out]) == 0
+        candidates = [k for k, s in zip(kept, streams) if k < len(s)]
+        assert checked == [len(s) for s in streams] + candidates
+        if window:
+            assert len(checked) == 2
+
     @pytest.mark.parametrize("count", [1, 3, 255])
     def test_detector_count_other_than_two_is_data_error(
         self, short_config, tmp_path, capsys, count
@@ -634,6 +664,30 @@ class TestEnvironmentOverrides:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {key}: cannot parse {value!r}"
         ]
+
+    @pytest.mark.parametrize("tick", ["5 s", "4294967296 ns"])
+    def test_clock_tick_past_the_header_field_is_config_error_before_sampling(
+        self, monkeypatch, capsys, tmp_path, tick
+    ):
+        # The list-mode header stores the tick as u32: a longer tick is
+        # refused with the config, before the run is sampled.
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a run whose tick cannot be written")
+
+        monkeypatch.setattr(events, "_poisson_times", no_sampling)
+        monkeypatch.setenv("XPDC_RESPONSE__CLOCK_TICK", tick)
+        monkeypatch.setenv("XPDC_RUN_DURATION", "60 s")
+        assert main(["simulate", "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: clock tick must be under 2**32 ns (about 4.3 s)"
+        ]
+        assert not os.path.exists(tmp_path / "o")
+
+    def test_largest_clock_tick_is_written(self, quiet_config, monkeypatch, tmp_path):
+        monkeypatch.setenv("XPDC_RESPONSE__CLOCK_TICK", "4294967295 ns")
+        out = str(tmp_path / "o")
+        assert main(["simulate", "--config", quiet_config, "--out", out]) == 0
+        assert read_listmode(os.path.join(out, "events.xpdc"))[1].clock_tick_ns == 2**32 - 1
 
     @pytest.mark.parametrize(
         "name, value",

@@ -4,6 +4,7 @@ import hashlib
 import math
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from xpdc.events import (
     GaussianLine,
     RunConfig,
     SourceModel,
+    Stream,
     _apply_response_batch,
     _background_arrays,
     _MAX_EXPECTED_EVENTS,
@@ -169,6 +171,37 @@ class TestSampleBackground:
         )
         expected = 1000.0 * 0.1 * 50.0
         assert abs(counts["d1_elastic"] - expected) < 5 * math.sqrt(expected)
+
+
+class TestStream:
+    @pytest.mark.parametrize(
+        "stamps",
+        [[20, 0], [0, 2**63], [2**64 - 1, 2**64 - 1]],
+        ids=["decreasing", "at-2**63", "first-at-2**64-1"],
+    )
+    def test_unordered_stamps_raise(self, stamps):
+        with pytest.raises(ValueError, match=r"^Stream timestamps decrease or reach 2\*\*63 ns$"):
+            Stream(stamps, [11000] * len(stamps))
+
+    @pytest.mark.parametrize("energies", [[11000], [11000] * 3, [[11000, 11000]]])
+    def test_unequal_columns_raise(self, energies):
+        with pytest.raises(ValueError, match="one-dimensional and of equal length"):
+            Stream([0, 20], energies)
+
+    @pytest.mark.parametrize(
+        "stamps", [[], [5, 5, 5], [0, 2**63 - 1]], ids=["empty", "ties", "last-at-2**63-1"]
+    )
+    def test_ordered_stamps_accepted(self, stamps):
+        stream = Stream(stamps, [11000] * len(stamps))
+        assert stream.timestamp_ns.tolist() == stamps and len(stream) == len(stamps)
+
+    def test_replace_checks_again(self):
+        stream = Stream([0, 20], [11000, 12000])
+        assert replace(stream, timestamp_ns=[20, 20]).timestamp_ns.tolist() == [20, 20]
+        with pytest.raises(ValueError, match="decrease"):
+            replace(stream, timestamp_ns=[20, 0])
+        with pytest.raises(ValueError, match="equal length"):
+            replace(stream, energy_ev=[11000])
 
 
 class TestDetectorResponse:

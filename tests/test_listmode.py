@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from xpdc import listmode
+from xpdc import events as events_module, listmode
 from xpdc.cli import main
 from xpdc.events import Stream
 from xpdc.listmode import (
@@ -186,6 +186,20 @@ class TestValidation:
         assert main(["analyze", path, "--duration", "1", "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_first_unordered_detector_is_named(self, cpus):
+        # Both detectors decrease; on a thread pool or not, detector 1 is
+        # reported, as read_listmode reports it.
+        events = np.zeros(4, dtype=EVENT_DTYPE)
+        events["detector_id"] = (1, 2, 1, 2)
+        events["timestamp_ns"] = (9, 9, 1, 1)
+        message = "^timestamps for detector 1 decrease or reach 2\\*\\*63 ns$"
+        with mock.patch.object(events_module, "usable_cpus", return_value=cpus):
+            with pytest.raises(ListModeFormatError, match=message):
+                split_streams(events, 2)
+        with pytest.raises(ListModeFormatError, match=message):
+            listmode._validate_records(events, 2)
 
     def test_largest_int64_stamp_allowed(self, tmp_path):
         events = np.zeros(3, dtype=EVENT_DTYPE)

@@ -20,7 +20,6 @@ from xpdc.physics import (
     detection_chain_efficiency,
     emission_angle_approx,
     emission_angles,
-    emission_angles_exact,
     geometric_acceptance,
     polarization_suppression,
 )
@@ -104,27 +103,32 @@ class TestEmissionAngleApprox:
         assert max(values) - min(values) < 1e-14
 
 
+def transverse_residual(x, r_x, r_y):
+    """The transverse momentum-closure defect |x sin r_x - (1 - x) sin r_y|."""
+    return abs(x * math.sin(r_x) - (1.0 - x) * math.sin(r_y))
+
+
 class TestEmissionAnglesExact:
     def test_degenerate_symmetry(self):
-        sol = emission_angles_exact(0.5, 10 * MDEG, THETA_B_REF)
-        assert sol.r_x == pytest.approx(sol.r_y, rel=1e-14)
+        r_x, r_y = emission_angles(0.5, 10 * MDEG, THETA_B_REF)
+        assert r_x == pytest.approx(r_y, rel=1e-14)
 
     def test_close_to_approx_at_reference_point(self):
-        sol = emission_angles_exact(0.5, 10 * MDEG, THETA_B_REF)
+        r_x, _ = emission_angles(0.5, 10 * MDEG, THETA_B_REF)
         approx = emission_angle_approx(0.5, 10 * MDEG, THETA_B_REF)
-        assert abs(approx - sol.r_x) / sol.r_x < 0.005
+        assert abs(approx - r_x) / r_x < 0.005
 
     def test_transverse_residual_restated(self):
-        sol = emission_angles_exact(0.37, 25 * MDEG, THETA_B_REF)
-        assert abs(sol.x * math.sin(sol.r_x) - (1 - sol.x) * math.sin(sol.r_y)) <= 1e-12
+        r_x, r_y = emission_angles(0.37, 25 * MDEG, THETA_B_REF)
+        assert transverse_residual(0.37, r_x, r_y) <= 1e-12
 
     def test_residual_bound_on_grid(self):
+        xs = np.linspace(0.23, 0.77, 9)
         for detuning in np.linspace(1, 50, 8) * MDEG:
-            for x in np.linspace(0.23, 0.77, 9):
-                sol = emission_angles_exact(float(x), float(detuning), THETA_B_REF)
-                assert sol.residual <= 1e-12
-                assert sol.r_x >= 0 and sol.r_y >= 0
-                assert sol.x + sol.y == pytest.approx(1.0, abs=0)
+            r_x, r_y = emission_angles(xs, float(detuning), THETA_B_REF)
+            for x, rx, ry in zip(xs, r_x, r_y):
+                assert transverse_residual(float(x), rx, ry) <= 1e-12
+                assert rx >= 0 and ry >= 0
 
     def test_against_independent_two_equation_solver(self):
         # Solve the raw system (transverse + longitudinal) directly with
@@ -142,18 +146,18 @@ class TestEmissionAnglesExact:
 
             guess = emission_angle_approx(x, detuning, THETA_B_REF)
             rx_ref, ry_ref = fsolve(system, (guess, guess), full_output=False)
-            sol = emission_angles_exact(x, detuning, THETA_B_REF)
-            assert sol.r_x == pytest.approx(abs(rx_ref), rel=1e-9)
-            assert sol.r_y == pytest.approx(abs(ry_ref), rel=1e-9)
+            r_x, r_y = emission_angles(x, detuning, THETA_B_REF)
+            assert r_x == pytest.approx(abs(rx_ref), rel=1e-9)
+            assert r_y == pytest.approx(abs(ry_ref), rel=1e-9)
 
     def test_unreachable_raises(self):
         with pytest.raises(PhaseMatchingError):
-            emission_angles_exact(0.5, -10 * MDEG, THETA_B_REF)
+            emission_angles(0.5, -10 * MDEG, THETA_B_REF)
         with pytest.raises(PhaseMatchingError):
             emission_angles([0.5], math.nan, THETA_B_REF)
         # Extreme detuning with an asymmetric split: closure too short.
         with pytest.raises(PhaseMatchingError):
-            emission_angles_exact(0.95, 0.9, THETA_B_REF)
+            emission_angles(0.95, 0.9, THETA_B_REF)
         with pytest.raises(PhaseMatchingError):
             emission_angles(np.array([0.5, 0.95]), 0.9, THETA_B_REF)
 
@@ -162,9 +166,9 @@ class TestEmissionAnglesExact:
         for detuning in (1 * MDEG, 10 * MDEG, 50 * MDEG):
             r_x, r_y = emission_angles(xs, detuning, THETA_B_REF)
             for x, rx, ry in zip(xs, r_x, r_y):
-                sol = emission_angles_exact(float(x), detuning, THETA_B_REF)
-                assert rx == pytest.approx(sol.r_x, rel=1e-12)
-                assert ry == pytest.approx(sol.r_y, rel=1e-12)
+                scalar_rx, scalar_ry = emission_angles(float(x), detuning, THETA_B_REF)
+                assert rx == pytest.approx(scalar_rx, rel=1e-12)
+                assert ry == pytest.approx(scalar_ry, rel=1e-12)
 
     def test_bad_split_in_array_raises(self):
         with pytest.raises(PhysicsError):
@@ -196,9 +200,9 @@ class TestEmissionAnglesExact:
         for x in (0.9, 0.1):
             with pytest.raises(PhaseMatchingError, match="no real emission angle"):
                 emission_angles(x, 0.15, THETA_B_REF)
-        sol = emission_angles_exact(0.9, 0.10, THETA_B_REF)
-        assert sol.r_y == pytest.approx(1.5099, abs=1e-4)
-        assert sol.r_y < 0.5 * math.pi
+        _, r_y = emission_angles(0.9, 0.10, THETA_B_REF)
+        assert r_y == pytest.approx(1.5099, abs=1e-4)
+        assert r_y < 0.5 * math.pi
 
 
 class TestPolarizationSuppression:
@@ -294,6 +298,6 @@ class TestApproxVsExactProperty:
         for detuning in np.linspace(1, 50, 15) * MDEG:
             for x in np.linspace(0.23, 0.77, 15):
                 approx = emission_angle_approx(float(x), float(detuning), THETA_B_REF)
-                exact = emission_angles_exact(float(x), float(detuning), THETA_B_REF)
-                worst = max(worst, abs(approx - exact.r_x) / exact.r_x)
+                exact = emission_angles(float(x), float(detuning), THETA_B_REF)[0]
+                worst = max(worst, abs(approx - exact) / exact)
         assert worst < 0.01
