@@ -31,6 +31,9 @@ PAIR_DTYPE = np.dtype(
 )
 
 
+# Most (E1, dt) bins of a correlation map: 128 MiB of int64 counts.
+_MAX_MAP_BINS = 2**24
+
 # Least stream-1 events per pairing block: few enough that a block's index
 # arrays stay small, enough that a block takes longer than starting the
 # thread that runs it (about 1 ms).
@@ -157,7 +160,6 @@ class RoiResult:
 class ScanResult:
     """Power-law fit of pair rate versus crystal misalignment."""
 
-    points: list[tuple[float, float, float]]  # (detuning mdeg, rate, err)
     amplitude: float
     exponent: float
     exponent_err: float
@@ -188,6 +190,7 @@ class AnalysisResult:
     failed.  roi is the region of interest roi_result was measured in.
     """
 
+    events: tuple[int, int]  # events in stream 1 and stream 2
     pairs: np.ndarray
     corr_map: CorrelationMap
     time_fit: GaussianFit | None
@@ -195,6 +198,38 @@ class AnalysisResult:
     energy_centroid_err: float | None
     roi: RoiSpec
     roi_result: RoiResult
+
+    def summary(self) -> dict[str, str]:
+        """The analysis_report.txt entries in file order, values as written;
+        no time-fit or centroid entries where that stage gave None."""
+        fit, roi, corr_map = self.time_fit, self.roi_result, self.corr_map
+        entries: dict[str, object] = {
+            "events_d1": self.events[0],
+            "events_d2": self.events[1],
+            "pairs_accepted": int(corr_map.counts.sum()),
+            "duration_s": corr_map.duration_s,
+            "mean_current": corr_map.mean_current,
+        }
+        if fit is not None:
+            entries.update(
+                time_sigma_ns=f"{fit.sigma:.2f}",
+                time_sigma_err_ns=f"{fit.sigma_err:.2f}",
+                time_center_ns=f"{fit.center:.2f}",
+                time_center_err_ns=f"{fit.center_err:.2f}",
+            )
+        if self.energy_centroid is not None:
+            entries.update(
+                peak_e1_centroid_ev=f"{self.energy_centroid:.1f}",
+                peak_e1_centroid_err_ev=f"{self.energy_centroid_err:.1f}",
+            )
+        entries.update(
+            roi_counts=roi.roi_counts,
+            sideband_counts=roi.sideband_counts,
+            sideband_estimate=f"{roi.sideband_estimate:.3f}",
+            net_rate_per_hr=f"{roi.net_rate_per_hr:.3f}",
+            net_rate_err_per_hr=f"{roi.net_rate_err_per_hr:.3f}",
+        )
+        return {key: str(value) for key, value in entries.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +348,14 @@ def build_correlation_map(
     if not (duration_s > 0 and mean_current > 0 and 0 < hours < math.inf):
         raise AnalysisError("duration and mean current must be > 0, with a finite product")
     e_lo, e_hi = criteria.single_energy_window_ev
-    n_e = int(math.ceil((e_hi - e_lo) / criteria.e_bin_ev))
+    # Counted in floats, so that no window is too wide to count.
+    n_e = float(np.ceil((e_hi - e_lo) / criteria.e_bin_ev))
+    n_dt = 2.0 * (criteria.max_abs_dt_ns // criteria.dt_bin_ns) + 1
+    if not n_e * n_dt <= _MAX_MAP_BINS:
+        raise AnalysisError(f"a map of {n_e * n_dt:.3g} bins is over the limit of {_MAX_MAP_BINS}")
+    n_e, n_dt = int(n_e), int(n_dt)
     e_edges = e_lo + criteria.e_bin_ev * np.arange(n_e + 1, dtype=np.float64)
     half = 0.5 * criteria.dt_bin_ns
-    n_dt = 2 * int(criteria.max_abs_dt_ns // criteria.dt_bin_ns) + 1
     dt_edges = -criteria.max_abs_dt_ns - half + criteria.dt_bin_ns * np.arange(
         n_dt + 1, dtype=np.float64
     )
@@ -687,41 +726,26 @@ def fit_misalignment_scan(
     if len(usable) < 2:
         raise AnalysisError("need at least 2 usable points to fit")
 
-    u = np.log([p[0] for p in usable])
-    v = np.log([p[1] for p in usable])
-    w = np.array([(p[1] / p[2]) ** 2 for p in usable])  # 1/sigma_logr^2
-
-    s_w = w.sum()
-    s_u = (w * u).sum()
-    s_v = (w * v).sum()
-    s_uu = (w * u * u).sum()
-    s_uv = (w * u * v).sum()
-    delta = s_w * s_uu - s_u * s_u
-    if delta <= 0:
+    detunings, rates, errors = np.array(usable).T
+    if np.ptp(detunings) == 0:
         raise AnalysisError("degenerate scan: detunings are identical")
-    intercept = (s_uu * s_v - s_u * s_uv) / delta
-    slope = (s_w * s_uv - s_u * s_v) / delta
-    slope_err = math.sqrt(s_w / delta)
-    resid = v - (intercept + slope * u)
-    dof = max(len(usable) - 2, 1)
-    chi2 = float((w * resid**2).sum()) / dof
+    u, v = np.log(detunings), np.log(rates)
+    w = (rates / errors) ** 2  # 1/sigma_logr^2
+    (slope, intercept), cov = np.polyfit(u, v, 1, w=np.sqrt(w), cov="unscaled")
+    chi2 = float((w * (v - (intercept + slope * u)) ** 2).sum()) / max(len(usable) - 2, 1)
 
     # Fixed-exponent fit: log(rate) + 0.5 log(detuning) = log(A)
     target = v + 0.5 * u
-    a_fixed = (w * target).sum() / s_w
-    a_fixed_err = math.sqrt(1.0 / s_w)
-    resid_fixed = target - a_fixed
-    dof_fixed = max(len(usable) - 1, 1)
-    chi2_fixed = float((w * resid_fixed**2).sum()) / dof_fixed
+    a_fixed = float(np.average(target, weights=w))
+    chi2_fixed = float((w * (target - a_fixed) ** 2).sum()) / max(len(usable) - 1, 1)
 
     return ScanResult(
-        points=list(points),
         amplitude=math.exp(intercept),
-        exponent=slope,
-        exponent_err=slope_err,
+        exponent=float(slope),
+        exponent_err=math.sqrt(cov[0, 0]),
         chi2_per_dof=chi2,
         amplitude_fixed=math.exp(a_fixed),
-        amplitude_fixed_err=a_fixed_err * math.exp(a_fixed),
+        amplitude_fixed_err=math.sqrt(1.0 / w.sum()) * math.exp(a_fixed),
         chi2_per_dof_fixed=chi2_fixed,
         n_used=len(usable),
     )
@@ -817,6 +841,7 @@ def analyze(
     window = (corr_map, roi.t_half_width_ns, roi.sideband_inner_ns)
     centroid, centroid_err = _optional(energy_peak_centroid, *window) or (None, None)
     return AnalysisResult(
+        events=(len(stream1), len(stream2)),
         pairs=pairs,
         corr_map=corr_map,
         time_fit=time_fit,

@@ -79,10 +79,10 @@ def _analysis(args):
             dt_bin_ns=args.dt_bin,
             e_bin_ev=args.e_bin,
         )
+        empty_map = analysis.build_correlation_map(np.empty(0, analysis.PAIR_DTYPE), criteria, 1.0)
     except AnalysisError as exc:
         raise ConfigError(str(exc)) from exc
     roi = RoiSpec(e_center_ev=args.roi_e_center * 1e3, e_half_width_ev=args.roi_e_half * 1e3)
-    empty_map = analysis.build_correlation_map(np.empty(0, analysis.PAIR_DTYPE), criteria, 1.0)
     if not roi.energy_rows(empty_map.e_centers_ev).any():
         raise ConfigError("--roi-e-center and --roi-e-half select no E1 bin")
     return functools.partial(
@@ -141,12 +141,10 @@ def cmd_plan(args) -> int:
     run = cfg.build_run_config(settings)
     exp = run.experiment
     if exp.crystal.detuning_rad <= 0:
-        print(
-            "error: phase matching unreachable at detuning "
-            f"{exp.crystal.detuning_rad / DEG * 1e3:.1f} mdeg (need > 0)",
-            file=sys.stderr,
+        raise ConfigError(
+            "phase matching unreachable at detuning "
+            f"{exp.crystal.detuning_rad / DEG * 1e3:.1f} mdeg (need > 0)"
         )
-        return EXIT_CONFIG
     theta_b = exp.theta_b()
     det1, det2 = exp.positioned_detectors()
     suppression = polarization_suppression(theta_b, exp.beam.polarization_angle_rad)
@@ -280,34 +278,7 @@ def cmd_analyze(args) -> int:
         (corr_map.e_centers_ev[rows], corr_map.dt_centers_ns[cols], corr_map.counts[rows, cols]),
         map_meta,
     )
-
-    time_fit, roi = result.time_fit, result.roi_result
-    report: dict[str, object] = {
-        "events_d1": len(stream1),
-        "events_d2": len(stream2),
-        "pairs_accepted": int(corr_map.counts.sum()),
-        "duration_s": duration_s,
-        "mean_current": mean_current,
-    }
-    if time_fit is not None:
-        report.update(
-            time_sigma_ns=f"{time_fit.sigma:.2f}",
-            time_sigma_err_ns=f"{time_fit.sigma_err:.2f}",
-            time_center_ns=f"{time_fit.center:.2f}",
-            time_center_err_ns=f"{time_fit.center_err:.2f}",
-        )
-    if result.energy_centroid is not None:
-        report.update(
-            peak_e1_centroid_ev=f"{result.energy_centroid:.1f}",
-            peak_e1_centroid_err_ev=f"{result.energy_centroid_err:.1f}",
-        )
-    report.update(
-        roi_counts=roi.roi_counts,
-        sideband_counts=roi.sideband_counts,
-        sideband_estimate=f"{roi.sideband_estimate:.3f}",
-        net_rate_per_hr=f"{roi.net_rate_per_hr:.3f}",
-        net_rate_err_per_hr=f"{roi.net_rate_err_per_hr:.3f}",
-    )
+    report = result.summary()
     listmode.write_manifest(os.path.join(args.out, "analysis_report.txt"), report)
     for key, value in report.items():
         print(f"{key} = {value}")
@@ -332,8 +303,7 @@ def cmd_scan(args) -> int:
     from concurrent.futures.process import BrokenProcessPool
 
     if any(d <= 0 for d in args.detunings):
-        print("error: scan detunings must be > 0 mdeg", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("scan detunings must be > 0 mdeg")
     run_analysis = _analysis(args)
     settings = _load_settings(args)
     runs = []  # detuning-major, then seed; all built before any simulation starts

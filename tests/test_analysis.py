@@ -260,6 +260,28 @@ class TestCorrelationMap:
         part2 = build_correlation_map(pairs[half:], CRIT, duration_s=0.005)
         assert np.array_equal(whole.counts, part1.counts + part2.counts)
 
+    @pytest.mark.parametrize(
+        "criteria",
+        [
+            CoincidenceCriteria(single_energy_window_ev=(0.0, math.inf)),
+            CoincidenceCriteria(single_energy_window_ev=(5000.0, 1e303)),
+            CoincidenceCriteria(max_abs_dt_ns=10**19),
+        ],
+        ids=["infinite-window", "1e303-window", "1e19-horizon"],
+    )
+    def test_map_too_large_to_count_in_ints_is_refused(self, criteria):
+        with pytest.raises(AnalysisError, match="bins is over the limit of 16777216"):
+            build_correlation_map(np.empty(0, analysis.PAIR_DTYPE), criteria, 1.0)
+
+    def test_bin_limit_counts_the_bins_built(self, monkeypatch):
+        # The default map has 120 x 201 bins; the limit admits exactly that many.
+        monkeypatch.setattr(analysis, "_MAX_MAP_BINS", 120 * 201)
+        empty = np.empty(0, analysis.PAIR_DTYPE)
+        assert build_correlation_map(empty, CRIT, 1.0).counts.shape == (120, 201)
+        wider = CoincidenceCriteria(single_energy_window_ev=(5000.0, 17000.5))
+        with pytest.raises(AnalysisError, match=r"2\.43e\+04 bins is over the limit of 24120"):
+            build_correlation_map(empty, wider, 1.0)
+
     def test_accidental_dt_marginal_is_flat(self):
         # Fluorescence-only simulation with two lines that pair across
         # the sum window: the time-difference marginal must be uniform.
