@@ -63,6 +63,8 @@ class CoincidenceCriteria:
             raise AnalysisError("sum window half-width must be > 0")
         if self.max_abs_dt_ns < 5 * self.dt_bin_ns:
             raise AnalysisError("pairing horizon must span at least 5 dt bins")
+        if self.max_abs_dt_ns >= 2**62:  # stamp - horizon must fit in int64
+            raise AnalysisError("pairing horizon must be below 2**62 ns")
         if self.dt_bin_ns <= 0 or self.e_bin_ev <= 0:
             raise AnalysisError("bin widths must be > 0")
 

@@ -186,7 +186,6 @@ def cmd_simulate(args) -> int:
     run = cfg.build_run_config(settings)
     digest = cfg.config_hash(settings)
     stream1, stream2, manifest = events.simulate_run(run, config_hash=digest)
-    merged = listmode.merge_streams(stream1, stream2)
     os.makedirs(args.out, exist_ok=True)
     event_path = os.path.join(args.out, "events.xpdc")
     header = listmode.ListModeHeader(
@@ -194,17 +193,19 @@ def cmd_simulate(args) -> int:
         detector_count=2,
         config_hash=digest,
     )
-    listmode.write_listmode(event_path, merged, header)
+    listmode.write_listmode(
+        event_path,
+        listmode.merged_blocks(stream1, stream2),
+        header,
+        csv_path=os.path.join(args.out, "events.csv") if args.csv else None,
+    )
     listmode.write_manifest(
         os.path.join(args.out, "manifest.txt"), manifest.as_dict()
     )
-    listmode._atomic_write(
-        os.path.join(args.out, "config.txt"), [cfg.canonical_text(settings).encode()]
-    )
-    if args.csv:
-        listmode.write_events_csv(os.path.join(args.out, "events.csv"), merged)
+    with listmode._atomic_write(os.path.join(args.out, "config.txt")) as out:
+        out.write(cfg.canonical_text(settings).encode())
     print(
-        f"wrote {len(merged)} events to {event_path} "
+        f"wrote {len(stream1) + len(stream2)} events to {event_path} "
         f"(pairs generated {manifest.pairs_generated}, "
         f"detected both {manifest.pairs_detected_both})"
     )

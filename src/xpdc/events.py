@@ -479,18 +479,29 @@ def _apply_response_batch(
     return times_ns, energies_ev, keep
 
 
-def _members_recorded(kept: np.ndarray, order: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """Which of the leading entries of a detector's block were recorded.
+def _sorted_members(kept: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where the kept leading entries of a detector's block sit after the
+    sort, and which leading entry each one is.
 
-    kept is the response keep mask over those entries, order the stable
-    argsort of all kept stamps and live the dead-time mask over the
-    sorted stamps.  The kept leading entries are the first
-    count_nonzero(kept) of the kept ones, so they sit where order is
-    below that count.
+    kept is the response keep mask over those entries and order the
+    stable argsort of all kept stamps.  The kept leading entries are the
+    first count_nonzero(kept) of the kept ones, so they sit where order
+    is below that count.  Both arrays are as long as the kept members, so
+    the full-length order need not be held through the dead-time walk.
     """
-    recorded = np.zeros(len(kept), dtype=bool)
     at = np.flatnonzero(order < np.count_nonzero(kept))
-    recorded[np.flatnonzero(kept)[order[at[live[at]]]]] = True
+    return at, np.flatnonzero(kept)[order[at]]
+
+
+def _members_recorded(
+    count: int, members: tuple[np.ndarray, np.ndarray], live: np.ndarray
+) -> np.ndarray:
+    """Which of the count leading entries of a detector's block were
+    recorded: those of its _sorted_members that live, the dead-time mask
+    over the sorted stamps, keeps."""
+    at, index = members
+    recorded = np.zeros(count, dtype=bool)
+    recorded[index[live[at]]] = True
     return recorded
 
 
@@ -595,11 +606,12 @@ def simulate_run(
         order = np.argsort(stamps, kind="stable")
         stamps = stamps[order]
         energies = energies[order]
+        members = _sorted_members(kept_members, order)
+        del order
         live = _dead_time_mask(stamps, exp.response.dead_time_ns)
         recorded_members[det_index, pair_members[det_index]] = _members_recorded(
-            kept_members, order, live
+            len(kept_members), members, live
         )
-        del order
         streams.append(Stream(stamps[live], energies[live]))
         del stamps, energies, live
 

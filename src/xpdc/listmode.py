@@ -15,18 +15,20 @@ File layout (all integers little endian):
 Records are non-decreasing in timestamp within each detector id, every
 timestamp is below 2**63, and every detector id is in 1..detector count.
 Records exist only at this file boundary: split_streams (or read_streams,
-straight from a file) turns them into Streams, merge_streams packs
-Streams back.  Every output file is written
-to a temporary file in the target directory, then renamed atomically.
+straight from a file) turns them into Streams, merged_blocks packs
+Streams back block by block, and write_listmode writes those blocks as
+they come.  Every output file is written to a temporary file in the
+target directory, then renamed atomically.
 """
 
 from __future__ import annotations
 
+import contextlib
 import mmap
 import os
 import stat
 import tempfile
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -39,10 +41,13 @@ HEADER_SIZE = 18
 EVENT_DTYPE = np.dtype(  # one record, packed to 13 bytes
     [("detector_id", "<u1"), ("timestamp_ns", "<u8"), ("energy_ev", "<u4")]
 )
+_CSV_HEADER = (",".join(EVENT_DTYPE.names) + "\n").encode()
 # CSV rows rendered per chunk, so no CSV is held in memory whole.
 _CSV_BLOCK_ROWS = 65536
-# Events of the longest Stream merged per block by merge_streams.
+# Events of the longest Stream merged per block by merged_blocks.
 _MERGE_BLOCK = 65536
+# Records gathered per block by split_streams.
+_SPLIT_BLOCK = 65536
 _HEADER_DTYPE = np.dtype([("magic", "S4"), ("version", "<u1"), ("clock_tick_ns", "<u4"),
                           ("detector_count", "<u1"), ("config_hash", "<u8")])
 
@@ -68,13 +73,15 @@ def fnv1a64(data: bytes) -> int:
     return value
 
 
-def _atomic_write(path: str, chunks: Iterable) -> None:
-    """Write the bytes-like chunks to path: all of them, or no file."""
+@contextlib.contextmanager
+def _atomic_write(path: str) -> Iterator:
+    """A binary handle on a temporary file beside path, renamed to path when
+    the with block ends: the whole file, or, if the block raises, no file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".xpdc-tmp-")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.writelines(chunks)
+            yield handle
         # mkstemp creates the file 0600; give it the mode open() would.
         umask = os.umask(0)
         os.umask(umask)
@@ -86,16 +93,35 @@ def _atomic_write(path: str, chunks: Iterable) -> None:
         raise
 
 
-def write_listmode(path: str, events: np.ndarray, header: ListModeHeader) -> None:
-    """Write a merged event stream to a list-mode file.
+def write_listmode(
+    path: str,
+    events: np.ndarray | Iterable[np.ndarray],
+    header: ListModeHeader,
+    csv_path: str | None = None,
+) -> None:
+    """Write records to a list-mode file and, with csv_path, to a CSV file
+    as write_events_csv does, in one pass.
 
-    events must be an EVENT_DTYPE array; ordering is validated the same
-    way read_listmode validates it.
+    events is an EVENT_DTYPE array, or EVENT_DTYPE blocks in file order
+    (as merged_blocks yields them), each written as it comes.  Records are
+    validated as read_listmode validates them, each detector's order across
+    block edges too; the first block at fault raises, and no file is left.
     """
-    events = np.ascontiguousarray(events, dtype=EVENT_DTYPE)
-    _validate_records(events, header.detector_count)
+    last = np.zeros(header.detector_count, dtype=np.uint64)
     head = (MAGIC, header.version, header.clock_tick_ns, header.detector_count, header.config_hash)
-    _atomic_write(path, (np.array([head], dtype=_HEADER_DTYPE), events))
+    with contextlib.ExitStack() as files:
+        out = files.enter_context(_atomic_write(path))
+        out.write(np.array([head], dtype=_HEADER_DTYPE))
+        if csv_path is not None:
+            csv = files.enter_context(_atomic_write(csv_path))
+            csv.write(_CSV_HEADER)
+        for block in [events] if isinstance(events, np.ndarray) else events:
+            block = np.ascontiguousarray(block, dtype=EVENT_DTYPE)
+            _validate_records(block, header.detector_count, last)
+            out.write(block)
+            if csv_path is not None:
+                csv.writelines(_csv_chunks(block))
+            del block  # freed before the next block is made
 
 
 def _read_records(path: str) -> tuple[np.ndarray, ListModeHeader]:
@@ -156,48 +182,75 @@ def _order_error(det: int) -> ListModeFormatError:
     return ListModeFormatError(f"timestamps for detector {det} decrease or reach 2**63 ns")
 
 
-def _validate_records(events: np.ndarray, detector_count: int) -> None:
+def _validate_records(
+    events: np.ndarray, detector_count: int, last: np.ndarray | None = None
+) -> None:
+    """Raise the format error for ids outside 1..detector_count, else for
+    the first detector whose stamps decrease or reach 2**63.  last, if
+    given, holds each detector's last stamp before these records (0 for
+    none), which theirs must not undercut, and is brought up to date: so
+    records can be checked block by block."""
     ids, t = events["detector_id"], events["timestamp_ns"]
     _check_ids(ids, detector_count)
-    # Records in global time order pass in one test; else each detector is tested.
-    if not stamps_in_order(t):
-        for det in range(1, detector_count + 1):
-            if not stamps_in_order(t[ids == det]):
+    dets = range(1, detector_count + 1)
+    # Records in global time order, from the latest earlier stamp on, pass
+    # in one test; else each detector is tested.
+    after = last is None or not len(t) or t[0] >= last.max()
+    if not (after and stamps_in_order(t)):
+        for det in dets:
+            mine = t[ids == det]
+            if last is not None:
+                mine = np.concatenate((last[det - 1 : det], mine))
+            if not stamps_in_order(mine):
                 raise _order_error(det)
+    if last is not None:
+        for det in dets:
+            mine = ids[::-1] == det
+            if mine.any():
+                last[det - 1] = t[len(t) - 1 - np.argmax(mine)]
 
 
 def split_streams(events: np.ndarray, detector_count: int = 2) -> list[Stream]:
     """One Stream per detector, in file order, from a record array; raises
     read_listmode's ListModeFormatError for ids outside 1..detector_count,
     before any gather, or for the first detector whose stamps are out of
-    order.  The id column is copied once; each detector's index, from
-    that copy, gathers its columns by indexing (take() would first copy
-    each whole strided field) into the Stream that checks their order,
-    on thread_map."""
+    order.  The id column is copied once; each detector's mask of that
+    copy gathers its columns _SPLIT_BLOCK records at a time, by indexing
+    (take() would first copy each whole strided field), so no index is
+    longer than a block, into the Stream that checks their order, on
+    thread_map."""
     ids = np.ascontiguousarray(events["detector_id"])
     _check_ids(ids, detector_count)
 
     def stream(det: int) -> Stream:
-        index = np.flatnonzero(ids == det)
+        mine = ids == det
+        stamps = np.empty(np.count_nonzero(mine), dtype=np.uint64)
+        energies = np.empty(len(stamps), dtype=np.uint32)
+        filled = 0
+        for start in range(0, len(ids), _SPLIT_BLOCK):
+            index = np.flatnonzero(mine[start : start + _SPLIT_BLOCK])
+            index += start
+            stamps[filled : filled + len(index)] = events["timestamp_ns"][index]
+            energies[filled : filled + len(index)] = events["energy_ev"][index]
+            filled += len(index)
         try:
-            return Stream(events["timestamp_ns"][index], events["energy_ev"][index])
+            return Stream(stamps, energies)
         except ValueError:
             raise _order_error(det) from None
 
     return thread_map(stream, range(1, detector_count + 1))
 
 
-def merge_streams(*streams: Stream) -> np.ndarray:
-    """Pack Streams into one timestamp-sorted EVENT_DTYPE record array; the
-    k-th Stream gets detector id k + 1.  Tied timestamps keep the order of
-    the Streams, and their order within each.
+def merged_blocks(*streams: Stream) -> Iterator[np.ndarray]:
+    """Pack Streams into timestamp-sorted EVENT_DTYPE records, yielded as
+    blocks in file order; the k-th Stream gets detector id k + 1.  Tied
+    timestamps keep the order of the Streams, and their order within each.
 
     The longest Stream, k, is cut into blocks of _MERGE_BLOCK events; at
     the cut stamps the Streams before k take side="right" and those after
     it side="left", so each block is a run of the merged order.  Each
-    block is sorted stably into its own slice of the result, so no
-    temporary is longer than a block and its share of the other Streams."""
-    merged = np.empty(sum(len(s) for s in streams), dtype=EVENT_DTYPE)
+    block is sorted stably on its own, so no temporary is longer than a
+    block and its share of the other Streams."""
     k = int(np.argmax([len(s) for s in streams]))
     cuts = np.arange(_MERGE_BLOCK, len(streams[k]), _MERGE_BLOCK)
     at = streams[k].timestamp_ns[cuts]
@@ -205,17 +258,32 @@ def merge_streams(*streams: Stream) -> np.ndarray:
     for j, s in enumerate(streams):
         ends = cuts if j == k else np.searchsorted(s.timestamp_ns, at, "right" if j < k else "left")
         edges.append(np.concatenate(([0], ends, [len(s)])))
-    ids = np.arange(1, len(streams) + 1, dtype=np.uint8)
-    start = 0
     for block in range(len(cuts) + 1):
-        parts = [(s, e[block], e[block + 1]) for s, e in zip(streams, edges)]
-        stamps = np.concatenate([s.timestamp_ns[lo:hi] for s, lo, hi in parts])
-        order = np.argsort(stamps, kind="stable")
-        out = merged[start : start + len(stamps)]
-        out["detector_id"] = np.repeat(ids, [hi - lo for _, lo, hi in parts])[order]
-        out["timestamp_ns"] = stamps[order]
-        out["energy_ev"] = np.concatenate([s.energy_ev[lo:hi] for s, lo, hi in parts])[order]
-        start += len(stamps)
+        yield _merge_block([(s, e[block], e[block + 1]) for s, e in zip(streams, edges)])
+
+
+def _merge_block(parts: list[tuple[Stream, int, int]]) -> np.ndarray:
+    """The records of the (Stream, lo, hi) slices, stably sorted by stamp;
+    the k-th slice gets detector id k + 1.  A function of its own, so that
+    no temporary outlives the block."""
+    stamps = np.concatenate([s.timestamp_ns[lo:hi] for s, lo, hi in parts])
+    order = np.argsort(stamps, kind="stable")
+    records = np.empty(len(stamps), dtype=EVENT_DTYPE)
+    ids = np.arange(1, len(parts) + 1, dtype=np.uint8)
+    records["detector_id"] = np.repeat(ids, [hi - lo for _, lo, hi in parts])[order]
+    records["timestamp_ns"] = stamps[order]
+    records["energy_ev"] = np.concatenate([s.energy_ev[lo:hi] for s, lo, hi in parts])[order]
+    return records
+
+
+def merge_streams(*streams: Stream) -> np.ndarray:
+    """merged_blocks' records, in one array."""
+    merged = np.empty(sum(len(s) for s in streams), dtype=EVENT_DTYPE)
+    start = 0
+    for block in merged_blocks(*streams):
+        merged[start : start + len(block)] = block
+        start += len(block)
+        del block  # freed before the next block is merged
     return merged
 
 
@@ -226,15 +294,12 @@ def write_csv(
     then row_format.format(*values) for each row of the equal-length
     column arrays, rendered _CSV_BLOCK_ROWS rows at a time."""
     row = (row_format + "\n").format
-
-    def chunks():
+    with _atomic_write(path) as out:
         meta_lines = [f"# {key} = {value}\n" for key, value in meta.items()]
-        yield "".join(meta_lines + [header + "\n"]).encode()
+        out.write("".join(meta_lines + [header + "\n"]).encode())
         for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
             block = [column[start : start + _CSV_BLOCK_ROWS].tolist() for column in columns]
-            yield "".join(map(row, *block)).encode()
-
-    _atomic_write(path, chunks())
+            out.write("".join(map(row, *block)).encode())
 
 
 def _decimal_digits(out: np.ndarray, values: np.ndarray) -> None:
@@ -257,41 +322,45 @@ def _decimal_digits(out: np.ndarray, values: np.ndarray) -> None:
 def _csv_rows(columns: Sequence[np.ndarray]) -> bytes:
     """Comma-separated decimal lines of non-empty unsigned integer columns,
     from an ASCII matrix of character position x line, with each column as
-    wide as its largest value; a mask drops the leading zeros.  Built
-    transposed, so every digit and mask write is contiguous."""
+    wide as its largest value.  Leading zeros are written as NUL bytes and
+    removed from the finished text, which holds no other NUL.  Built
+    transposed, on contiguous copies of the columns, so every write is
+    contiguous."""
+    columns = [np.ascontiguousarray(column) for column in columns]
     widths = [len(str(int(column.max()))) for column in columns]
     text = np.empty((sum(widths) + len(columns), len(columns[0])), dtype=np.uint8)
-    keep = np.ones(text.shape, dtype=bool)
     end = 0
     for column, width in zip(columns, widths):
         start, end = end, end + width
         _decimal_digits(text[start:end], column)
         text[start:end] += ord("0")
         for j in range(start, end - 1):  # row j holds the 10**(end-1-j) digit
-            np.greater_equal(column, 10 ** (end - 1 - j), out=keep[j])
+            text[j] *= column >= 10 ** (end - 1 - j)
         text[end] = ord(",")
         end += 1
     text[-1] = ord("\n")
-    return text.T[keep.T].tobytes()
+    return text.T.tobytes().replace(b"\0", b"")
+
+
+def _csv_chunks(events: np.ndarray) -> Iterator[bytes]:
+    """write_events_csv's lines of the records, _CSV_BLOCK_ROWS at a time."""
+    for start in range(0, len(events), _CSV_BLOCK_ROWS):
+        block = events[start : start + _CSV_BLOCK_ROWS]
+        yield _csv_rows([block[name] for name in EVENT_DTYPE.names])
 
 
 def write_events_csv(path: str, events: np.ndarray) -> None:
     """Events as CSV: the header detector_id,timestamp_ns,energy_ev, then a
     line per record in file order, rendered _CSV_BLOCK_ROWS at a time."""
-    names = EVENT_DTYPE.names
-
-    def chunks():
-        yield (",".join(names) + "\n").encode()
-        for start in range(0, len(events), _CSV_BLOCK_ROWS):
-            block = events[start : start + _CSV_BLOCK_ROWS]
-            yield _csv_rows([block[name] for name in names])
-
-    _atomic_write(path, chunks())
+    with _atomic_write(path) as out:
+        out.write(_CSV_HEADER)
+        out.writelines(_csv_chunks(events))
 
 
 def write_manifest(path: str, entries: dict[str, object]) -> None:
     """Flat key = value manifest, one entry per line."""
-    _atomic_write(path, ["".join(f"{key} = {value}\n" for key, value in entries.items()).encode()])
+    with _atomic_write(path) as out:
+        out.write("".join(f"{key} = {value}\n" for key, value in entries.items()).encode())
 
 
 def read_manifest(path: str) -> dict[str, str]:

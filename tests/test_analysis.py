@@ -265,9 +265,9 @@ class TestCorrelationMap:
         [
             CoincidenceCriteria(single_energy_window_ev=(0.0, math.inf)),
             CoincidenceCriteria(single_energy_window_ev=(5000.0, 1e303)),
-            CoincidenceCriteria(max_abs_dt_ns=10**19),
+            CoincidenceCriteria(max_abs_dt_ns=4 * 10**18),
         ],
-        ids=["infinite-window", "1e303-window", "1e19-horizon"],
+        ids=["infinite-window", "1e303-window", "4e18-horizon"],
     )
     def test_map_too_large_to_count_in_ints_is_refused(self, criteria):
         with pytest.raises(AnalysisError, match="bins is over the limit of 16777216"):
@@ -627,6 +627,15 @@ class TestCriteriaValidation:
     def test_horizon_must_cover_five_bins(self):
         with pytest.raises(AnalysisError):
             CoincidenceCriteria(max_abs_dt_ns=80, dt_bin_ns=20)
+
+    def test_horizon_must_be_below_2_62(self):
+        with pytest.raises(AnalysisError, match=r"^pairing horizon must be below 2\*\*62 ns$"):
+            CoincidenceCriteria(max_abs_dt_ns=2**62)
+        # The widest horizon allowed pairs stamps from 0 to 2**63 - 1.
+        widest = CoincidenceCriteria(max_abs_dt_ns=2**62 - 1)
+        s1 = make_stream([0, 2**63 - 1], [11000, 11000])
+        s2 = make_stream([2**62 - 1, 2**63 - 1], [11000, 11000])
+        assert find_coincidence_pairs(s1, s2, widest)["dt_ns"].tolist() == [2**62 - 1, 0]
 
     def test_sum_window_positive(self):
         with pytest.raises(AnalysisError):

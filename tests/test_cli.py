@@ -44,8 +44,13 @@ BAD_ANALYSIS_FLAGS = [
      "--roi-e-center and --roi-e-half select no E1 bin"),
     # Maps no host could hold: refused before any bin is allocated.
     (["--e-max", "1e300"], "a map of 2.01e+303 bins is over the limit of 16777216"),
-    (["--horizon", "10000000000000000000"],
-     "a map of 1.2e+20 bins is over the limit of 16777216"),
+    # A horizon that pairing could not subtract from a stamp in int64 is
+    # refused before the map is counted; one below that cap, by the map.
+    (["--horizon", "10000000000000000000"], "pairing horizon must be below 2**62 ns"),
+    (["--horizon", "4000000000000000000"],
+     "a map of 4.8e+19 bins is over the limit of 16777216"),
+    (["--dt-bin", "1000000000000000000", "--horizon", "10000000000000000000"],
+     "pairing horizon must be below 2**62 ns"),
 ]
 
 # Flags that each subcommand does not read, with a value where they take one.

@@ -27,6 +27,7 @@ from xpdc.events import (
     _expected_photons,
     _members_recorded,
     _sample_pair_batch,
+    _sorted_members,
     simulate_run,
 )
 from xpdc.listmode import EVENT_DTYPE, merge_streams, write_events_csv
@@ -533,7 +534,7 @@ def members_recorded_both_ways(stamps, keep, members, dead_time_ns):
     order = np.argsort(kept, kind="stable")
     live = _dead_time_mask(kept[order], dead_time_ns)
     return (
-        _members_recorded(keep[:members].copy(), order, live),
+        _members_recorded(members, _sorted_members(keep[:members].copy(), order), live),
         reference_members_recorded(keep, order, live, members),
     )
 

@@ -10,6 +10,7 @@ import pytest
 
 from xpdc import events as events_module, listmode
 from xpdc.cli import main
+from xpdc.config import build_run_config, load_config_file, merge_settings
 from xpdc.events import Stream
 from xpdc.listmode import (
     EVENT_DTYPE,
@@ -18,6 +19,7 @@ from xpdc.listmode import (
     ListModeHeader,
     fnv1a64,
     merge_streams,
+    merged_blocks,
     read_listmode,
     read_manifest,
     read_streams,
@@ -250,6 +252,29 @@ class TestMappedReader:
             tracemalloc.stop()
         assert len(back) == n and peak < 2 * n
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_read_streams_holds_under_5_bytes_per_record_beyond_its_streams(self, tmp_path, cpus):
+        # What grows with the file beyond the Streams is the id column's
+        # copy, one mask of it per detector and each Stream's order check,
+        # 1 B per record each: about 4 B on two threads.  Every index is
+        # one block long.
+        block = listmode._SPLIT_BLOCK
+        rng = np.random.default_rng(33)
+        extra = []
+        for n in (4 * block, 24 * block):
+            path = str(tmp_path / f"{n}.xpdc")
+            write_listmode(path, random_events(rng, n), HEADER)
+            read_streams(path)  # the first call also fills caches
+            with mock.patch.object(events_module, "usable_cpus", return_value=cpus):
+                tracemalloc.start()
+                try:
+                    streams, _ = read_streams(path)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            extra.append(peak - sum(s.timestamp_ns.nbytes + s.energy_ev.nbytes for s in streams))
+        assert (extra[1] - extra[0]) / (20 * block) < 5
+
     @pytest.mark.parametrize("detector_count", [1, 2, 3])
     def test_read_streams_equals_split_of_read_listmode(self, tmp_path, detector_count):
         rng = np.random.default_rng(40 + detector_count)
@@ -368,6 +393,85 @@ class TestStreamHelpers:
         finally:
             tracemalloc.stop()
         assert extra <= 4e6
+
+    @pytest.mark.parametrize("merge_block", [1, 7, 64])
+    def test_streamed_files_equal_files_of_the_whole_merge(self, tmp_path, merge_block):
+        # Stamps drawn from 0..99 tie within and across the Streams.
+        rng = np.random.default_rng(12)
+        streams = [
+            Stream(np.sort(rng.integers(0, 100, n)).astype(np.uint64),
+                   rng.integers(0, 30000, n).astype(np.uint32))
+            for n in (300, 450, 0)
+        ]
+        header = ListModeHeader(clock_tick_ns=20, detector_count=3, config_hash=7)
+        merged = merge_streams(*streams)
+        write_listmode(str(tmp_path / "whole.xpdc"), merged, header)
+        write_events_csv(str(tmp_path / "whole.csv"), merged)
+        with mock.patch.object(listmode, "_MERGE_BLOCK", merge_block), \
+                mock.patch.object(listmode, "_CSV_BLOCK_ROWS", 5):
+            assert len(list(merged_blocks(*streams))) == -(-450 // merge_block)
+            write_listmode(str(tmp_path / "streamed.xpdc"), merged_blocks(*streams), header,
+                           csv_path=str(tmp_path / "streamed.csv"))
+        for suffix in ("xpdc", "csv"):
+            assert (tmp_path / f"streamed.{suffix}").read_bytes() == (
+                tmp_path / f"whole.{suffix}").read_bytes()
+
+    @pytest.mark.parametrize(
+        "ids, stamps, message",
+        [
+            ((1, 2, 1), (100, 50, 90), "timestamps for detector 1 decrease or reach 2\\*\\*63 ns"),
+            ((1, 2, 1, 2), (100, 200, 150, 180),
+             "timestamps for detector 2 decrease or reach 2\\*\\*63 ns"),
+            ((1, 2, 2), (5, 7, 2**63), "timestamps for detector 2 decrease or reach 2\\*\\*63 ns"),
+            ((1, 2, 3), (5, 7, 9), "detector id outside 1..detector count"),
+        ],
+        ids=["detector-1-decreases", "detector-2-decreases", "reaches-2**63", "id-3"],
+    )
+    def test_fault_at_a_block_edge_raises_as_in_one_array(self, tmp_path, ids, stamps, message):
+        # The last record is a block of its own: the fault is at its edge.
+        events = np.zeros(len(ids), dtype=EVENT_DTYPE)
+        events["detector_id"] = ids
+        events["timestamp_ns"] = stamps
+        blocks = [events[:-1], events[-1:]]
+        with pytest.raises(ListModeFormatError, match=f"^{message}$"):
+            write_listmode(str(tmp_path / "whole.xpdc"), events, HEADER)
+        with pytest.raises(ListModeFormatError, match=f"^{message}$"):
+            write_listmode(str(tmp_path / "blocks.xpdc"), blocks, HEADER,
+                           csv_path=str(tmp_path / "blocks.csv"))
+        assert os.listdir(tmp_path) == []
+
+    def test_detectors_may_interleave_across_a_block_edge(self, tmp_path):
+        events = np.zeros(4, dtype=EVENT_DTYPE)
+        events["detector_id"] = (1, 2, 1, 2)
+        events["timestamp_ns"] = (100, 200, 150, 250)
+        write_listmode(str(tmp_path / "blocks.xpdc"), [events[:2], events[2:]], HEADER)
+        assert read_listmode(str(tmp_path / "blocks.xpdc"))[0].tobytes() == events.tobytes()
+
+    def test_simulate_holds_one_merge_block_beyond_its_streams(self, tmp_path, monkeypatch):
+        # simulate writes events.xpdc and events.csv from the Streams block
+        # by block: no record array as long as the run.
+        block = listmode._MERGE_BLOCK
+        events = random_events(np.random.default_rng(9), 9 * block)
+        (tmp_path / "one.cfg").write_text("run.duration = 1 s\n")
+        argv = ["simulate", "--config", str(tmp_path / "one.cfg"), "--csv", "--out", str(tmp_path)]
+        manifest = events_module.simulate_run(build_run_config(
+            merge_settings(load_config_file(str(tmp_path / "one.cfg")))))[2]
+        run = []
+        monkeypatch.setattr(events_module, "simulate_run", lambda *a, **k: (*run, manifest))
+        run[:] = split_streams(events[: 2 * block])
+        assert main(argv) == 0  # the first call also fills caches
+        peaks = []
+        for rows in (2 * block, 9 * block):  # stream 1 in 1 and in at least 4 blocks
+            run[:] = split_streams(events[:rows])
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(read_listmode(str(tmp_path / "events.xpdc"))[0]) == rows
+        assert len(run[0]) >= 4 * block
+        assert peaks[1] <= 1.2 * peaks[0]
 
     def test_failing_row_source_leaves_no_file(self, tmp_path):
         class FailsAfterFirstBlock:
