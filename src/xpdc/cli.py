@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -296,13 +296,19 @@ def _scan_point(run: events.RunConfig, run_analysis) -> tuple[float, float]:
     return roi.net_rate_per_hr, roi.net_rate_err_per_hr
 
 
-def cmd_scan(args) -> int:
-    # Imported here, not at the top: they take about 0.03 s, which no other
-    # subcommand needs to pay.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+def _fit_scan(points):
+    """analysis.fit_misalignment_scan, with each warning it gives printed
+    as one `warning: ` line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return analysis.fit_misalignment_scan(points)
+        finally:
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
 
+
+def cmd_scan(args) -> int:
     if any(d <= 0 for d in args.detunings):
         raise ConfigError("scan detunings must be > 0 mdeg")
     run_analysis = _analysis(args)
@@ -317,14 +323,11 @@ def cmd_scan(args) -> int:
             run_settings["run.seed"] = str(seed)
             runs.append(cfg.build_run_config(run_settings))
     os.makedirs(args.out, exist_ok=True)
-    # fork: the workers inherit the imported modules instead of importing them again.
-    workers = min(len(runs), events.usable_cpus())
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        try:
-            results = list(pool.map(_scan_point, runs, itertools.repeat(run_analysis)))
-        except BrokenProcessPool as exc:
-            print(f"error: a scan worker process died: {exc}", file=sys.stderr)
-            return EXIT_DATA
+    try:
+        results = events.fork_map(functools.partial(_scan_point, run_analysis=run_analysis), runs)
+    except events.WorkerDied as exc:
+        print(f"error: a scan worker process died: {exc}", file=sys.stderr)
+        return EXIT_DATA
     points = []
     n_seeds = len(args.seeds)
     for i, detuning in enumerate(args.detunings):
@@ -340,7 +343,7 @@ def cmd_scan(args) -> int:
         "mean_current": runs[-1].beam_current_profile.mean,
     }
     try:
-        fit = analysis.fit_misalignment_scan(points)
+        fit = _fit_scan(points)
     except AnalysisError as exc:
         meta["fit_error"] = str(exc)
         print(f"warning: scan fit failed: {exc}", file=sys.stderr)
@@ -477,5 +480,23 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DATA
 
 
+def entry() -> None:
+    """The `xpdc` command: main() on sys.argv, then flush stdout and stderr
+    and leave by os._exit with its code, without interpreter teardown.  A
+    stdout that the reader closed is one `error: ` line, exit 1."""
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse: --help, usage errors
+        code = exc.code
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        if code == EXIT_OK:
+            print(f"error: {exc}", file=sys.stderr)
+            code = EXIT_CONFIG
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

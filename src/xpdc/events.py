@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
@@ -76,6 +78,75 @@ def thread_map(function, items: Sequence) -> list:
 
     with ThreadPoolExecutor(workers) as pool:
         return list(pool.map(function, items))
+
+
+class WorkerDied(Exception):
+    """A fork_map worker ended without sending back its results."""
+
+
+def fork_map(function, items: Sequence) -> list:
+    """[function(item) for item in items] on forked worker processes, which
+    inherit the modules, function and items instead of importing or
+    pickling them.
+
+    Forks one worker per usable CPU, at most one per item.  Worker k runs a
+    fixed share, items k, k + workers, ..., and pickles back through a pipe
+    its results or its first exception.  The results come back in input
+    order.  A worker's exception is raised again here; a worker that ends
+    without answering raises WorkerDied.  Every child is reaped before this
+    returns or raises.  stdout and stderr are flushed before forking, so no
+    buffered text is written twice.
+    """
+    workers = min(len(items), usable_cpus())
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pids, read_ends, answers = [], [], []
+    try:
+        for k in range(workers):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _fork_worker(function, items[k::workers], write_end, [read_end, *read_ends])
+            pids.append(pid)
+            read_ends.append(read_end)
+            os.close(write_end)
+        for read_end in read_ends:
+            with open(read_end, "rb", closefd=False) as pipe:
+                answers.append(pipe.read())
+    finally:
+        for read_end in read_ends:
+            os.close(read_end)  # a worker still writing fails and exits
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    results = [None] * len(items)
+    for k, (pid, code, answer) in enumerate(zip(pids, codes, answers)):
+        if code or not answer:
+            raise WorkerDied(f"pid {pid} ended with status {code} before sending its results")
+        done, value = pickle.loads(answer)
+        if not done:
+            raise value
+        results[k::workers] = value
+    return results
+
+
+def _fork_worker(function, share: Sequence, write_end: int, read_ends: list[int]):
+    """A fork_map worker: close the read ends it inherited, send back
+    (True, results) or (False, first exception), and leave by os._exit
+    without running the parent's code or cleanup."""
+    code = 1
+    try:
+        for read_end in read_ends:
+            os.close(read_end)
+        try:
+            answer = (True, [function(item) for item in share])
+        except BaseException as exc:
+            answer = (False, exc)
+        with open(write_end, "wb") as pipe:
+            pickle.dump(answer, pipe)
+        sys.stdout.flush()
+        sys.stderr.flush()
+        code = 0
+    finally:
+        os._exit(code)
 
 
 class ConfigError(ValueError):

@@ -323,9 +323,9 @@ def _csv_rows(columns: Sequence[np.ndarray]) -> bytes:
     """Comma-separated decimal lines of non-empty unsigned integer columns,
     from an ASCII matrix of character position x line, with each column as
     wide as its largest value.  Leading zeros are written as NUL bytes and
-    removed from the finished text, which holds no other NUL.  Built
-    transposed, on contiguous copies of the columns, so every write is
-    contiguous."""
+    removed from the finished text, which holds no other NUL; digit rows
+    that even the smallest value fills hold none.  Built transposed, on
+    contiguous copies of the columns, so every write is contiguous."""
     columns = [np.ascontiguousarray(column) for column in columns]
     widths = [len(str(int(column.max()))) for column in columns]
     text = np.empty((sum(widths) + len(columns), len(columns[0])), dtype=np.uint8)
@@ -334,7 +334,8 @@ def _csv_rows(columns: Sequence[np.ndarray]) -> bytes:
         start, end = end, end + width
         _decimal_digits(text[start:end], column)
         text[start:end] += ord("0")
-        for j in range(start, end - 1):  # row j holds the 10**(end-1-j) digit
+        filled = end - len(str(int(column.min())))  # first row every value fills
+        for j in range(start, filled):  # row j holds the 10**(end-1-j) digit
             text[j] *= column >= 10 ** (end - 1 - j)
         text[end] = ord(",")
         end += 1

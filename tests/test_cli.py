@@ -20,6 +20,22 @@ from xpdc.events import simulate_run
 from xpdc.listmode import HEADER_SIZE, read_listmode, read_manifest, split_streams
 
 
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(xpdc.__file__)))
+
+
+def src_env(**extra: str) -> dict[str, str]:
+    """The environment with the xpdc sources on PYTHONPATH, and extra."""
+    path = [SRC, os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p), **extra)
+
+
+def run_in_subprocess(argv, **kwargs):
+    """subprocess.run of this interpreter in src_env(), output as text."""
+    kwargs.setdefault("env", src_env())
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, timeout=120,
+                          **kwargs)
+
+
 @pytest.fixture()
 def short_config(tmp_path):
     path = tmp_path / "short.cfg"
@@ -359,7 +375,8 @@ class TestAnalyze:
     ):
         # The split checks each detector's stamps as it builds its Stream;
         # after it only a candidate Stream, which a window that drops
-        # events builds anew, checks its own (shorter) column.
+        # events builds anew, checks its own (shorter) column.  The split
+        # builds the Streams on threads, so the checks come in any order.
         out = str(tmp_path / "run")
         assert main(["simulate", "--config", short_config, "--out", out]) == 0
         path = os.path.join(out, "events.xpdc")
@@ -377,7 +394,7 @@ class TestAnalyze:
         monkeypatch.setattr(listmode, "stamps_in_order", counted)
         assert main(["analyze", path, *window, "--out", out]) == 0
         candidates = [k for k, s in zip(kept, streams) if k < len(s)]
-        assert checked == [len(s) for s in streams] + candidates
+        assert sorted(checked) == sorted([len(s) for s in streams] + candidates)
         if window:
             assert len(checked) == 2
 
@@ -511,6 +528,40 @@ class TestScan:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not (out / "scan_result.csv").exists()
+
+    @pytest.mark.parametrize("case", ["success", "config-error", "worker-death"])
+    def test_scan_leaves_no_child_process(self, tmp_path, monkeypatch, case):
+        if case == "worker-death":
+            monkeypatch.setattr(events, "simulate_run", lambda *args, **kwargs: os._exit(1))
+        duration = "1e8 s" if case == "config-error" else "5 s"  # 1e8 s: over the photon budget
+        monkeypatch.setenv("XPDC_RUN_DURATION", duration)
+        code = main(["scan", "--detunings", "5,10,20", "--out", str(tmp_path / "scan")])
+        assert code == {"success": 0, "config-error": 1, "worker-death": 2}[case]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_scan_imports_no_process_pool(self, tmp_path):
+        probe = run_in_subprocess(
+            ["-c", "import sys; from xpdc.cli import main; main(sys.argv[1:]); "
+                   "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
+                   "if m in sys.modules])",
+             "scan", "--detunings", "5,10", "--out", str(tmp_path / "scan")],
+            env=src_env(XPDC_RUN_DURATION="5 s"), check=True,
+        )
+        assert probe.stdout.splitlines()[-1] == "[]"
+
+    def test_fit_warnings_are_one_line_each(self, tmp_path):
+        # 5 s runs give non-positive net rates, which the fit leaves out.
+        cfg = tmp_path / "five.cfg"
+        cfg.write_text("run.duration = 5 s\n")
+        proc = run_in_subprocess(
+            ["-m", "xpdc.cli", "scan", "--config", str(cfg), "--detunings", "5,10,20",
+             "--seeds", "1,2", "--out", str(tmp_path / "scan")],
+        )
+        assert proc.returncode == 0
+        err = proc.stderr.splitlines()
+        assert "warning: excluding non-positive rate at 5.0 mdeg from fit" in err
+        assert all(line.startswith(("warning: ", "error: ")) for line in err), err
 
     def test_nonpositive_detuning_rejected(self, tmp_path, capsys):
         out = tmp_path / "scan"
@@ -799,13 +850,60 @@ def test_os_error_is_one_line_exit_1(tmp_path, capsys, argv):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+class TestMainModule:
+    """`python -m xpdc.cli`, which leaves by os._exit after main()."""
+
+    def test_analyze_writes_what_main_writes(self, tmp_path, short_config, capsys):
+        run = str(tmp_path / "run")
+        assert main(["simulate", "--config", short_config, "--out", run]) == 0
+        events_path = os.path.join(run, "events.xpdc")
+        capsys.readouterr()
+        assert main(["analyze", events_path, "--out", str(tmp_path / "main")]) == 0
+        stdout = capsys.readouterr().out
+        proc = run_in_subprocess(
+            ["-m", "xpdc.cli", "analyze", events_path, "--out", str(tmp_path / "module")]
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, stdout, "")
+        names = sorted(os.listdir(tmp_path / "main"))
+        assert sorted(os.listdir(tmp_path / "module")) == names
+        for name in names:
+            assert (tmp_path / "module" / name).read_bytes() == (
+                tmp_path / "main" / name).read_bytes()
+
+    def test_errors_are_one_line_with_their_exit_code(self, tmp_path, short_config):
+        run = str(tmp_path / "run")
+        assert main(["simulate", "--config", short_config, "--out", run]) == 0
+        events_path = os.path.join(run, "events.xpdc")
+        with open(events_path, "r+b") as handle:
+            handle.truncate(os.path.getsize(events_path) - 3)
+        for argv, code in (
+            (["analyze", events_path, "--roi-sigmas", "0"], 1),
+            (["analyze", events_path], 2),
+        ):
+            proc = run_in_subprocess(["-m", "xpdc.cli", *argv, "--out", str(tmp_path / "a")])
+            assert proc.returncode == code
+            assert len(proc.stderr.splitlines()) == 1
+            assert proc.stderr.startswith("error: ")
+        proc = run_in_subprocess(["-m", "xpdc.cli", "analyze", "--no-such-flag"])
+        assert proc.returncode == 1 and proc.stderr.splitlines()[-1].startswith("error: ")
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_stdout_closed_by_the_reader_is_one_line(self, unbuffered):
+        # Buffered, plan's report fails to be written at the flush after
+        # main(); unbuffered, at its first print, inside main().
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "xpdc.cli", "plan"], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, env=src_env(PYTHONUNBUFFERED=unbuffered),
+        )
+        proc.stdout.close()  # before plan prints its report
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
 def test_cli_import_leaves_scipy_out():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(xpdc.__file__)))
-    path = [src, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    probe = subprocess.run(
-        [sys.executable, "-c", "import sys, xpdc.cli; print('scipy' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True,
+    probe = run_in_subprocess(
+        ["-c", "import sys, xpdc.cli; print('scipy' in sys.modules)"], check=True
     )
     assert probe.stdout.strip() == "False"
 

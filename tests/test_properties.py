@@ -408,6 +408,8 @@ EVENT_ROWS = st.lists(
 
 @PROPERTY
 @example(rows=[(0, 0, 0), (255, 2**64 - 1, 2**32 - 1), (9, 10**19, 9), (10, 10, 10)])
+@example(rows=[(1, 12, 100), (2, 34, 999), (10**2, 10**19, 10**9), (255, 2**64 - 1, 2**32 - 1)])
+@example(rows=[(0, 7, 0), (0, 0, 4000000000)])
 @given(rows=EVENT_ROWS)
 def test_events_csv_in_blocks_equals_row_by_row(scratch, rows):
     events = np.array(rows, dtype=EVENT_DTYPE)
