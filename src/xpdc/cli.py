@@ -300,7 +300,6 @@ def _fit_scan(points):
     """analysis.fit_misalignment_scan, with each warning it gives printed
     as one `warning: ` line."""
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
         try:
             return analysis.fit_misalignment_scan(points)
         finally:

@@ -84,6 +84,11 @@ class WorkerDied(Exception):
     """A fork_map worker ended without sending back its results."""
 
 
+class _WorkerTraceback(Exception):
+    """A fork_map worker's traceback, as text: the cause of the worker's
+    exception where fork_map raises it again."""
+
+
 def fork_map(function, items: Sequence) -> list:
     """[function(item) for item in items] on forked worker processes, which
     inherit the modules, function and items instead of importing or
@@ -92,8 +97,8 @@ def fork_map(function, items: Sequence) -> list:
     Forks one worker per usable CPU, at most one per item.  Worker k runs a
     fixed share, items k, k + workers, ..., and pickles back through a pipe
     its results or its first exception.  The results come back in input
-    order.  A worker's exception is raised again here; a worker that ends
-    without answering raises WorkerDied.  Every child is reaped before this
+    order.  A worker's exception is raised again here, from its traceback
+    in the worker; a worker that ends without answering raises WorkerDied.  Every child is reaped before this
     returns or raises.  stdout and stderr are flushed before forking, so no
     buffered text is written twice.
     """
@@ -121,25 +126,27 @@ def fork_map(function, items: Sequence) -> list:
     for k, (pid, code, answer) in enumerate(zip(pids, codes, answers)):
         if code or not answer:
             raise WorkerDied(f"pid {pid} ended with status {code} before sending its results")
-        done, value = pickle.loads(answer)
+        done, value, trace = pickle.loads(answer)
         if not done:
-            raise value
+            raise value from _WorkerTraceback(trace)
         results[k::workers] = value
     return results
 
 
 def _fork_worker(function, share: Sequence, write_end: int, read_ends: list[int]):
     """A fork_map worker: close the read ends it inherited, send back
-    (True, results) or (False, first exception), and leave by os._exit
-    without running the parent's code or cleanup."""
+    (True, results, None) or (False, first exception, its traceback), and
+    leave by os._exit without running the parent's code or cleanup."""
     code = 1
     try:
         for read_end in read_ends:
             os.close(read_end)
         try:
-            answer = (True, [function(item) for item in share])
+            answer = (True, [function(item) for item in share], None)
         except BaseException as exc:
-            answer = (False, exc)
+            import traceback
+
+            answer = (False, exc, traceback.format_exc())
         with open(write_end, "wb") as pipe:
             pickle.dump(answer, pipe)
         sys.stdout.flush()
