@@ -34,14 +34,25 @@ PAIR_DTYPE = np.dtype(
 # Most (E1, dt) bins of a correlation map: 128 MiB of int64 counts.
 _MAX_MAP_BINS = 2**24
 
+# Most time-window candidates (stream-2 events within the horizon of a
+# stream-1 event) in one pairing block: its index and energy temporaries
+# take about 40 B each, so a few GB.  Only an absurd horizon or a pile-up
+# of events at one time reaches it.
+_MAX_WINDOW_PAIRS = 2**26
+
 # Least stream-1 events per pairing block: few enough that a block's index
-# arrays stay small, enough that a block takes longer than starting the
-# thread that runs it (about 1 ms).
+# arrays stay small, enough that its work outweighs the fixed cost of its
+# numpy calls.
 _PAIR_BLOCK = 1 << 15
 
 
 class AnalysisError(ValueError):
     """Invalid input to an analysis operation."""
+
+
+class WindowLimitError(AnalysisError):
+    """A pairing block with more than _MAX_WINDOW_PAIRS time-window
+    candidates: the windows asked for are at fault more than the data."""
 
 
 @dataclass(frozen=True)
@@ -244,7 +255,14 @@ def select_candidates(stream: Stream, criteria: CoincidenceCriteria) -> Stream:
     event."""
     lo, hi = criteria.single_energy_window_ev
     e = stream.energy_ev
-    keep = (e >= lo) & (e <= hi)
+    # The same test on integer bounds in the uint32 range, so that e is not
+    # compared as float64; an empty range of them keeps nothing.
+    lo = math.ceil(min(max(lo, 0.0), 2.0**32))
+    hi = math.floor(min(max(hi, -1.0), 2.0**32 - 1))
+    if lo > hi:
+        keep = np.zeros(len(e), dtype=bool)
+    else:
+        keep = (e >= np.uint32(lo)) & (e <= np.uint32(hi))
     if np.count_nonzero(keep) == len(e):
         return stream
     index = np.flatnonzero(keep)
@@ -258,15 +276,18 @@ def find_coincidence_pairs(
 
     A pair qualifies when |t2 - t1| <= max_abs_dt and
     |E1 + E2 - sum_center| <= sum_half_width.  Stream 1 is cut into
-    equal blocks of at least _PAIR_BLOCK events, which run on a thread
-    pool (thread_map); each block bisects only the slice of stream 2 its
-    windows span: once per event for its first candidate, and once more,
-    for the window's end, only per event whose first candidate is in its
-    window.  The blocks' pairs are joined in block order, so the result
+    equal blocks of at least _PAIR_BLOCK events, which run on plain
+    threads in fixed shares, the caller running one share (thread_map);
+    each block bisects only the slice of stream 2 its windows span: once
+    per event for its first candidate, and once more, for the window's
+    end, only per event whose first candidate is in its window.  The
+    blocks' pairs are joined in block order, so the result
     does not depend on the block size or the thread count.
     Pairs are ordered by stream-1 event, then stream-2 event.  By default
     one event may appear in several pairs; exclusive=True keeps the
-    greedy smallest-|dt|-first matching instead.
+    greedy smallest-|dt|-first matching instead.  A block whose windows
+    hold more than _MAX_WINDOW_PAIRS candidates raises WindowLimitError
+    before it builds any index array.
 
     Returns a PAIR_DTYPE array with dt = t2 - t1.
     """
@@ -294,6 +315,12 @@ def find_coincidence_pairs(
         live = np.flatnonzero((lo < len(window)) & (window.take(lo, mode="clip") <= highs))
         lo = lo[live]
         counts = np.searchsorted(window, highs[live], side="right") - lo
+        candidates = int(counts.sum())
+        if candidates > _MAX_WINDOW_PAIRS:
+            raise WindowLimitError(
+                f"a pairing block of {len(keys)} events has {candidates:.3g} time-window "
+                f"candidates, over the limit of {_MAX_WINDOW_PAIRS}"
+            )
         idx1 = np.repeat(start + live, counts)
         # Pair p of live key k is stream-2 event first + lo[k] + (p - pairs before k).
         idx2 = np.arange(len(idx1)) - np.repeat(np.cumsum(counts) - counts - lo - first, counts)
@@ -407,8 +434,18 @@ _LOSS_MARGIN = 1e-6
 _NEW_PEAK_GAIN = 12.5
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median of a non-empty float64 array, the same float, from a sort
+    (np.median would import numpy.ma)."""
+    ordered = np.sort(values)
+    half = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[half])
+    return float((ordered[half - 1] + ordered[half]) / 2)
+
+
 def _moment_seeds(centers: np.ndarray, counts: np.ndarray):
-    baseline0 = float(np.median(counts))
+    baseline0 = _median(counts)
     excess = np.clip(counts - baseline0, 0.0, None)
     span = centers[-1] - centers[0]
     if excess.sum() > 0:

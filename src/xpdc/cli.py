@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 
 from . import analysis, config as cfg, events, listmode
-from .analysis import AnalysisError, CoincidenceCriteria, RoiSpec
+from .analysis import AnalysisError, CoincidenceCriteria, RoiSpec, WindowLimitError
 from .events import ConfigError
 from .listmode import ListModeFormatError
 from .physics import (
@@ -471,7 +471,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, PhysicsError, OSError) as exc:
+    except (ConfigError, PhysicsError, OSError, WindowLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (AnalysisError, ListModeFormatError) as exc:

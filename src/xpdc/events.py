@@ -17,6 +17,7 @@ import math
 import os
 import pickle
 import sys
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
@@ -69,15 +70,39 @@ def usable_cpus() -> int:
 
 
 def thread_map(function, items: Sequence) -> list:
-    """[function(item) for item in items], on up to one thread per usable
-    CPU (for numpy work, which releases the GIL); no pool for one thread."""
-    workers = min(len(items), usable_cpus())
-    if workers <= 1:
-        return [function(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor  # 0.01 s, only for a pool
+    """[function(item) for item in items], for numpy work, which releases
+    the GIL: on one plain thread per usable CPU, at most one per item, each
+    with a fixed share as in fork_map.  Thread k runs items k, k + workers,
+    ..., and the caller runs share 0 itself, so one item starts no thread.
+    Every thread is joined before this returns or raises.  A share stops at
+    its first failing item; the exception of the lowest-numbered failing
+    item is raised."""
+    workers = max(min(len(items), usable_cpus()), 1)
+    results = [None] * len(items)
+    errors = [None] * len(items)
 
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(function, items))
+    def run_share(k: int) -> None:
+        for i in range(k, len(items), workers):
+            try:
+                results[i] = function(items[i])
+            except BaseException as exc:
+                errors[i] = exc
+                return
+
+    threads = []
+    try:
+        for k in range(1, workers):
+            thread = threading.Thread(target=run_share, args=(k,))
+            thread.start()
+            threads.append(thread)
+        run_share(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
+    return results
 
 
 class WorkerDied(Exception):
@@ -673,8 +698,9 @@ def simulate_run(
         energies = np.concatenate([member_energies, *bg_energies])
         bg_energies.clear()
         _, _, keep = _apply_response_batch(times, energies, exp.response, resp_rng)
-        times = times[keep]
-        energies = energies[keep]
+        if np.count_nonzero(keep) < len(keep):
+            times = times[keep]
+            energies = energies[keep]
         kept_members = keep[: len(member_times)].copy()  # not a view holding keep
         del keep
         stamps = times.astype(np.uint64)
@@ -690,7 +716,10 @@ def simulate_run(
         recorded_members[det_index, pair_members[det_index]] = _members_recorded(
             len(kept_members), members, live
         )
-        streams.append(Stream(stamps[live], energies[live]))
+        if np.count_nonzero(live) < len(live):
+            stamps = stamps[live]
+            energies = energies[live]
+        streams.append(Stream(stamps, energies))
         del stamps, energies, live
 
     both = recorded_members[0] & recorded_members[1]

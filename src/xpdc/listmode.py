@@ -192,22 +192,36 @@ def _validate_records(
     records can be checked block by block."""
     ids, t = events["detector_id"], events["timestamp_ns"]
     _check_ids(ids, detector_count)
-    dets = range(1, detector_count + 1)
     # Records in global time order, from the latest earlier stamp on, pass
     # in one test; else each detector is tested.
     after = last is None or not len(t) or t[0] >= last.max()
     if not (after and stamps_in_order(t)):
-        for det in dets:
+        for det in range(1, detector_count + 1):
             mine = t[ids == det]
             if last is not None:
                 mine = np.concatenate((last[det - 1 : det], mine))
             if not stamps_in_order(mine):
                 raise _order_error(det)
     if last is not None:
-        for det in dets:
-            mine = ids[::-1] == det
+        _update_last(last, ids, t)
+
+
+def _update_last(last: np.ndarray, ids: np.ndarray, t: np.ndarray) -> None:
+    """Set last[det - 1] to the stamp of each detector's last record, for
+    the detectors the records hold: one pass back from their end, in
+    windows that double from 64 records and stop once every detector is
+    found, so a block whose tail holds every detector reads only that."""
+    todo = list(range(1, len(last) + 1))
+    end, width = len(ids), 64
+    while todo and end:
+        start = max(end - width, 0)
+        tail = ids[start:end][::-1]
+        for det in list(todo):
+            mine = tail == det
             if mine.any():
-                last[det - 1] = t[len(t) - 1 - np.argmax(mine)]
+                last[det - 1] = t[end - 1 - np.argmax(mine)]
+                todo.remove(det)
+        end, width = start, 2 * width
 
 
 def split_streams(events: np.ndarray, detector_count: int = 2) -> list[Stream]:
@@ -217,8 +231,9 @@ def split_streams(events: np.ndarray, detector_count: int = 2) -> list[Stream]:
     order.  The id column is copied once; each detector's mask of that
     copy gathers its columns _SPLIT_BLOCK records at a time, by indexing
     (take() would first copy each whole strided field), so no index is
-    longer than a block, into the Stream that checks their order, on
-    thread_map."""
+    longer than a block, into the Stream that checks their order.  The
+    detectors run on plain threads in fixed shares, the caller running one
+    share (thread_map)."""
     ids = np.ascontiguousarray(events["detector_id"])
     _check_ids(ids, detector_count)
 

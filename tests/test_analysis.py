@@ -12,6 +12,7 @@ from xpdc.analysis import (
     AnalysisError,
     CoincidenceCriteria,
     RoiSpec,
+    WindowLimitError,
     analyze,
     build_correlation_map,
     conversion_efficiency,
@@ -219,6 +220,32 @@ class TestBlockedPairing:
             for s1, s2 in ((empty, full), (full, empty)):
                 pairs = find_coincidence_pairs(s1, s2, CRIT, exclusive=exclusive)
                 assert pairs.dtype == analysis.PAIR_DTYPE and len(pairs) == 0
+
+    def test_window_limit_counts_each_block_before_its_pairs(self, monkeypatch):
+        # Three keys each see the same four stream-2 events: 12 candidates,
+        # counted whether or not their energies sum into the window.
+        s1 = make_stream([0, 0, 0], [11000] * 3)
+        for e2 in (11000, 1000):
+            s2 = make_stream([0, 10, 20, 30], [e2] * 4)
+            monkeypatch.setattr(analysis, "_MAX_WINDOW_PAIRS", 12)
+            assert len(find_coincidence_pairs(s1, s2, CRIT)) == (12 if e2 == 11000 else 0)
+            monkeypatch.setattr(analysis, "_MAX_WINDOW_PAIRS", 11)
+            with pytest.raises(WindowLimitError, match=(
+                "^a pairing block of 3 events has 12 time-window candidates, "
+                "over the limit of 11$"
+            )):
+                find_coincidence_pairs(s1, s2, CRIT)
+
+    def test_window_limit_names_the_first_block_over_it(self, monkeypatch):
+        # One key per block; the blocks have 2, 3 and 4 candidates and run
+        # on three threads, the last ones first.
+        monkeypatch.setattr(analysis, "_PAIR_BLOCK", 1)
+        monkeypatch.setattr(analysis, "_MAX_WINDOW_PAIRS", 1)
+        monkeypatch.setattr(events, "usable_cpus", lambda: 3)
+        s1 = make_stream([0, 10**6, 2 * 10**6], [11000] * 3)
+        s2 = make_stream([0, 1] + [10**6] * 3 + [2 * 10**6] * 4, [11000] * 9)
+        with pytest.raises(WindowLimitError, match="^a pairing block of 1 events has 2 "):
+            find_coincidence_pairs(s1, s2, CRIT)
 
     def test_windows_reaching_past_the_top_stamp(self):
         top = 2**63 - 1

@@ -16,8 +16,16 @@ from xpdc import events, listmode
 from xpdc.analysis import CoincidenceCriteria, RoiSpec, analyze
 from xpdc.cli import main
 from xpdc.config import build_run_config, load_config_file, merge_settings
-from xpdc.events import simulate_run
-from xpdc.listmode import HEADER_SIZE, read_listmode, read_manifest, split_streams
+from xpdc.events import Stream, simulate_run
+from xpdc.listmode import (
+    HEADER_SIZE,
+    ListModeHeader,
+    merged_blocks,
+    read_listmode,
+    read_manifest,
+    split_streams,
+    write_listmode,
+)
 
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(xpdc.__file__)))
@@ -418,6 +426,39 @@ class TestAnalyze:
         split.assert_not_called()
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: header says {count} detectors, not 2"]
+
+    def test_absurd_pairing_window_is_one_line_usage_error(self, tmp_path):
+        # One pairing block of 65535 detector-1 events and 2.2 M detector-2
+        # events over 1 s, all within a 10 s horizon: 1.44e11 time-window
+        # candidates, whose first index array alone would take 1.15 TB.
+        s1, s2 = (Stream(np.linspace(0, 1e9, n).astype(np.uint64), np.full(n, 11000))
+                  for n in (65535, 2_200_000))
+        path = str(tmp_path / "dense.xpdc")
+        write_listmode(path, merged_blocks(s1, s2), ListModeHeader(20, 2, 0))
+        del s1, s2
+        proc = run_in_subprocess(
+            ["-m", "xpdc.cli", "analyze", path, "--duration", "1", "--horizon", "10000000000",
+             "--dt-bin", "1000000000", "--out", str(tmp_path / "out")]
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (
+            "error: a pairing block of 65535 events has 1.44e+11 time-window candidates, "
+            "over the limit of 67108864\n"
+        )
+
+    def test_analyze_imports_neither_numpy_ma_nor_a_thread_pool(self, tmp_path, short_config):
+        # Measured against what `import numpy` loads: numpy 1.x imports numpy.ma itself.
+        run = str(tmp_path / "run")
+        assert main(["simulate", "--config", short_config, "--out", run]) == 0
+        probe = run_in_subprocess(
+            ["-c", "import sys, numpy; loaded = set(sys.modules); from xpdc.cli import main; "
+                   "assert main(sys.argv[1:]) == 0; "
+                   "print([m for m in ('numpy.ma', 'concurrent.futures') "
+                   "if m in sys.modules and m not in loaded])",
+             "analyze", os.path.join(run, "events.xpdc"), "--out", str(tmp_path / "out")],
+            check=True,
+        )
+        assert probe.stdout.splitlines()[-1] == "[]"
 
 
 class TestScan:

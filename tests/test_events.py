@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import sys
+import threading
 import time
 import tracemalloc
 from dataclasses import replace
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xpdc import events
 from xpdc.config import build_run_config, default_settings
 from xpdc.events import (
     BeamCurrentProfile,
@@ -29,6 +32,7 @@ from xpdc.events import (
     _sample_pair_batch,
     _sorted_members,
     simulate_run,
+    thread_map,
 )
 from xpdc.listmode import EVENT_DTYPE, merge_streams, write_events_csv
 from xpdc.physics import PhysicsError, emission_angles
@@ -573,3 +577,54 @@ class TestMembersRecorded:
         _, counts = np.unique(stamps[keep], return_counts=True)
         tied = np.isin(stamps[:members], np.unique(stamps[keep])[counts > 1])
         assert cut.sum() > 1000 and dead.sum() > 1000 and (dead & tied).sum() > 1000
+
+
+class TestThreadMap:
+    @pytest.mark.parametrize("cpus", [1, 2, 5])
+    @pytest.mark.parametrize("n", [0, 1, 2, 13])
+    def test_results_in_input_order(self, monkeypatch, cpus, n):
+        monkeypatch.setattr(events, "usable_cpus", lambda: cpus)
+        start = threading.active_count()
+        assert thread_map(lambda i: i * i, range(n)) == [i * i for i in range(n)]
+        assert threading.active_count() == start
+
+    def test_many_threads_switching_often_lose_no_result(self, monkeypatch):
+        monkeypatch.setattr(events, "usable_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            squares = thread_map(lambda i: [i * i for _ in range(50)][-1], range(2000))
+        finally:
+            sys.setswitchinterval(interval)
+        assert squares == [i * i for i in range(2000)]
+
+    def test_shares_are_fixed_and_the_caller_runs_share_0(self, monkeypatch):
+        monkeypatch.setattr(events, "usable_cpus", lambda: 3)
+        threads = thread_map(lambda i: threading.current_thread(), range(7))
+        assert threads[0] is threading.current_thread()
+        for k in range(3):
+            assert len(set(threads[k::3])) == 1
+        assert len(set(threads)) == 3
+
+    def test_a_lone_item_runs_on_the_caller(self, monkeypatch):
+        monkeypatch.setattr(events, "usable_cpus", lambda: 4)
+        start = threading.active_count()
+        assert thread_map(lambda i: threading.get_ident(), [0]) == [threading.get_ident()]
+        assert threading.active_count() == start
+
+    def test_the_lowest_failing_item_is_raised(self, monkeypatch):
+        # Item 1 (thread 1) fails last; items 2 (caller) and 3 (thread 1's
+        # next, never run) would fail first.
+        monkeypatch.setattr(events, "usable_cpus", lambda: 2)
+        start = threading.active_count()
+
+        def work(i):
+            if i == 1:
+                time.sleep(0.1)
+            if i >= 1:
+                raise ValueError(f"item {i}")
+            return i
+
+        with pytest.raises(ValueError, match="^item 1$"):
+            thread_map(work, range(6))
+        assert threading.active_count() == start

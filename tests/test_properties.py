@@ -4,7 +4,10 @@ any manifest text reports or exits 2; split, candidate cut and pairing,
 whole and in blocks of 1-3 events, equal a record-by-record reference;
 correlation-map counts equal np.histogram2d over the same edges;
 CSV rendering in blocks equals rendering the rows one by one; merging
-Streams in blocks of 1-3 events equals one stable sort."""
+Streams in blocks of 1-3 events equals one stable sort; checking records
+block by block keeps each detector's last stamp; the candidate cut on
+integer bounds equals the float comparison; the sort-based median equals
+np.median."""
 
 import math
 from unittest import mock
@@ -476,3 +479,70 @@ def test_merge_in_small_blocks_equals_one_stable_sort(block, stamps):
     with mock.patch.object(listmode, "_MERGE_BLOCK", block):
         merged = merge_streams(*streams)
     assert merged.tobytes() == reference_merge(*streams).tobytes()
+
+
+@st.composite
+def records_in_blocks(draw):
+    """Records of detectors 1 and 2, and at most one of detector 3 anywhere,
+    each detector time-ordered, in any file order; and cuts into blocks."""
+    n = draw(st.integers(0, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    ids = rng.integers(1, 3, n).astype(np.uint8)
+    if n and draw(st.booleans()):
+        ids[draw(st.integers(0, n - 1))] = 3
+    records = np.zeros(n, dtype=EVENT_DTYPE)
+    records["detector_id"] = ids
+    stamps = rng.integers(0, 2**40, n).astype(np.uint64)
+    for det in (1, 2, 3):
+        records["timestamp_ns"][ids == det] = np.sort(stamps[ids == det])
+    return records, sorted(draw(st.lists(st.integers(0, n), max_size=4)))
+
+
+@PROPERTY
+@given(case=records_in_blocks())
+def test_blocks_bring_last_up_to_each_detectors_last_stamp(case):
+    records, cuts = case
+    last = np.zeros(3, dtype=np.uint64)
+    for lo, hi in zip([0, *cuts], [*cuts, len(records)]):
+        listmode._validate_records(records[lo:hi], 3, last)
+    ids, stamps = records["detector_id"], records["timestamp_ns"]
+    assert last.tolist() == [int(stamps[ids == det][-1:].sum()) for det in (1, 2, 3)]
+
+
+# Bounds at and between integers, below 0, above 2**32 - 1 and far beyond.
+ENERGY_BOUNDS = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([-3.0, 0.0, 4999.5, 5000.0, 2.0**32 - 1, 2.0**32 + 0.5, 1e300]),
+)
+
+
+@PROPERTY
+@example(energies=[0, 4999, 5000, 2**32 - 1], bounds=(4999.5, 2.0**32 + 0.5))
+@example(energies=[0, 3, 2**32 - 1], bounds=(-3.0, 1e300))
+@example(energies=[0, 2**32 - 1], bounds=(2.0**32 + 0.5, 1e300))
+@example(energies=[0, 1], bounds=(-1e300, -3.0))
+@example(energies=[4999, 5000], bounds=(4999.2, 4999.8))
+@given(
+    energies=st.lists(ENERGIES, max_size=20),
+    bounds=st.tuples(ENERGY_BOUNDS, ENERGY_BOUNDS).map(sorted).filter(lambda b: b[0] < b[1]),
+)
+def test_candidate_cut_on_integer_bounds_equals_float_comparison(energies, bounds):
+    e = np.array(energies, dtype=np.uint32)
+    stream = Stream(np.arange(len(e), dtype=np.uint64), e)
+    kept = select_candidates(stream, CoincidenceCriteria(single_energy_window_ev=tuple(bounds)))
+    keep = (e.astype(np.float64) >= bounds[0]) & (e.astype(np.float64) <= bounds[1])
+    assert kept.timestamp_ns.tolist() == np.flatnonzero(keep).tolist()
+
+
+@PROPERTY
+@example(values=[2.0, 1.0])
+@example(values=[3.0, 1.0, 1.0])
+@example(values=[1e308, 1e308])  # a sum past the float range
+@example(values=[5e-324, 5e-324])  # halves below the least subnormal
+@given(values=st.lists(
+    st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(allow_nan=False, allow_infinity=False)),
+    min_size=1, max_size=30,
+))
+def test_sort_median_equals_numpy_median(values):
+    with np.errstate(over="ignore"):
+        assert analysis._median(np.array(values)) == float(np.median(values))
