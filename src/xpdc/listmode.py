@@ -33,6 +33,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import events as _events
 from .events import Stream, stamps_in_order, thread_map
 
 MAGIC = b"XPDC"
@@ -172,12 +173,6 @@ def read_streams(
     return split_streams(events, header.detector_count), header
 
 
-def _check_ids(ids: np.ndarray, detector_count: int) -> None:
-    """Raise the format error for ids outside 1..detector_count."""
-    if len(ids) and (ids.min() < 1 or ids.max() > detector_count):
-        raise ListModeFormatError("detector id outside 1..detector count")
-
-
 def _order_error(det: int) -> ListModeFormatError:
     return ListModeFormatError(f"timestamps for detector {det} decrease or reach 2**63 ns")
 
@@ -191,7 +186,8 @@ def _validate_records(
     none), which theirs must not undercut, and is brought up to date: so
     records can be checked block by block."""
     ids, t = events["detector_id"], events["timestamp_ns"]
-    _check_ids(ids, detector_count)
+    if len(ids) and (ids.min() < 1 or ids.max() > detector_count):
+        raise ListModeFormatError("detector id outside 1..detector count")
     # Records in global time order, from the latest earlier stamp on, pass
     # in one test; else each detector is tested.
     after = last is None or not len(t) or t[0] >= last.max()
@@ -228,32 +224,60 @@ def split_streams(events: np.ndarray, detector_count: int = 2) -> list[Stream]:
     """One Stream per detector, in file order, from a record array; raises
     read_listmode's ListModeFormatError for ids outside 1..detector_count,
     before any gather, or for the first detector whose stamps are out of
-    order.  The id column is copied once; each detector's mask of that
-    copy gathers its columns _SPLIT_BLOCK records at a time, by indexing
-    (take() would first copy each whole strided field), so no index is
-    longer than a block, into the Stream that checks their order.  The
-    detectors run on plain threads in fixed shares, the caller running one
-    share (thread_map)."""
-    ids = np.ascontiguousarray(events["detector_id"])
-    _check_ids(ids, detector_count)
+    order.
+
+    One pass over blocks of _SPLIT_BLOCK records, in two stages, each in
+    fixed shares of the blocks on plain threads, the caller running one
+    (thread_map).  The first copies each block's ids into one column and
+    counts each detector's: a count short of the block is the id error,
+    and the counts place each block in the detectors' columns.  The second
+    copies each block's stamps and energies once into buffers its share
+    reuses, and takes each detector's records from them into its columns.
+    Beyond the Streams this holds the id column, 1 B per record, and a
+    block per share."""
+    blocks = [slice(start, start + _SPLIT_BLOCK) for start in range(0, len(events), _SPLIT_BLOCK)]
+    shares = range(min(len(blocks), _events.usable_cpus()))  # one per thread_map worker
+    dets = range(1, detector_count + 1)
+    ids = np.empty(len(events), dtype=np.uint8)
+    counts = np.empty((len(blocks), detector_count), dtype=np.intp)
+
+    def count(share: int) -> None:
+        for b in range(share, len(blocks), len(shares)):
+            block = ids[blocks[b]]
+            block[:] = events["detector_id"][blocks[b]]
+            counts[b] = [np.count_nonzero(block == det) for det in dets]
+            if counts[b].sum() != len(block):
+                raise ListModeFormatError("detector id outside 1..detector count")
+
+    thread_map(count, shares)
+    ends = np.cumsum(counts, axis=0)
+    sizes = counts.sum(axis=0)
+    stamps = [np.empty(n, dtype=np.uint64) for n in sizes]
+    energies = [np.empty(n, dtype=np.uint32) for n in sizes]
+
+    def gather(share: int) -> None:
+        stamp_buffer = np.empty(min(_SPLIT_BLOCK, len(events)), dtype=np.uint64)
+        energy_buffer = np.empty(len(stamp_buffer), dtype=np.uint32)
+        for b in range(share, len(blocks), len(shares)):
+            block, records = ids[blocks[b]], events[blocks[b]]
+            stamp_buffer[: len(block)] = records["timestamp_ns"]
+            energy_buffer[: len(block)] = records["energy_ev"]
+            for det, start, end in zip(dets, ends[b] - counts[b], ends[b]):
+                index = np.flatnonzero(block == det)
+                # mode="clip" lets take() write into out; "raise" would buffer it.
+                np.take(stamp_buffer, index, mode="clip", out=stamps[det - 1][start:end])
+                np.take(energy_buffer, index, mode="clip", out=energies[det - 1][start:end])
+
+    thread_map(gather, shares)
+    del ids  # freed before the Streams check their order
 
     def stream(det: int) -> Stream:
-        mine = ids == det
-        stamps = np.empty(np.count_nonzero(mine), dtype=np.uint64)
-        energies = np.empty(len(stamps), dtype=np.uint32)
-        filled = 0
-        for start in range(0, len(ids), _SPLIT_BLOCK):
-            index = np.flatnonzero(mine[start : start + _SPLIT_BLOCK])
-            index += start
-            stamps[filled : filled + len(index)] = events["timestamp_ns"][index]
-            energies[filled : filled + len(index)] = events["energy_ev"][index]
-            filled += len(index)
         try:
-            return Stream(stamps, energies)
+            return Stream(stamps[det - 1], energies[det - 1])
         except ValueError:
             raise _order_error(det) from None
 
-    return thread_map(stream, range(1, detector_count + 1))
+    return thread_map(stream, dets)
 
 
 def merged_blocks(*streams: Stream) -> Iterator[np.ndarray]:

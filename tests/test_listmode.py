@@ -255,9 +255,9 @@ class TestMappedReader:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_read_streams_holds_under_5_bytes_per_record_beyond_its_streams(self, tmp_path, cpus):
         # What grows with the file beyond the Streams is the id column's
-        # copy, one mask of it per detector and each Stream's order check,
-        # 1 B per record each: about 4 B on two threads.  Every index is
-        # one block long.
+        # copy, 1 B per record, freed before the Streams check their order,
+        # which takes 1 B per record of a Stream: about 1 B in all, on one
+        # thread or two.  Buffers and indices are one block long per share.
         block = listmode._SPLIT_BLOCK
         rng = np.random.default_rng(33)
         extra = []
@@ -273,7 +273,7 @@ class TestMappedReader:
                 finally:
                     tracemalloc.stop()
             extra.append(peak - sum(s.timestamp_ns.nbytes + s.energy_ev.nbytes for s in streams))
-        assert (extra[1] - extra[0]) / (20 * block) < 5
+        assert (extra[1] - extra[0]) / (20 * block) < 2
 
     @pytest.mark.parametrize("detector_count", [1, 2, 3])
     def test_read_streams_equals_split_of_read_listmode(self, tmp_path, detector_count):
@@ -330,6 +330,49 @@ class TestStreamHelpers:
             np.sort(merged, order=["timestamp_ns", "detector_id"]),
             np.sort(events, order=["timestamp_ns", "detector_id"]),
         )
+
+    @pytest.mark.parametrize("cpus", [1, 2, 5])
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_split_equals_a_mask_per_detector(self, block, cpus):
+        # Whatever the block edges and the number of shares, each Stream
+        # holds what a boolean mask of the whole array takes for its
+        # detector, a detector with no records too; the id error comes
+        # before any Stream is built, and then detector 1 is named first.
+        rng = np.random.default_rng(100 * block + cpus)
+        sizes = (0, 1, block - 1, block, block + 1, 5 * block + block // 2)
+        with mock.patch.object(listmode, "_SPLIT_BLOCK", block), mock.patch.object(
+            events_module, "usable_cpus", return_value=cpus
+        ):
+            for detector_count, absent in [(1, None), (2, None), (2, 1), (3, None), (3, 2)]:
+                present = [det for det in range(1, detector_count + 1) if det != absent]
+                for n in sizes:
+                    events = np.zeros(n, dtype=EVENT_DTYPE)
+                    events["detector_id"] = rng.choice(present, n)
+                    events["energy_ev"] = rng.integers(0, 2**32, n)
+                    for det in present:
+                        mine = events["detector_id"] == det
+                        stamps = rng.integers(0, 2**63, np.count_nonzero(mine), dtype=np.uint64)
+                        events["timestamp_ns"][mine] = np.sort(stamps)
+                    masks = [events["detector_id"] == det for det in range(1, detector_count + 1)]
+                    expected = [Stream(events["timestamp_ns"][m], events["energy_ev"][m]) for m in masks]
+                    assert columns(split_streams(events, detector_count)) == columns(expected)
+
+                # Detector 1 decreases at the end, detector 2 near the start.
+                n = 4 * block * detector_count
+                events = np.zeros(n, dtype=EVENT_DTYPE)
+                events["detector_id"] = np.arange(n) % detector_count + 1
+                events["timestamp_ns"] = np.arange(n) + 10
+                events["timestamp_ns"][[n - detector_count, detector_count + 1]] = 0
+                if detector_count > 1:
+                    with pytest.raises(ListModeFormatError, match="^timestamps for detector 1 "):
+                        split_streams(events, detector_count)
+                for bad in (0, detector_count + 1, 255):
+                    events["detector_id"][-1] = bad
+                    built = mock.Mock(wraps=Stream)
+                    with mock.patch.object(listmode, "Stream", built):
+                        with pytest.raises(ListModeFormatError, match="^detector id outside "):
+                            split_streams(events, detector_count)
+                    assert built.call_count == 0
 
     def test_csv_export(self, tmp_path):
         events = np.zeros(2, dtype=EVENT_DTYPE)
