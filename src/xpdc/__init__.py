@@ -54,7 +54,6 @@ from .listmode import (
     ListModeFormatError,
     ListModeHeader,
     merge_streams,
-    merged_blocks,
     read_listmode,
     read_manifest,
     read_streams,

@@ -195,7 +195,7 @@ def cmd_simulate(args) -> int:
     )
     listmode.write_listmode(
         event_path,
-        listmode.merged_blocks(stream1, stream2),
+        (stream1, stream2),
         header,
         csv_path=os.path.join(args.out, "events.csv") if args.csv else None,
     )

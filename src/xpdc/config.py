@@ -160,7 +160,11 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 def load_config_file(path: str) -> dict[str, str]:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_config_text(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"cannot read {path}: {exc}") from None
+    return parse_config_text(text)
 
 
 def env_overrides(environ: dict[str, str]) -> dict[str, str]:

@@ -14,11 +14,12 @@ File layout (all integers little endian):
 
 Records are non-decreasing in timestamp within each detector id, every
 timestamp is below 2**63, and every detector id is in 1..detector count.
-Records exist only at this file boundary: split_streams (or read_streams,
-straight from a file) turns them into Streams, merged_blocks packs
-Streams back block by block, and write_listmode writes those blocks as
-they come.  Every output file is written to a temporary file in the
-target directory, then renamed atomically.
+Records exist only at this file boundary.  write_listmode writes Streams,
+merged block by block (merged_blocks); the k-th Stream is detector k + 1,
+and a Stream is in order by construction.  The read side checks records:
+read_listmode, and split_streams (or read_streams, straight from a file),
+which turns them into Streams.  Every output file is written to a
+temporary file in the target directory, then renamed atomically.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import mmap
 import os
 import stat
 import tempfile
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -62,7 +63,6 @@ class ListModeHeader:
     clock_tick_ns: int
     detector_count: int
     config_hash: int
-    version: int = FORMAT_VERSION
 
 
 def fnv1a64(data: bytes) -> int:
@@ -95,34 +95,29 @@ def _atomic_write(path: str) -> Iterator:
 
 
 def write_listmode(
-    path: str,
-    events: np.ndarray | Iterable[np.ndarray],
-    header: ListModeHeader,
-    csv_path: str | None = None,
+    path: str, streams: Sequence[Stream], header: ListModeHeader, csv_path: str | None = None
 ) -> None:
-    """Write records to a list-mode file and, with csv_path, to a CSV file
-    as write_events_csv does, in one pass.
-
-    events is an EVENT_DTYPE array, or EVENT_DTYPE blocks in file order
-    (as merged_blocks yields them), each written as it comes.  Records are
-    validated as read_listmode validates them, each detector's order across
-    block edges too; the first block at fault raises, and no file is left.
-    """
-    last = np.zeros(header.detector_count, dtype=np.uint64)
-    head = (MAGIC, header.version, header.clock_tick_ns, header.detector_count, header.config_hash)
+    """Write the Streams as records to a list-mode file and, with csv_path,
+    to a CSV file as write_events_csv does, in one pass: each block of
+    merged_blocks is written as it comes.  A header naming other than
+    len(streams) detectors raises before any file is made; a fault while
+    writing leaves no file."""
+    if header.detector_count != len(streams):
+        raise ListModeFormatError(
+            f"header says {header.detector_count} detectors, not {len(streams)}"
+        )
+    head = (MAGIC, FORMAT_VERSION, header.clock_tick_ns, header.detector_count, header.config_hash)
     with contextlib.ExitStack() as files:
         out = files.enter_context(_atomic_write(path))
         out.write(np.array([head], dtype=_HEADER_DTYPE))
         if csv_path is not None:
             csv = files.enter_context(_atomic_write(csv_path))
             csv.write(_CSV_HEADER)
-        for block in [events] if isinstance(events, np.ndarray) else events:
-            block = np.ascontiguousarray(block, dtype=EVENT_DTYPE)
-            _validate_records(block, header.detector_count, last)
+        for block in merged_blocks(*streams):
             out.write(block)
             if csv_path is not None:
                 csv.writelines(_csv_chunks(block))
-            del block  # freed before the next block is made
+            del block  # freed before the next block is merged
 
 
 def _read_records(path: str) -> tuple[np.ndarray, ListModeHeader]:
@@ -154,9 +149,18 @@ def _read_records(path: str) -> tuple[np.ndarray, ListModeHeader]:
 
 
 def read_listmode(path: str) -> tuple[np.ndarray, ListModeHeader]:
-    """Read and validate a list-mode file: (EVENT_DTYPE records, header)."""
+    """Read and validate a list-mode file: (EVENT_DTYPE records, header).
+    Ids outside 1..detector count raise the format error, else the first
+    detector whose stamps decrease or reach 2**63 does."""
     events, header = _read_records(path)
-    _validate_records(events, header.detector_count)
+    ids, t = events["detector_id"], events["timestamp_ns"]
+    if len(ids) and (ids.min() < 1 or ids.max() > header.detector_count):
+        raise ListModeFormatError("detector id outside 1..detector count")
+    # Records in global time order pass in one test; else each detector is tested.
+    if not stamps_in_order(t):
+        for det in range(1, header.detector_count + 1):
+            if not stamps_in_order(t[ids == det]):
+                raise _order_error(det)
     return events, header
 
 
@@ -175,49 +179,6 @@ def read_streams(
 
 def _order_error(det: int) -> ListModeFormatError:
     return ListModeFormatError(f"timestamps for detector {det} decrease or reach 2**63 ns")
-
-
-def _validate_records(
-    events: np.ndarray, detector_count: int, last: np.ndarray | None = None
-) -> None:
-    """Raise the format error for ids outside 1..detector_count, else for
-    the first detector whose stamps decrease or reach 2**63.  last, if
-    given, holds each detector's last stamp before these records (0 for
-    none), which theirs must not undercut, and is brought up to date: so
-    records can be checked block by block."""
-    ids, t = events["detector_id"], events["timestamp_ns"]
-    if len(ids) and (ids.min() < 1 or ids.max() > detector_count):
-        raise ListModeFormatError("detector id outside 1..detector count")
-    # Records in global time order, from the latest earlier stamp on, pass
-    # in one test; else each detector is tested.
-    after = last is None or not len(t) or t[0] >= last.max()
-    if not (after and stamps_in_order(t)):
-        for det in range(1, detector_count + 1):
-            mine = t[ids == det]
-            if last is not None:
-                mine = np.concatenate((last[det - 1 : det], mine))
-            if not stamps_in_order(mine):
-                raise _order_error(det)
-    if last is not None:
-        _update_last(last, ids, t)
-
-
-def _update_last(last: np.ndarray, ids: np.ndarray, t: np.ndarray) -> None:
-    """Set last[det - 1] to the stamp of each detector's last record, for
-    the detectors the records hold: one pass back from their end, in
-    windows that double from 64 records and stop once every detector is
-    found, so a block whose tail holds every detector reads only that."""
-    todo = list(range(1, len(last) + 1))
-    end, width = len(ids), 64
-    while todo and end:
-        start = max(end - width, 0)
-        tail = ids[start:end][::-1]
-        for det in list(todo):
-            mine = tail == det
-            if mine.any():
-                last[det - 1] = t[end - 1 - np.argmax(mine)]
-                todo.remove(det)
-        end, width = start, 2 * width
 
 
 def split_streams(events: np.ndarray, detector_count: int = 2) -> list[Stream]:
@@ -406,12 +367,16 @@ def write_manifest(path: str, entries: dict[str, object]) -> None:
 def read_manifest(path: str) -> dict[str, str]:
     entries: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ListModeFormatError(f"bad manifest line {line!r}")
-            key, value = line.split("=", 1)
-            entries[key.strip()] = value.strip()
+        try:
+            lines = handle.readlines()
+        except UnicodeDecodeError as exc:
+            raise ListModeFormatError(f"cannot read {path}: {exc}") from None
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ListModeFormatError(f"bad manifest line {line!r}")
+        key, value = line.split("=", 1)
+        entries[key.strip()] = value.strip()
     return entries

@@ -54,6 +54,8 @@ class CrystalConfig:
     def __post_init__(self):
         if self.lattice_constant_angstrom <= 0:
             raise PhysicsError("lattice constant must be > 0")
+        if len(self.reflection) != 3:
+            raise PhysicsError(f"reflection {tuple(self.reflection)} is not three Miller indices")
         if tuple(self.reflection) == (0, 0, 0):
             raise PhysicsError("reflection (0,0,0) has no lattice vector")
         if not 0.0 < self.effective_rate_scale <= 1.0:

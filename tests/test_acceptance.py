@@ -23,7 +23,7 @@ from xpdc.analysis import (
 from xpdc.config import build_run_config, config_hash, default_settings
 from xpdc.events import Stream, simulate_run
 from xpdc.listmode import (
-    EVENT_DTYPE, ListModeHeader, merge_streams, read_listmode, write_listmode,
+    EVENT_DTYPE, ListModeHeader, merge_streams, read_listmode, split_streams, write_listmode,
 )
 from xpdc.physics import (
     DEG,
@@ -302,7 +302,7 @@ def test_criterion_8_property_suites(tmp_path):
             config_hash=int(rng.integers(0, 2**63)),
         )
         path = str(tmp_path / f"round_{i}.xpdc")
-        write_listmode(path, events, header)
+        write_listmode(path, split_streams(events, 2), header)
         back, header_back = read_listmode(path)
         if back.tobytes() != events.tobytes() or header_back != header:
             bad_roundtrips += 1

@@ -20,7 +20,6 @@ from xpdc.events import Stream, simulate_run
 from xpdc.listmode import (
     HEADER_SIZE,
     ListModeHeader,
-    merged_blocks,
     read_listmode,
     read_manifest,
     split_streams,
@@ -434,7 +433,7 @@ class TestAnalyze:
         s1, s2 = (Stream(np.linspace(0, 1e9, n).astype(np.uint64), np.full(n, 11000))
                   for n in (65535, 2_200_000))
         path = str(tmp_path / "dense.xpdc")
-        write_listmode(path, merged_blocks(s1, s2), ListModeHeader(20, 2, 0))
+        write_listmode(path, (s1, s2), ListModeHeader(20, 2, 0))
         del s1, s2
         proc = run_in_subprocess(
             ["-m", "xpdc.cli", "analyze", path, "--duration", "1", "--horizon", "10000000000",
@@ -902,6 +901,36 @@ def test_os_error_is_one_line_exit_1(tmp_path, capsys, argv):
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, path, code",
+    [
+        (["plan", "--config", "{text}"], "{text}", 1),
+        (["analyze", "{events}", "--manifest", "{events}"], "{events}", 2),
+        (["report", "--analysis", "{dir}"], "{text}", 2),
+    ],
+    ids=["config", "manifest", "analysis-report"],
+)
+def test_undecodable_text_is_one_line_naming_the_file(tmp_path, capsys, argv, path, code):
+    # A 0xff byte is never UTF-8; the list-mode header holds eight of them.
+    paths = {"dir": tmp_path, "text": tmp_path / "analysis_report.txt",
+             "events": tmp_path / "events.xpdc"}
+    paths["text"].write_bytes(b"net_rate_per_hr = 1\xff\n")
+    write_listmode(str(paths["events"]), (Stream([0], [11000]), Stream([5], [11000])),
+                   ListModeHeader(20, 2, 2**64 - 1))
+    assert main([arg.format(**paths) for arg in argv]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot read {path.format(**paths)}: ")
+
+
+@pytest.mark.parametrize("indices", ["6,6", "6,6,0,1"])
+def test_reflection_of_other_than_three_indices_is_one_line_exit_1(monkeypatch, capsys, indices):
+    monkeypatch.setenv("XPDC_CRYSTAL_REFLECTION", indices)
+    assert main(["plan"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: reflection ({indices.replace(',', ', ')}) is not three Miller indices"
+    ]
 
 
 class TestMainModule:

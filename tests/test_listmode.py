@@ -7,6 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from listmode_files import write_records
 
 from xpdc import events as events_module, listmode
 from xpdc.cli import main
@@ -85,7 +86,7 @@ class TestRoundTrip:
                 config_hash=int(rng.integers(0, 2**63)),
             )
             path = str(tmp_path / f"events_{i}.xpdc")
-            write_listmode(path, events, header)
+            write_listmode(path, split_streams(events, 2), header)
             back, header_back = read_listmode(path)
             assert back.tobytes() == events.tobytes()
             assert header_back == header
@@ -93,7 +94,7 @@ class TestRoundTrip:
     def test_file_layout(self, tmp_path):
         events = random_events(np.random.default_rng(2), 7)
         path = str(tmp_path / "events.xpdc")
-        write_listmode(path, events, HEADER)
+        write_listmode(path, split_streams(events, 2), HEADER)
         size = os.path.getsize(path)
         assert size == HEADER_SIZE + 13 * 7
         with open(path, "rb") as fh:
@@ -102,7 +103,7 @@ class TestRoundTrip:
     def test_read_from_a_pipe(self, tmp_path):
         events = random_events(np.random.default_rng(3), 300)
         path = str(tmp_path / "events.xpdc")
-        write_listmode(path, events, HEADER)
+        write_listmode(path, split_streams(events, 2), HEADER)
         back, header = read_through_a_pipe(tmp_path, path, read_listmode)
         assert back.tobytes() == events.tobytes() and header == HEADER
         assert back.flags.writeable
@@ -110,13 +111,13 @@ class TestRoundTrip:
     def test_read_streams_from_a_pipe(self, tmp_path):
         events = random_events(np.random.default_rng(31), 300)
         path = str(tmp_path / "events.xpdc")
-        write_listmode(path, events, HEADER)
+        write_listmode(path, split_streams(events, 2), HEADER)
         streams, header = read_through_a_pipe(tmp_path, path, read_streams)
         assert columns(streams) == columns(split_streams(events, 2)) and header == HEADER
 
     def test_empty_file_header_only(self, tmp_path):
         path = str(tmp_path / "empty.xpdc")
-        write_listmode(path, np.empty(0, dtype=EVENT_DTYPE), HEADER)
+        write_listmode(path, [Stream([], [])] * 2, HEADER)
         assert os.path.getsize(path) == HEADER_SIZE
         back, header = read_listmode(path)
         assert len(back) == 0 and header.config_hash == 0xDEADBEEF
@@ -135,7 +136,7 @@ class TestValidation:
     def test_bad_version(self, tmp_path):
         events = random_events(np.random.default_rng(3), 3)
         path = str(tmp_path / "v9.xpdc")
-        write_listmode(path, events, HEADER)
+        write_listmode(path, split_streams(events, 2), HEADER)
         raw = bytearray(open(path, "rb").read())
         raw[4] = 9
         open(path, "wb").write(bytes(raw))
@@ -145,7 +146,7 @@ class TestValidation:
     def test_truncated_record_section(self, tmp_path):
         events = random_events(np.random.default_rng(4), 3)
         path = str(tmp_path / "trunc.xpdc")
-        write_listmode(path, events, HEADER)
+        write_listmode(path, split_streams(events, 2), HEADER)
         raw = open(path, "rb").read()
         open(path, "wb").write(raw[:-5])
         with pytest.raises(ListModeFormatError):
@@ -154,16 +155,22 @@ class TestValidation:
     def test_detector_id_out_of_range(self, tmp_path):
         events = random_events(np.random.default_rng(5), 3)
         events["detector_id"][1] = 3
-        with pytest.raises(ListModeFormatError):
-            write_listmode(str(tmp_path / "x.xpdc"), events, HEADER)
+        path = str(tmp_path / "x.xpdc")
+        write_records(path, events, HEADER)
+        for read in (read_listmode, read_streams):
+            with pytest.raises(ListModeFormatError, match="^detector id outside "):
+                read(path)
 
     def test_per_detector_ordering_enforced(self, tmp_path):
         events = np.zeros(2, dtype=EVENT_DTYPE)
         events["detector_id"] = (1, 1)
         events["timestamp_ns"] = (100, 40)
         events["energy_ev"] = (6000, 6000)
-        with pytest.raises(ListModeFormatError):
-            write_listmode(str(tmp_path / "y.xpdc"), events, HEADER)
+        path = str(tmp_path / "y.xpdc")
+        write_records(path, events, HEADER)
+        for read in (read_listmode, read_streams):
+            with pytest.raises(ListModeFormatError, match="^timestamps for detector 1 "):
+                read(path)
 
     @pytest.mark.parametrize(
         # Cast to int64, the first pair read as (-1, 1) and passed, the
@@ -177,20 +184,17 @@ class TestValidation:
         events["detector_id"] = (1, 2, 1)
         events["timestamp_ns"] = (stamps[0], 5, stamps[1])
         path = str(tmp_path / "big.xpdc")
-        write_listmode(path, events[:0], HEADER)
-        with open(path, "ab") as handle:
-            handle.write(events.tobytes())
-        with pytest.raises(ListModeFormatError, match=message):
-            read_listmode(path)
-        with pytest.raises(ListModeFormatError, match=message):
-            write_listmode(str(tmp_path / "w.xpdc"), events, HEADER)
+        write_records(path, events, HEADER)
+        for read in (read_listmode, read_streams):
+            with pytest.raises(ListModeFormatError, match=message):
+                read(path)
         capsys.readouterr()
         assert main(["analyze", path, "--duration", "1", "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
     @pytest.mark.parametrize("cpus", [1, 2])
-    def test_first_unordered_detector_is_named(self, cpus):
+    def test_first_unordered_detector_is_named(self, tmp_path, cpus):
         # Both detectors decrease; on a thread pool or not, detector 1 is
         # reported, as read_listmode reports it.
         events = np.zeros(4, dtype=EVENT_DTYPE)
@@ -200,15 +204,17 @@ class TestValidation:
         with mock.patch.object(events_module, "usable_cpus", return_value=cpus):
             with pytest.raises(ListModeFormatError, match=message):
                 split_streams(events, 2)
+        path = str(tmp_path / "both.xpdc")
+        write_records(path, events, HEADER)
         with pytest.raises(ListModeFormatError, match=message):
-            listmode._validate_records(events, 2)
+            read_listmode(path)
 
     def test_largest_int64_stamp_allowed(self, tmp_path):
         events = np.zeros(3, dtype=EVENT_DTYPE)
         events["detector_id"] = (1, 2, 1)
         events["timestamp_ns"] = (0, 2**63 - 1, 2**63 - 1)
         path = str(tmp_path / "edge.xpdc")
-        write_listmode(path, events, HEADER)
+        write_records(path, events, HEADER)
         assert read_listmode(path)[0].tobytes() == events.tobytes()
 
     def test_interleaved_detectors_allowed(self, tmp_path):
@@ -218,7 +224,7 @@ class TestValidation:
         events["timestamp_ns"] = (100, 40, 200, 160)
         events["energy_ev"] = (6000,) * 4
         path = str(tmp_path / "z.xpdc")
-        write_listmode(path, events, HEADER)
+        write_records(path, events, HEADER)
         back, _ = read_listmode(path)
         assert len(back) == 4
 
@@ -227,7 +233,7 @@ class TestMappedReader:
     def test_records_are_writeable_and_writes_stay_out_of_the_file(self, tmp_path):
         events = random_events(np.random.default_rng(30), 1000)
         path = str(tmp_path / "events.xpdc")
-        write_listmode(path, events, HEADER)
+        write_records(path, events, HEADER)
         with open(path, "rb") as handle:
             before = handle.read()
         back, _ = read_listmode(path)
@@ -242,7 +248,7 @@ class TestMappedReader:
         # The records are mapped, not copied; what remains is the order check.
         n = 400_000
         path = str(tmp_path / "events.xpdc")
-        write_listmode(path, random_events(np.random.default_rng(32), n), HEADER)
+        write_records(path, random_events(np.random.default_rng(32), n), HEADER)
         read_listmode(path)  # the first call also fills caches
         tracemalloc.start()
         try:
@@ -263,7 +269,7 @@ class TestMappedReader:
         extra = []
         for n in (4 * block, 24 * block):
             path = str(tmp_path / f"{n}.xpdc")
-            write_listmode(path, random_events(rng, n), HEADER)
+            write_records(path, random_events(rng, n), HEADER)
             read_streams(path)  # the first call also fills caches
             with mock.patch.object(events_module, "usable_cpus", return_value=cpus):
                 tracemalloc.start()
@@ -282,7 +288,7 @@ class TestMappedReader:
         for i, make in enumerate([random_events, interleaved_events] * 3):
             events = make(rng, int(rng.integers(0, 3000)), detector_count)
             header = ListModeHeader(clock_tick_ns=20, detector_count=detector_count, config_hash=i)
-            write_listmode(path, events, header)
+            write_records(path, events, header)
             streams, header_s = read_streams(path)
             records, header_l = read_listmode(path)
             assert header_s == header_l == header
@@ -306,9 +312,7 @@ class TestMappedReader:
         events["detector_id"] = ids
         events["timestamp_ns"] = stamps
         path = str(tmp_path / "bad.xpdc")
-        write_listmode(path, events[:0], HEADER)
-        with open(path, "ab") as handle:
-            handle.write(events.tobytes())
+        write_records(path, events, HEADER)
         for read in (read_listmode, read_streams, lambda p: split_streams(events, 2)):
             with pytest.raises(ListModeFormatError, match=f"^{message}$"):
                 read(path)
@@ -448,12 +452,12 @@ class TestStreamHelpers:
         ]
         header = ListModeHeader(clock_tick_ns=20, detector_count=3, config_hash=7)
         merged = merge_streams(*streams)
-        write_listmode(str(tmp_path / "whole.xpdc"), merged, header)
+        write_records(str(tmp_path / "whole.xpdc"), merged, header)
         write_events_csv(str(tmp_path / "whole.csv"), merged)
         with mock.patch.object(listmode, "_MERGE_BLOCK", merge_block), \
                 mock.patch.object(listmode, "_CSV_BLOCK_ROWS", 5):
             assert len(list(merged_blocks(*streams))) == -(-450 // merge_block)
-            write_listmode(str(tmp_path / "streamed.xpdc"), merged_blocks(*streams), header,
+            write_listmode(str(tmp_path / "streamed.xpdc"), streams, header,
                            csv_path=str(tmp_path / "streamed.csv"))
         for suffix in ("xpdc", "csv"):
             assert (tmp_path / f"streamed.{suffix}").read_bytes() == (
@@ -471,24 +475,55 @@ class TestStreamHelpers:
         ids=["detector-1-decreases", "detector-2-decreases", "reaches-2**63", "id-3"],
     )
     def test_fault_at_a_block_edge_raises_as_in_one_array(self, tmp_path, ids, stamps, message):
-        # The last record is a block of its own: the fault is at its edge.
+        # read_streams splits the file in blocks of _SPLIT_BLOCK records; the
+        # last record is a block of its own: the fault is at its edge.
         events = np.zeros(len(ids), dtype=EVENT_DTYPE)
         events["detector_id"] = ids
         events["timestamp_ns"] = stamps
-        blocks = [events[:-1], events[-1:]]
+        path = str(tmp_path / "edge.xpdc")
+        write_records(path, events, HEADER)
         with pytest.raises(ListModeFormatError, match=f"^{message}$"):
-            write_listmode(str(tmp_path / "whole.xpdc"), events, HEADER)
-        with pytest.raises(ListModeFormatError, match=f"^{message}$"):
-            write_listmode(str(tmp_path / "blocks.xpdc"), blocks, HEADER,
-                           csv_path=str(tmp_path / "blocks.csv"))
-        assert os.listdir(tmp_path) == []
+            read_listmode(path)
+        with mock.patch.object(listmode, "_SPLIT_BLOCK", len(ids) - 1):
+            with pytest.raises(ListModeFormatError, match=f"^{message}$"):
+                read_streams(path)
 
     def test_detectors_may_interleave_across_a_block_edge(self, tmp_path):
         events = np.zeros(4, dtype=EVENT_DTYPE)
         events["detector_id"] = (1, 2, 1, 2)
         events["timestamp_ns"] = (100, 200, 150, 250)
-        write_listmode(str(tmp_path / "blocks.xpdc"), [events[:2], events[2:]], HEADER)
-        assert read_listmode(str(tmp_path / "blocks.xpdc"))[0].tobytes() == events.tobytes()
+        path = str(tmp_path / "blocks.xpdc")
+        write_records(path, events, HEADER)
+        assert read_listmode(path)[0].tobytes() == events.tobytes()
+        with mock.patch.object(listmode, "_SPLIT_BLOCK", 2):
+            streams, _ = read_streams(path)
+        assert [s.timestamp_ns.tolist() for s in streams] == [[100, 150], [200, 250]]
+
+    def test_header_naming_other_than_the_streams_leaves_no_file(self, tmp_path):
+        streams = split_streams(random_events(np.random.default_rng(13), 10), 2)
+        header = ListModeHeader(clock_tick_ns=20, detector_count=3, config_hash=0)
+        with pytest.raises(ListModeFormatError, match="^header says 3 detectors, not 2$"):
+            write_listmode(str(tmp_path / "e.xpdc"), streams, header,
+                           csv_path=str(tmp_path / "e.csv"))
+        assert os.listdir(tmp_path) == []
+
+    def test_fault_after_the_first_merge_block_leaves_no_file(self, tmp_path):
+        streams = split_streams(random_events(np.random.default_rng(14), 40), 2)
+        csv_chunks, rendered = listmode._csv_chunks, []
+
+        def fails_on_the_second_block(block):
+            rendered.append(len(block))
+            if len(rendered) == 2:
+                raise RuntimeError("csv failed")
+            return csv_chunks(block)
+
+        with mock.patch.object(listmode, "_MERGE_BLOCK", 8), \
+                mock.patch.object(listmode, "_csv_chunks", fails_on_the_second_block):
+            with pytest.raises(RuntimeError, match="csv failed"):
+                write_listmode(str(tmp_path / "e.xpdc"), streams, HEADER,
+                               csv_path=str(tmp_path / "e.csv"))
+        assert len(rendered) == 2 and rendered[0] > 0
+        assert os.listdir(tmp_path) == []
 
     def test_simulate_holds_one_merge_block_beyond_its_streams(self, tmp_path, monkeypatch):
         # simulate writes events.xpdc and events.csv from the Streams block
@@ -557,7 +592,7 @@ class TestFileMode:
         paths = [str(tmp_path / name) for name in ("e.xpdc", "m.txt", "e.csv")]
         previous = os.umask(umask)
         try:
-            write_listmode(paths[0], events, HEADER)
+            write_listmode(paths[0], split_streams(events, 2), HEADER)
             write_manifest(paths[1], {"seed": 1})
             write_events_csv(paths[2], events)
         finally:

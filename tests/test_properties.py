@@ -4,10 +4,9 @@ any manifest text reports or exits 2; split, candidate cut and pairing,
 whole and in blocks of 1-3 events, equal a record-by-record reference;
 correlation-map counts equal np.histogram2d over the same edges;
 CSV rendering in blocks equals rendering the rows one by one; merging
-Streams in blocks of 1-3 events equals one stable sort; checking records
-block by block keeps each detector's last stamp; the candidate cut on
-integer bounds equals the float comparison; the sort-based median equals
-np.median."""
+Streams in blocks of 1-3 events equals one stable sort; the candidate
+cut on integer bounds equals the float comparison; the sort-based median
+equals np.median."""
 
 import math
 from unittest import mock
@@ -16,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from listmode_files import write_records
 
 from xpdc import analysis, listmode
 from xpdc.analysis import (
@@ -152,9 +152,7 @@ def scratch(tmp_path_factory):
 @given(body=BODIES)
 def test_read_listmode_returns_or_raises_format_error(scratch, body):
     path = str(scratch / "events.xpdc")
-    write_listmode(path, np.empty(0, dtype=EVENT_DTYPE), HEADER)
-    with open(path, "ab") as handle:
-        handle.write(body)
+    write_records(path, np.frombuffer(body, dtype=np.uint8), HEADER)
     try:
         events, header = read_listmode(path)
     except ListModeFormatError:
@@ -185,7 +183,7 @@ def paired_events(scratch):
     events["timestamp_ns"] = np.repeat(np.arange(n, dtype=np.uint64) * 10**6, 2)
     events["energy_ev"] = 11000
     path = str(scratch / "paired.xpdc")
-    write_listmode(path, events, HEADER)
+    write_listmode(path, split_streams(events, 2), HEADER)
     return path
 
 
@@ -479,34 +477,6 @@ def test_merge_in_small_blocks_equals_one_stable_sort(block, stamps):
     with mock.patch.object(listmode, "_MERGE_BLOCK", block):
         merged = merge_streams(*streams)
     assert merged.tobytes() == reference_merge(*streams).tobytes()
-
-
-@st.composite
-def records_in_blocks(draw):
-    """Records of detectors 1 and 2, and at most one of detector 3 anywhere,
-    each detector time-ordered, in any file order; and cuts into blocks."""
-    n = draw(st.integers(0, 600))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    ids = rng.integers(1, 3, n).astype(np.uint8)
-    if n and draw(st.booleans()):
-        ids[draw(st.integers(0, n - 1))] = 3
-    records = np.zeros(n, dtype=EVENT_DTYPE)
-    records["detector_id"] = ids
-    stamps = rng.integers(0, 2**40, n).astype(np.uint64)
-    for det in (1, 2, 3):
-        records["timestamp_ns"][ids == det] = np.sort(stamps[ids == det])
-    return records, sorted(draw(st.lists(st.integers(0, n), max_size=4)))
-
-
-@PROPERTY
-@given(case=records_in_blocks())
-def test_blocks_bring_last_up_to_each_detectors_last_stamp(case):
-    records, cuts = case
-    last = np.zeros(3, dtype=np.uint64)
-    for lo, hi in zip([0, *cuts], [*cuts, len(records)]):
-        listmode._validate_records(records[lo:hi], 3, last)
-    ids, stamps = records["detector_id"], records["timestamp_ns"]
-    assert last.tolist() == [int(stamps[ids == det][-1:].sum()) for det in (1, 2, 3)]
 
 
 # Bounds at and between integers, below 0, above 2**32 - 1 and far beyond.
