@@ -553,16 +553,17 @@ def _apply_response_batch(
     energies_ev: np.ndarray,
     response: DetectorResponse,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Smear photons through the recording chain, in place.
 
     Adds Gaussian time jitter and Gaussian energy noise (sigma = fwhm /
     2.355), quantizes the timestamp to the clock tick and the energy to
     integer eV, and drops the event if the recorded energy falls outside
     the recordable range (or the jittered time precedes the run start).
-    The float64 inputs are overwritten with the recorded values and
-    returned with the keep mask: (timestamps, energies, keep); only
-    entries with keep True are valid records.
+    The float64 inputs are overwritten with the recorded values, and the
+    keep mask is returned: only entries with keep True are valid records.
+    Only the mask is returned, so no caller holds the inputs past its own
+    last use of them.
     """
     n = len(times_ns)
     if response.time_jitter_sigma_ns > 0:
@@ -578,8 +579,7 @@ def _apply_response_batch(
     times_ns *= tick
     np.rint(energies_ev, out=energies_ev)
     lo, hi = response.energy_range_ev
-    keep = (times_ns >= 0) & (energies_ev >= lo) & (energies_ev <= hi)
-    return times_ns, energies_ev, keep
+    return (times_ns >= 0) & (energies_ev >= lo) & (energies_ev <= hi)
 
 
 def _sorted_members(kept: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -697,7 +697,7 @@ def simulate_run(
         bg_times.clear()
         energies = np.concatenate([member_energies, *bg_energies])
         bg_energies.clear()
-        _, _, keep = _apply_response_batch(times, energies, exp.response, resp_rng)
+        keep = _apply_response_batch(times, energies, exp.response, resp_rng)
         if np.count_nonzero(keep) < len(keep):
             times = times[keep]
             energies = energies[keep]

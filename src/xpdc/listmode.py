@@ -120,11 +120,14 @@ def write_listmode(
             del block  # freed before the next block is merged
 
 
-def _read_records(path: str) -> tuple[np.ndarray, ListModeHeader]:
-    """The header and the unvalidated, writeable records of a list-mode
-    file.  A regular file's records are a copy-on-write map of it: pages
-    are read as they are touched, and writes stay in memory.  A pipe, or
-    a file with no records, is read."""
+def _read_records(path: str) -> tuple[np.ndarray, ListModeHeader, mmap.mmap | None]:
+    """The unvalidated, writeable records of a list-mode file, its header,
+    and the map that holds them, or None.  A regular file's records are a
+    copy-on-write map of it: pages are read as they are touched, and writes
+    stay in memory.  A pipe, or a file with no records, is read, with no
+    map.  Only read_streams uses the map (see _MappedRecords): the callers
+    of read_listmode may write to their records, so none of their pages is
+    given back."""
     with open(path, "rb") as handle:
         raw = handle.read(HEADER_SIZE)
         if len(raw) < HEADER_SIZE:
@@ -139,20 +142,21 @@ def _read_records(path: str) -> tuple[np.ndarray, ListModeHeader]:
             mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_COPY)
             body = np.frombuffer(mapped, dtype=np.uint8, offset=HEADER_SIZE)
         else:
+            mapped = None
             body = np.frombuffer(bytearray(handle.read()), dtype=np.uint8)
     if len(body) % EVENT_DTYPE.itemsize:
         raise ListModeFormatError(
             f"record section size {len(body)} is not a multiple of {EVENT_DTYPE.itemsize}"
         )
     header = ListModeHeader(*(int(head[field.name]) for field in fields(ListModeHeader)))
-    return body.view(EVENT_DTYPE), header
+    return body.view(EVENT_DTYPE), header, mapped
 
 
 def read_listmode(path: str) -> tuple[np.ndarray, ListModeHeader]:
     """Read and validate a list-mode file: (EVENT_DTYPE records, header).
     Ids outside 1..detector count raise the format error, else the first
     detector whose stamps decrease or reach 2**63 does."""
-    events, header = _read_records(path)
+    events, header, _ = _read_records(path)
     ids, t = events["detector_id"], events["timestamp_ns"]
     if len(ids) and (ids.min() < 1 or ids.max() > header.detector_count):
         raise ListModeFormatError("detector id outside 1..detector count")
@@ -168,13 +172,36 @@ def read_streams(
     path: str, detector_count: int | None = None
 ) -> tuple[list[Stream], ListModeHeader]:
     """Read a list-mode file as (one Stream per detector, header), by split_streams;
-    a header naming other than detector_count detectors, if given, raises first."""
-    events, header = _read_records(path)
+    a header naming other than detector_count detectors, if given, raises first.
+    The pages of a mapped file are given back as the split copies them out."""
+    events, header, mapped = _read_records(path)
     if detector_count is not None and header.detector_count != detector_count:
         raise ListModeFormatError(
             f"header says {header.detector_count} detectors, not {detector_count}"
         )
+    if mapped is not None:
+        events = events.view(_MappedRecords)
+        events.pages = mapped
     return split_streams(events, header.detector_count), header
+
+
+class _MappedRecords(np.ndarray):
+    """Records from byte HEADER_SIZE of the map .pages, which read_streams
+    opened copy-on-write and no one else holds.  split_streams gives back
+    the whole pages under each block once it has copied the block out: the
+    split never writes to the map, so a page given back too early is only
+    read again from the file."""
+
+    pages: mmap.mmap
+
+
+def _give_back(pages: mmap.mmap, start: int, stop: int) -> None:
+    """Drop from the resident set the whole pages of the map that hold
+    only bytes of records start..stop."""
+    lo = -(-(HEADER_SIZE + start * EVENT_DTYPE.itemsize) // mmap.PAGESIZE) * mmap.PAGESIZE
+    hi = (HEADER_SIZE + stop * EVENT_DTYPE.itemsize) // mmap.PAGESIZE * mmap.PAGESIZE
+    if hi > lo:
+        pages.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
 
 
 def _order_error(det: int) -> ListModeFormatError:
@@ -195,8 +222,11 @@ def split_streams(events: np.ndarray, detector_count: int = 2) -> list[Stream]:
     copies each block's stamps and energies once into buffers its share
     reuses, and takes each detector's records from them into its columns.
     Beyond the Streams this holds the id column, 1 B per record, and a
-    block per share."""
-    blocks = [slice(start, start + _SPLIT_BLOCK) for start in range(0, len(events), _SPLIT_BLOCK)]
+    block per share.  Records that read_streams mapped give back the pages
+    of each block once its stamps and energies are copied; an array passed
+    in gives back none."""
+    blocks = [slice(start, min(start + _SPLIT_BLOCK, len(events)))
+              for start in range(0, len(events), _SPLIT_BLOCK)]
     shares = range(min(len(blocks), _events.usable_cpus()))  # one per thread_map worker
     dets = range(1, detector_count + 1)
     ids = np.empty(len(events), dtype=np.uint8)
@@ -213,6 +243,7 @@ def split_streams(events: np.ndarray, detector_count: int = 2) -> list[Stream]:
     thread_map(count, shares)
     ends = np.cumsum(counts, axis=0)
     sizes = counts.sum(axis=0)
+    pages = events.pages if isinstance(events, _MappedRecords) else None
     stamps = [np.empty(n, dtype=np.uint64) for n in sizes]
     energies = [np.empty(n, dtype=np.uint32) for n in sizes]
 
@@ -223,6 +254,8 @@ def split_streams(events: np.ndarray, detector_count: int = 2) -> list[Stream]:
             block, records = ids[blocks[b]], events[blocks[b]]
             stamp_buffer[: len(block)] = records["timestamp_ns"]
             energy_buffer[: len(block)] = records["energy_ev"]
+            if pages is not None:
+                _give_back(pages, blocks[b].start, blocks[b].stop)
             for det, start, end in zip(dets, ends[b] - counts[b], ends[b]):
                 index = np.flatnonzero(block == det)
                 # mode="clip" lets take() write into out; "raise" would buffer it.
@@ -251,6 +284,8 @@ def merged_blocks(*streams: Stream) -> Iterator[np.ndarray]:
     it side="left", so each block is a run of the merged order.  Each
     block is sorted stably on its own, so no temporary is longer than a
     block and its share of the other Streams."""
+    if not streams:
+        return  # a header-only file, which a detector count of 0 allows
     k = int(np.argmax([len(s) for s in streams]))
     cuts = np.arange(_MERGE_BLOCK, len(streams[k]), _MERGE_BLOCK)
     at = streams[k].timestamp_ns[cuts]

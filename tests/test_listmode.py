@@ -1,6 +1,8 @@
 """List-mode binary format, manifests, CSV export."""
 
 import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 from unittest import mock
@@ -123,6 +125,15 @@ class TestRoundTrip:
         assert len(back) == 0 and header.config_hash == 0xDEADBEEF
         streams, header = read_streams(path)
         assert [len(s) for s in streams] == [0, 0] and header == HEADER
+
+    def test_no_streams_write_a_header_only_file(self, tmp_path):
+        path = str(tmp_path / "none.xpdc")
+        header = ListModeHeader(clock_tick_ns=20, detector_count=0, config_hash=0)
+        write_listmode(path, (), header)
+        assert os.path.getsize(path) == HEADER_SIZE
+        back, header_back = read_listmode(path)
+        assert len(back) == 0 and header_back == header
+        assert read_streams(path) == ([], header)
 
 
 class TestValidation:
@@ -280,6 +291,52 @@ class TestMappedReader:
                     tracemalloc.stop()
             extra.append(peak - sum(s.timestamp_ns.nbytes + s.energy_ev.nbytes for s in streams))
         assert (extra[1] - extra[0]) / (20 * block) < 2
+
+    def test_read_streams_gives_back_split_pages(self, tmp_path):
+        # A fresh interpreter's peak RSS grows by the Streams (12 B per
+        # record), the id column (1 B) and the mapped pages of the blocks
+        # not yet split; with every page resident until the split ended it
+        # grew by 26.5 B per record.  The peak is read as VmHWM: ru_maxrss
+        # keeps the high-water mark of the process that started the child.
+        n = 4_000_000
+        path = str(tmp_path / "events.xpdc")
+        write_records(path, random_events(np.random.default_rng(34), n), HEADER)
+        probe = ("import re, sys; from xpdc.listmode import read_streams; "
+                 "peak = lambda: int(re.search(r'VmHWM:\\s*(\\d+) kB', "
+                 "open('/proc/self/status').read())[1]); "
+                 "before = peak(); read_streams(sys.argv[1]); print(peak() - before)")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(listmode.__file__)))
+        paths = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        proc = subprocess.run([sys.executable, "-c", probe, path], capture_output=True,
+                              text=True, env=env, timeout=120, check=True)
+        assert int(proc.stdout) * 1024 / n < 20
+
+    @pytest.mark.parametrize("block", [1, 7, 1000, 65536])
+    def test_streams_of_a_mapped_file_equal_streams_of_its_records(self, tmp_path, block):
+        # Blocks under a page give back none; larger ones give back the
+        # whole pages inside them, which must start on a page boundary.
+        rng = np.random.default_rng(35)
+        path = str(tmp_path / "events.xpdc")
+        for n in (0, 1, 999, 1000, 5001, 70000):
+            events = interleaved_events(rng, n)
+            write_records(path, events, HEADER)
+            with mock.patch.object(listmode, "_SPLIT_BLOCK", block):
+                streams, _ = read_streams(path)
+                assert columns(streams) == columns(split_streams(events.copy(), 2))
+
+    def test_split_of_read_listmode_records_keeps_their_writes(self, tmp_path):
+        # Only the map that read_streams opened gives back pages: a page of
+        # records written by the caller given back would read the file again.
+        events = random_events(np.random.default_rng(36), 5000)
+        path = str(tmp_path / "events.xpdc")
+        write_records(path, events, HEADER)
+        back, _ = read_listmode(path)
+        back["energy_ev"] += 1
+        with mock.patch.object(listmode, "_SPLIT_BLOCK", 1000):
+            streams = split_streams(back, 2)
+        assert np.array_equal(back["energy_ev"], events["energy_ev"] + 1)
+        assert columns(streams) == columns(split_streams(back.copy(), 2))
 
     @pytest.mark.parametrize("detector_count", [1, 2, 3])
     def test_read_streams_equals_split_of_read_listmode(self, tmp_path, detector_count):
