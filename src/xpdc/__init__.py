@@ -13,7 +13,6 @@ from .physics import (
     detection_chain_efficiency,
     emission_angle_approx,
     emission_angles,
-    geometric_acceptance,
     polarization_suppression,
 )
 from .events import (
@@ -26,6 +25,7 @@ from .events import (
     RunManifest,
     SourceModel,
     Stream,
+    landing_acceptance,
     simulate_run,
 )
 from .analysis import (

@@ -24,7 +24,6 @@ from .physics import (
     PhysicsError,
     detection_chain_efficiency,
     emission_angles,
-    geometric_acceptance,
     polarization_suppression,
 )
 
@@ -122,16 +121,6 @@ def _add_criteria_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _pair_acceptance(experiment: events.ExperimentModel) -> float:
-    """Coincidence coverage of the degenerate ring: limited by the
-    smaller of the two detector arcs (back-to-back emission)."""
-    r0 = experiment.degenerate_offset()
-    det1, det2 = experiment.positioned_detectors()
-    return min(
-        geometric_acceptance(r0, det1)[0], geometric_acceptance(r0, det2)[0]
-    )
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -161,15 +150,15 @@ def cmd_plan(args) -> int:
         f"detector angles      : {(2 * theta_b + r0) / DEG:.3f} / "
         f"{(2 * theta_b - r0) / DEG:.3f} deg (2 theta_B +/- R)"
     )
-    for i, det in enumerate((det1, det2), start=1):
+    *landing, pair = events.landing_acceptance(exp)
+    for i, (det, acc) in enumerate(zip((det1, det2), landing), start=1):
         ring = det.distance_mm * math.tan(r0)
-        acc, resolved = geometric_acceptance(r0, det)
-        note = "" if resolved else "  [ring under-resolved]"
+        note = "  [ring under-resolved]" if ring <= 0.5 * det.side_mm else ""
         print(
             f"detector {i}           : offset {det.center_angle_offset_rad / DEG:.4f} deg,"
             f" ring radius {ring:.2f} mm, acceptance {acc:.4f}{note}"
         )
-    print(f"pair acceptance      : {_pair_acceptance(exp):.4f}")
+    print(f"pair acceptance      : {pair:.4f}")
     print(f"polarization factor  : {suppression:.4f} (chi = "
           f"{exp.beam.polarization_angle_rad / DEG:.1f} deg)")
     window = exp.split_window()
@@ -310,6 +299,9 @@ def _fit_scan(points):
 def cmd_scan(args) -> int:
     if any(d <= 0 for d in args.detunings):
         raise ConfigError("scan detunings must be > 0 mdeg")
+    for flag, values in (("--detunings", args.detunings), ("--seeds", args.seeds)):
+        if len(set(values)) < len(values):  # a point counted twice
+            raise ConfigError(f"{flag} repeats a value")
     run_analysis = _analysis(args)
     settings = _load_settings(args)
     runs = []  # detuning-major, then seed; all built before any simulation starts
@@ -387,7 +379,11 @@ def cmd_report(args) -> int:
             raise ListModeFormatError(
                 f"net_rate_per_hr = {value!r} in {report_path} is not a finite number"
             )
-    acceptance = args.acceptance if args.acceptance is not None else _pair_acceptance(exp)
+    acceptance = args.acceptance
+    if acceptance is None:
+        acceptance = events.landing_acceptance(exp)[2]
+        if acceptance == 0:
+            raise ConfigError("no split lands on both detectors (pair acceptance 0)")
     pump = exp.beam.pump_energy_ev
     chain_eff = detection_chain_efficiency(pump / 2, pump / 2, exp.chain, pump)
     result = analysis.conversion_efficiency(

@@ -349,9 +349,7 @@ def build_run_config(settings: dict[str, str]) -> RunConfig:
         DetectorGeometry(
             distance_mm=float(r[f"detector{i}.distance"]),
             active_area_mm2=float(r[f"detector{i}.area"]),
-            center_angle_offset_rad=(
-                0.0 if r[f"detector{i}.offset"] is None else float(r[f"detector{i}.offset"])
-            ),
+            center_angle_offset_rad=r[f"detector{i}.offset"],  # None: auto
         )
         for i in (1, 2)
     )

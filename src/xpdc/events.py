@@ -4,6 +4,10 @@ for the two coincidence detectors: down-converted pairs, fluorescence
 lines, Compton and elastic background, detector response, and
 beam-current drift.
 
+Where a pair member lands is one model, _landing_geometry: the sampler
+draws from it, and landing_acceptance integrates it into the
+acceptance that plan and report use.
+
 The output of a run is a pair of Streams, one per detector: time-ordered
 timestamp_ns (u8) and energy_ev (u4) columns, plus a manifest of ground
 truth counts.  Packed records exist only at the file boundary (see
@@ -310,13 +314,13 @@ class ExperimentModel:
         return float(emission_angles(0.5, self.crystal.detuning_rad, self.theta_b())[0])
 
     def positioned_detectors(self) -> tuple[DetectorGeometry, DetectorGeometry]:
-        """Detectors with zero offsets replaced by the degenerate angle."""
+        """Detectors with auto (None) offsets aimed at the degenerate angle."""
         if self.crystal.detuning_rad <= 0:
             return self.detectors
         r0 = self.degenerate_offset()
         return tuple(
             replace(d, center_angle_offset_rad=r0)
-            if d.center_angle_offset_rad == 0.0
+            if d.center_angle_offset_rad is None
             else d
             for d in self.detectors
         )
@@ -453,25 +457,23 @@ def _poisson_times(
     return times
 
 
-def _landing_probability_arrays(
-    experiment: ExperimentModel,
-    x: np.ndarray,
-    phi: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Geometric landing decisions for signal (detector 1) and idler
-    (detector 2), given energy splits and the signal azimuth.
+def _landing_geometry(
+    experiment: ExperimentModel, x: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Where the members of pairs with energy splits x can land: for the
+    signal on detector 1 and the idler on detector 2, whether the
+    member's ring crosses the detector's radial span, and the half-arc
+    of azimuth that the detector intercepts on that ring (w / 2r, or pi
+    when the ring fits inside the detector of side w).
 
-    The signal azimuth phi is measured from detector 1's center; the
+    A member lands when its ring crosses the span and its azimuth phi,
+    measured from the detector's center, has |phi| <= half-arc.  The
     idler leaves back-to-back on the ring, so with the detectors on
-    opposite sides of the Laue spot the same phi governs both arcs.
-    Landing requires the photon's ring to cross the detector's radial
-    span and the azimuth to fall on the intercepted arc.
+    opposite sides of the Laue spot one phi governs both arcs.
     """
-    theta_b = experiment.theta_b()
-    det1, det2 = experiment.positioned_detectors()
-    r_x, r_y = emission_angles(x, experiment.crystal.detuning_rad, theta_b)
-    land = []
-    for det, angle in ((det1, r_x), (det2, r_y)):
+    r_x, r_y = emission_angles(x, experiment.crystal.detuning_rad, experiment.theta_b())
+    geometry = []
+    for det, angle in zip(experiment.positioned_detectors(), (r_x, r_y)):
         radial = np.abs(angle - det.center_angle_offset_rad) <= det.half_extent_rad
         ring_radius = det.distance_mm * np.tan(angle)
         half_arc = np.where(
@@ -479,8 +481,29 @@ def _landing_probability_arrays(
             np.pi,
             0.5 * det.side_mm / np.maximum(ring_radius, 1e-12),
         )
-        land.append(radial & (np.abs(phi) <= half_arc))
-    return land[0], land[1]
+        geometry.append((radial, half_arc))
+    return geometry
+
+
+# Splits of the midpoint rule by which landing_acceptance integrates over
+# the split window.
+_ACCEPTANCE_SPLITS = 2**16
+
+
+def landing_acceptance(experiment: ExperimentModel) -> tuple[float, float, float]:
+    """Probabilities that a generated pair lands its signal on detector 1,
+    its idler on detector 2, and both: the landing geometry that
+    simulate_run samples, integrated over the uniform split in
+    split_window() (midpoint rule, _ACCEPTANCE_SPLITS splits) and over
+    the uniform azimuth.  Both members share one azimuth, so the azimuth
+    integral is exact: a pair lands on both when both rings cross their
+    spans and |phi| is within the smaller half-arc.
+    """
+    lo, hi = experiment.split_window()
+    x = lo + (hi - lo) * (np.arange(_ACCEPTANCE_SPLITS) + 0.5) / _ACCEPTANCE_SPLITS
+    (radial1, arc1), (radial2, arc2) = _landing_geometry(experiment, x)
+    both = (radial1 & radial2) * np.minimum(arc1, arc2)
+    return tuple(float(np.mean(arcs)) / np.pi for arcs in (radial1 * arc1, radial2 * arc2, both))
 
 
 def _sample_pair_batch(
@@ -502,8 +525,10 @@ def _sample_pair_batch(
     )
     e_signal = x * pump
     e_idler = pump - e_signal  # exact energy conservation per pair
-    phi = rng.uniform(-np.pi, np.pi, n)
-    land1, land2 = _landing_probability_arrays(experiment, x, phi)
+    abs_phi = np.abs(rng.uniform(-np.pi, np.pi, n))  # the signal azimuth
+    land1, land2 = (
+        radial & (abs_phi <= half_arc) for radial, half_arc in _landing_geometry(experiment, x)
+    )
     keep1 = rng.random(n) < experiment.chain.photon_efficiency(e_signal)
     keep2 = rng.random(n) < experiment.chain.photon_efficiency(e_idler)
     return {

@@ -1,8 +1,9 @@
 """
 Closed-form geometry of near-Bragg parametric down-conversion: Bragg
-angles, pair emission angles (small-angle and exact), polarization
-suppression of elastic and Compton background, thin-ring geometric
-acceptance, and the detection-chain efficiency model.
+angles, pair emission angles (small-angle and exact), detector
+geometry, polarization suppression of elastic and Compton background,
+and the detection-chain efficiency model.  Where a photon lands on a
+detector, and the acceptance that follows, is events' landing model.
 
 Conventions: energies in eV, angles in radians, lengths in mm (lattice
 constants in Angstrom), rates per second.  All functions here are pure
@@ -95,12 +96,13 @@ class DetectorGeometry:
     """One energy-resolving detector: distance, area and angular position.
 
     center_angle_offset_rad is the detector center's angle from the Laue
-    (diffracted-beam) direction, i.e. the ring radius it is aimed at.
+    (diffracted-beam) direction, i.e. the ring radius it is aimed at;
+    None (auto) aims it at the degenerate x = 0.5 ring.
     """
 
     distance_mm: float
     active_area_mm2: float = 50.0
-    center_angle_offset_rad: float = 0.0
+    center_angle_offset_rad: float | None = None
 
     def __post_init__(self):
         if self.distance_mm <= 0:
@@ -110,7 +112,7 @@ class DetectorGeometry:
 
     @property
     def side_mm(self) -> float:
-        """Linear extent w = sqrt(area) used by the thin-ring model."""
+        """Linear extent w = sqrt(area) used by the landing model."""
         return math.sqrt(self.active_area_mm2)
 
     @property
@@ -234,30 +236,6 @@ def polarization_suppression(theta_b_rad: float, chi_rad: float) -> float:
     """
     value = 1.0 - (math.sin(2.0 * theta_b_rad) ** 2) * (math.cos(chi_rad) ** 2)
     return min(1.0, max(0.0, value))
-
-
-def geometric_acceptance(
-    emission_angle_rad: float, detector: DetectorGeometry
-) -> tuple[float, bool]:
-    """Azimuthal fraction of the emission ring intercepted by a detector.
-
-    Thin-ring model: the ring of radius r = distance * tan(R) meets a
-    detector of linear extent w = sqrt(area) over an arc w, giving the
-    fraction w / (2 pi r), clamped to 1.
-
-    Returns
-    -------
-    (fraction, ring_resolved) : tuple[float, bool]
-        ring_resolved is False when r <= w/2 (ring smaller than the
-        detector, fraction forced to 1).
-    """
-    if emission_angle_rad <= 0:
-        raise PhysicsError("emission angle must be > 0")
-    ring_radius = detector.distance_mm * math.tan(emission_angle_rad)
-    w = detector.side_mm
-    if ring_radius <= 0.5 * w:
-        return 1.0, False
-    return min(1.0, w / (2.0 * math.pi * ring_radius)), True
 
 
 @dataclass(frozen=True)

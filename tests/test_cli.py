@@ -76,6 +76,14 @@ BAD_ANALYSIS_FLAGS = [
      "pairing horizon must be below 2**62 ns"),
 ]
 
+# A repeated scan point would be averaged or fitted with itself.
+BAD_SCAN_FLAGS = [
+    (["--seeds", "1,1"], "--seeds repeats a value"),
+    (["--seeds", "1,2,1"], "--seeds repeats a value"),
+    (["--detunings", "10,10"], "--detunings repeats a value"),
+    (["--detunings", "5,10,5.0"], "--detunings repeats a value"),
+]
+
 # Flags that each subcommand does not read, with a value where they take one.
 DEAD_FLAGS = [
     ("plan", ["--seed", "99"]),
@@ -136,6 +144,30 @@ class TestPlan:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("crystal.volume = 3\n")
         assert main(["plan", "--config", str(cfg)]) == 1
+
+    def test_output_bytes(self, capsys):
+        assert main(["plan"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "e48cf5e23fe516f41026552db6e4f77c2aaed62175d9080bfa4f0e0495b1bb5c"
+        )
+
+    def test_ring_inside_a_detector_is_noted(self, capsys, monkeypatch):
+        monkeypatch.setenv("XPDC_DETECTOR1_AREA", "1e4 mm2")  # side 100 mm, ring 25 mm
+        assert main(["plan"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert sum(l.endswith("[ring under-resolved]") for l in out) == 1
+        assert next(l for l in out if l.startswith("detector 1 ")).endswith(
+            "acceptance 1.0000  [ring under-resolved]"
+        )
+
+    def test_explicit_zero_offset_is_kept(self, capsys, monkeypatch):
+        # 0 deg aims detector 1 at the Laue spot, off every ring; only
+        # auto aims it at the degenerate ring.
+        monkeypatch.setenv("XPDC_DETECTOR1_OFFSET", "0 deg")
+        assert main(["plan"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert any(l.startswith("detector 1           : offset 0.0000 deg,") for l in out)
+        assert "pair acceptance      : 0.0000" in out
 
 
 class TestSimulate:
@@ -625,7 +657,7 @@ class TestScan:
             ]
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags, message", BAD_ANALYSIS_FLAGS)
+    @pytest.mark.parametrize("flags, message", BAD_ANALYSIS_FLAGS + BAD_SCAN_FLAGS)
     def test_bad_flags_are_usage_errors_before_simulating(
         self, tmp_path, capsys, monkeypatch, flags, message
     ):
@@ -636,6 +668,7 @@ class TestScan:
         out = str(tmp_path / "scan")
         assert main(["scan", "--detunings", "10", *flags, "--out", out]) == 1
         assert capsys.readouterr().err.splitlines()[0].startswith(f"error: {message}")
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("flag, value", [("--seeds", "1,x"), ("--detunings", "5,x")])
     def test_malformed_list_is_usage_error_before_simulating(
@@ -687,6 +720,21 @@ class TestReport:
         assert abs(float(total.split(":")[1].split()[0]) - 18900) < 1900
         eff = next(l for l in out.splitlines() if "conversion efficiency" in l)
         assert float(eff.split(":")[1]) == pytest.approx(5.3e-13, rel=0.1)
+
+    def test_output_bytes(self, capsys):
+        assert main(["report", "--net-rate", "130"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "f5a61c20df6ea0576c587ce9578f793c97b2cc1d6f32886e4033ef0a63ca9b4c"
+        )
+
+    def test_geometry_that_lands_no_pair_is_config_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("XPDC_DETECTOR1_OFFSET", "0 deg")
+        assert main(["report", "--net-rate", "130"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: no split lands on both detectors (pair acceptance 0)"
+        ]
 
     def test_reads_analysis_directory(self, short_config, tmp_path):
         out = str(tmp_path / "full")

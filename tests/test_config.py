@@ -106,6 +106,14 @@ class TestParsing:
         det1, _ = run.experiment.positioned_detectors()
         assert det1.center_angle_offset_rad == pytest.approx(2 * DEG)
 
+    def test_explicit_zero_offset_respected(self):
+        # Only auto aims a detector at the degenerate ring.
+        settings = default_settings()
+        settings["detector1.offset"] = "0 deg"
+        run = build_run_config(settings)
+        det1, _ = run.experiment.positioned_detectors()
+        assert det1.center_angle_offset_rad == 0.0
+
     def test_background_component_overrides(self):
         settings = default_settings()
         settings["source.line.fe_ka.rate_d2"] = "7 /s"

@@ -31,6 +31,7 @@ from xpdc.events import (
     _members_recorded,
     _sample_pair_batch,
     _sorted_members,
+    landing_acceptance,
     simulate_run,
     thread_map,
 )
@@ -127,6 +128,46 @@ class TestSamplePair:
         p_oracle = np.mean(hits_square(det1, r_x, phi) & hits_square(det2, r_y, phi))
         stat = 5 * math.sqrt(2 * p_model * (1 - p_model) / n)
         assert abs(p_model - p_oracle) < max(stat, 0.03 * p_model)
+
+
+class TestLandingAcceptance:
+    @pytest.mark.parametrize(
+        "detuning, offset_factor",
+        [("5 mdeg", None), ("10 mdeg", None), ("50 mdeg", None), ("10 mdeg", 0.9),
+         ("10 mdeg", 1.1)],
+    )
+    def test_pair_value_matches_the_sampler(self, detuning, offset_factor):
+        # 4 M pairs through the sampler's landing decisions: sigma is
+        # 1.1e-4 at 5 mdeg, where the thin ring's w / (2 pi r0) is 1.2e-3
+        # above the integral.
+        exp = reference_run(**{"crystal.detuning": detuning}).experiment
+        if offset_factor is not None:  # both detectors aimed at offset_factor * r0
+            offset = offset_factor * exp.degenerate_offset()
+            exp = replace(exp, detectors=tuple(
+                replace(d, center_angle_offset_rad=offset) for d in exp.detectors
+            ))
+        rng = np.random.default_rng(5)
+        n, batch, landed = 4_000_000, 500_000, 0
+        for _ in range(n // batch):
+            pairs = _sample_pair_batch(rng, exp, np.zeros(batch))
+            landed += int(np.count_nonzero(pairs["signal_landed"] & pairs["idler_landed"]))
+        p = landing_acceptance(exp)[2]
+        assert abs(landed / n - p) < 3 * math.sqrt(p * (1 - p) / n)
+
+    def test_each_detector_matches_the_sampler(self):
+        exp = reference_run().experiment
+        n = 1_000_000
+        pairs = _sample_pair_batch(np.random.default_rng(8), exp, np.zeros(n))
+        for p, landed in zip(landing_acceptance(exp), ("signal_landed", "idler_landed")):
+            assert abs(np.mean(pairs[landed]) - p) < 3 * math.sqrt(p * (1 - p) / n)
+
+    def test_a_simulated_run_lands_the_pair_value(self):
+        settings = quiet_settings(**{"source.pair_rate": f"{18900 * 100} /hr"})
+        run = build_run_config(settings)
+        manifest = simulate_run(run)[2]
+        p = landing_acceptance(run.experiment)[2]
+        n = manifest.pairs_generated
+        assert abs(manifest.pairs_landed_both / n - p) < 3 * math.sqrt(p * (1 - p) / n)
 
 
 def background(rng, source, duration_s, detector_id, suppression=1.0, profile=None):

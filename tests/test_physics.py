@@ -10,7 +10,6 @@ from xpdc.physics import (
     ChainEfficiencyModel,
     CrystalConfig,
     DEG,
-    DetectorGeometry,
     HC_EV_ANGSTROM,
     MDEG,
     PhaseMatchingError,
@@ -20,7 +19,6 @@ from xpdc.physics import (
     detection_chain_efficiency,
     emission_angle_approx,
     emission_angles,
-    geometric_acceptance,
     polarization_suppression,
 )
 
@@ -225,33 +223,6 @@ class TestPolarizationSuppression:
         assert min(values) == pytest.approx(
             polarization_suppression(THETA_B_REF, 0.0), abs=1e-12
         )
-
-
-class TestGeometricAcceptance:
-    def test_reference_ring(self):
-        # w / (2 pi r) with r = 1351 mm * tan(1.07 deg)
-        det = DetectorGeometry(distance_mm=1351.0, active_area_mm2=50.0)
-        frac, resolved = geometric_acceptance(1.07 * DEG, det)
-        expected = math.sqrt(50.0) / (2 * math.pi * 1351.0 * math.tan(1.07 * DEG))
-        assert resolved
-        assert frac == pytest.approx(expected, rel=1e-12)
-        assert frac == pytest.approx(0.0446, abs=5e-4)
-
-    def test_doubling_angle_halves_acceptance(self):
-        det = DetectorGeometry(distance_mm=1351.0)
-        small, _ = geometric_acceptance(0.5 * DEG, det)
-        large, _ = geometric_acceptance(1.0 * DEG, det)
-        assert large == pytest.approx(small / 2, rel=1e-3)
-
-    def test_under_resolved_ring(self):
-        det = DetectorGeometry(distance_mm=100.0, active_area_mm2=400.0)
-        frac, resolved = geometric_acceptance(0.05 * DEG, det)
-        assert frac == 1.0
-        assert not resolved
-
-    def test_invalid_angle(self):
-        with pytest.raises(PhysicsError):
-            geometric_acceptance(0.0, DetectorGeometry(distance_mm=1351.0))
 
 
 class TestDetectionChain:
