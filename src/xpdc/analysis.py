@@ -639,53 +639,36 @@ def fit_time_profile(corr_map: CorrelationMap) -> GaussianFit:
     return fit_gaussian_profile(corr_map.dt_centers_ns, marginal)
 
 
-def _signal_and_sidebands(
-    corr_map: CorrelationMap, t_half_width_ns: float, sideband_inner_ns: float
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """dt columns of the signal region (|dt| <= t_half_width) and of the
-    sidebands (|dt| >= sideband_inner), and the column-count ratio that
-    scales the sideband counts to the accidentals under the signal."""
+def _on_and_off(corr_map: CorrelationMap, roi: RoiSpec) -> tuple[np.ndarray, np.ndarray, float]:
+    """For each E1 bin, the counts on time (|dt| <= t_half_width) and in the
+    sidebands (|dt| >= sideband_inner), and alpha, the ratio of their dt
+    column counts, which scales the sideband counts to the accidentals on
+    time."""
+    if roi.sideband_inner_ns <= roi.t_half_width_ns:
+        raise AnalysisError("sidebands overlap the region of interest")
     abs_dt = np.abs(corr_map.dt_centers_ns)
-    signal_cols = abs_dt <= t_half_width_ns
-    sideband_cols = abs_dt >= sideband_inner_ns
-    if not signal_cols.any() or not sideband_cols.any():
+    on_cols = abs_dt <= roi.t_half_width_ns
+    off_cols = abs_dt >= roi.sideband_inner_ns
+    if not on_cols.any() or not off_cols.any():
         raise AnalysisError("signal or sideband region selects no bins")
-    if np.any(signal_cols & sideband_cols):
-        raise AnalysisError("sidebands overlap the signal region")
-    return signal_cols, sideband_cols, signal_cols.sum() / sideband_cols.sum()
+    on = corr_map.counts[:, on_cols].sum(axis=1)
+    off = corr_map.counts[:, off_cols].sum(axis=1)
+    return on, off, on_cols.sum() / off_cols.sum()
 
 
-def _net_energy_profile(
-    corr_map: CorrelationMap, t_half_width_ns: float, sideband_inner_ns: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Accidental-subtracted E1 profile and its per-bin errors.
-
-    The sideband spectrum, scaled to the signal region, is subtracted
-    from the signal-region spectrum.
-    """
-    signal_cols, sideband_cols, scale = _signal_and_sidebands(
-        corr_map, t_half_width_ns, sideband_inner_ns
-    )
-    signal = corr_map.counts[:, signal_cols].sum(axis=1).astype(np.float64)
-    sideband = corr_map.counts[:, sideband_cols].sum(axis=1).astype(np.float64)
-    profile = signal - scale * sideband
-    errors = np.sqrt(np.maximum(signal + scale * scale * sideband, 1.0))
-    return profile, errors
-
-
-def energy_peak_centroid(
-    corr_map: CorrelationMap,
-    t_half_width_ns: float,
-    sideband_inner_ns: float,
-) -> tuple[float, float]:
+def energy_peak_centroid(corr_map: CorrelationMap, roi: RoiSpec) -> tuple[float, float]:
     """Centroid c (first moment) of the positive coincident excess vs E1,
     which suits any shape (the down-converted pairs fill a box over the
     split window), and its error sigma_c^2 = sum (E_i - c)^2 err_i^2 / W^2
-    over the bins with net_i > 0, where W = sum max(net_i, 0), in eV.  On
-    pairs alone the pulls have unit width; under heavy accidentals the
-    error is conservative (pull widths of 0.8-0.95 in toys).
+    over the bins with net_i > 0, where W = sum max(net_i, 0), in eV.  The
+    excess is the on-time E1 spectrum of roi less its sidebands scaled by
+    alpha, over every E1 bin.  On pairs alone the pulls have unit width;
+    under heavy accidentals the error is conservative (pull widths of
+    0.8-0.95 in toys).
     """
-    profile, errors = _net_energy_profile(corr_map, t_half_width_ns, sideband_inner_ns)
+    on, off, scale = _on_and_off(corr_map, roi)
+    profile = on - scale * off
+    errors = np.sqrt(np.maximum(on + scale * scale * off, 1.0))
     weights = np.clip(profile, 0.0, None)
     total = weights.sum()
     if total <= 0:
@@ -712,17 +695,12 @@ def roi_rate(corr_map: CorrelationMap, roi: RoiSpec) -> RoiResult:
     beam current, in pairs/hour, with Poisson error propagation from
     both regions.
     """
-    if roi.sideband_inner_ns <= roi.t_half_width_ns:
-        raise AnalysisError("sidebands overlap the region of interest")
+    on, off, scale = _on_and_off(corr_map, roi)
     e_rows = roi.energy_rows(corr_map.e_centers_ev)
     if not e_rows.any():
         raise AnalysisError("region of interest selects no bins")
-    roi_cols, sb_cols, scale = _signal_and_sidebands(
-        corr_map, roi.t_half_width_ns, roi.sideband_inner_ns
-    )
-    sub = corr_map.counts[e_rows]
-    roi_counts = int(sub[:, roi_cols].sum())
-    sb_counts = int(sub[:, sb_cols].sum())
+    roi_counts = int(on[e_rows].sum())
+    sb_counts = int(off[e_rows].sum())
     net_counts = roi_counts - scale * sb_counts
     variance = roi_counts + scale * scale * sb_counts
     hours = corr_map.duration_s / 3600.0 * corr_map.mean_current
@@ -877,8 +855,7 @@ def analyze(
         ):
             roi = fitted
     roi_result = roi_rate(corr_map, roi)
-    window = (corr_map, roi.t_half_width_ns, roi.sideband_inner_ns)
-    centroid, centroid_err = _optional(energy_peak_centroid, *window) or (None, None)
+    centroid, centroid_err = _optional(energy_peak_centroid, corr_map, roi) or (None, None)
     return AnalysisResult(
         events=(len(stream1), len(stream2)),
         pairs=pairs,

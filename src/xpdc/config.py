@@ -34,33 +34,25 @@ from .physics import (
     MDEG,
 )
 
-# Unit factors to the canonical unit of each dimension.  Dimensioned
-# values must carry a unit suffix; the first unit listed is canonical.
-_UNITS: dict[str, dict[str, float]] = {
-    "energy_ev": {"ev": 1.0, "kev": 1e3, "mev": 1e6},
-    "angle_rad": {"rad": 1.0, "mrad": 1e-3, "deg": DEG, "mdeg": MDEG},
-    "length_mm": {"mm": 1.0, "cm": 10.0, "m": 1000.0},
-    "length_angstrom": {"a": 1.0, "angstrom": 1.0, "nm": 10.0},
-    "area_mm2": {"mm2": 1.0, "cm2": 100.0},
-    "time_ns": {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9},
-    "time_s": {"s": 1.0, "ms": 1e-3, "min": 60.0, "hr": 3600.0, "h": 3600.0},
-    "rate_per_s": {"/s": 1.0, "hz": 1.0, "/min": 1 / 60.0, "/hr": 1 / 3600.0, "/h": 1 / 3600.0},
-    "plain": {},
+# Each dimension's canonical unit, as canonical text writes it, and the
+# factor from each of its unit suffixes (lower case) to that unit.
+# Dimensioned values must carry a unit suffix.
+_UNITS: dict[str, tuple[str, dict[str, float]]] = {
+    "energy_ev": ("eV", {"ev": 1.0, "kev": 1e3, "mev": 1e6}),
+    "angle_rad": ("rad", {"rad": 1.0, "mrad": 1e-3, "deg": DEG, "mdeg": MDEG}),
+    "length_mm": ("mm", {"mm": 1.0, "cm": 10.0, "m": 1000.0}),
+    "length_angstrom": ("A", {"a": 1.0, "angstrom": 1.0, "nm": 10.0}),
+    "area_mm2": ("mm2", {"mm2": 1.0, "cm2": 100.0}),
+    "time_ns": ("ns", {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}),
+    "time_s": ("s", {"s": 1.0, "ms": 1e-3, "min": 60.0, "hr": 3600.0, "h": 3600.0}),
+    "rate_per_s": (
+        "/s", {"/s": 1.0, "hz": 1.0, "/min": 1 / 60.0, "/hr": 1 / 3600.0, "/h": 1 / 3600.0}
+    ),
+    "plain": ("", {}),
 }
 
-_CANONICAL_UNIT = {
-    "energy_ev": "eV",
-    "angle_rad": "rad",
-    "length_mm": "mm",
-    "length_angstrom": "A",
-    "area_mm2": "mm2",
-    "time_ns": "ns",
-    "time_s": "s",
-    "rate_per_s": "/s",
-}
-
-# key -> (dimension, default).  Dimensions "int"/"str"/"list" are
-# parsed specially; "auto" is accepted where noted.
+# key -> (dimension, default).  Dimensions outside _UNITS are parsed
+# specially; a key takes "auto" (None) where its default is "auto".
 _SCHEMA: dict[str, tuple[str, str]] = {
     "crystal.lattice_constant": ("length_angstrom", "3.5668 A"),
     "crystal.reflection": ("intlist", "6,6,0"),
@@ -72,12 +64,12 @@ _SCHEMA: dict[str, tuple[str, str]] = {
     "beam.polarization_angle": ("angle_rad", "0 deg"),
     "detector1.distance": ("length_mm", "1351 mm"),
     "detector1.area": ("area_mm2", "50 mm2"),
-    "detector1.offset": ("angle_or_auto", "auto"),
+    "detector1.offset": ("angle_rad", "auto"),
     "detector2.distance": ("length_mm", "1560 mm"),
     "detector2.area": ("area_mm2", "50 mm2"),
-    "detector2.offset": ("angle_or_auto", "auto"),
+    "detector2.offset": ("angle_rad", "auto"),
     "source.pair_rate": ("rate_per_s", "18900 /hr"),
-    "source.split_window": ("window_or_auto", "auto"),
+    "source.split_window": ("window", "auto"),
     "response.energy_resolution_fwhm": ("energy_ev", "150 eV"),
     "response.time_jitter_sigma": ("time_ns", "150 ns"),
     "response.clock_tick": ("time_ns", "20 ns"),
@@ -197,7 +189,7 @@ def merge_settings(*layers: dict[str, str]) -> dict[str, str]:
 
 
 def _parse_quantity(key: str, value: str, dimension: str) -> float:
-    units = _UNITS[dimension]
+    units = _UNITS[dimension][1]
     parts = value.split()
     if dimension == "plain":
         if len(parts) != 1:
@@ -215,6 +207,8 @@ def _parse_quantity(key: str, value: str, dimension: str) -> float:
 
 
 def _parse_value(key: str, value: str, dimension: str):
+    if value.lower() == "auto" and _SCHEMA.get(key, ("", ""))[1] == "auto":
+        return None
     if dimension in _UNITS:
         return _parse_quantity(key, value, dimension)
     if dimension == "int":
@@ -225,11 +219,7 @@ def _parse_value(key: str, value: str, dimension: str):
         return tuple(int(p) for p in value.split(","))
     if dimension == "floatlist":
         return tuple(float(p) for p in value.split(","))
-    if dimension.endswith("_or_auto") and value.lower() == "auto":
-        return None
-    if dimension == "angle_or_auto":
-        return _parse_quantity(key, value, "angle_rad")
-    if dimension == "window_or_auto":
+    if dimension == "window":
         lo, hi = (float(p) for p in value.split(","))
         if not 0.0 < lo < hi < 1.0:
             raise ConfigError(f"{key}: window must satisfy 0 < lo < hi < 1")
@@ -286,9 +276,7 @@ def canonical_text(settings: dict[str, str]) -> str:
         elif value is None:
             rendered = "auto"
         elif isinstance(value, float):
-            unit = _CANONICAL_UNIT.get(dimension)
-            if dimension == "angle_or_auto":
-                unit = "rad"
+            unit = _UNITS[dimension][0]
             rendered = f"{value!r} {unit}" if unit else repr(value)
         else:
             rendered = str(value)
@@ -307,26 +295,23 @@ def config_hash(settings: dict[str, str]) -> int:
 
 def _component_lines(
     resolved: dict[str, object], prefix: str, label: str, suppressed: bool
-) -> list[tuple[GaussianLine, GaussianLine]]:
-    """The component at prefix as (detector 1, detector 2) lines; empty
-    when it has no energy."""
+) -> tuple[GaussianLine, GaussianLine]:
+    """The component at prefix as (detector 1, detector 2) lines."""
     energy = resolved.get(f"{prefix}.energy")
     if energy is None:
-        return []
+        raise ConfigError(f"{prefix} has no energy")
     fwhm = float(resolved.get(f"{prefix}.fwhm", 0.0))
     base_rate = float(resolved.get(f"{prefix}.rate", 0.0))
-    return [
-        tuple(
-            GaussianLine(
-                label=label,
-                center_ev=float(energy),
-                fwhm_ev=fwhm,
-                rate_per_s=float(resolved.get(f"{prefix}.rate_d{det}", base_rate)),
-                suppressed=suppressed,
-            )
-            for det in (1, 2)
+    return tuple(
+        GaussianLine(
+            label=label,
+            center_ev=float(energy),
+            fwhm_ev=fwhm,
+            rate_per_s=float(resolved.get(f"{prefix}.rate_d{det}", base_rate)),
+            suppressed=suppressed,
         )
-    ]
+        for det in (1, 2)
+    )
 
 
 def build_run_config(settings: dict[str, str]) -> RunConfig:
@@ -354,30 +339,19 @@ def build_run_config(settings: dict[str, str]) -> RunConfig:
         for i in (1, 2)
     )
 
-    line_names = sorted(
-        {
-            match.group(1)
-            for key in r
-            if (match := _LINE_KEY.match(key)) is not None
-        }
-    )
+    line_names = sorted({m.group(1) for key in r if (m := _LINE_KEY.match(key))})
     # Named lines in sorted order, then the polarization-suppressed
     # Compton hump and elastic line; the order fixes the random draws.
-    components = [
-        pair
-        for name in line_names
-        for pair in _component_lines(r, f"source.line.{name}", name, suppressed=False)
-    ]
-    for name in _FIXED_COMPONENTS:
-        components += _component_lines(r, f"source.{name}", name, suppressed=True)
+    components = [_component_lines(r, f"source.line.{n}", n, False) for n in line_names]
+    components += [_component_lines(r, f"source.{n}", n, True) for n in _FIXED_COMPONENTS]
     source = SourceModel(
         true_pair_rate_per_s=float(r["source.pair_rate"]),
-        components=tuple(zip(*components)) or ((), ()),
+        components=tuple(zip(*components)),
     )
     response = DetectorResponse(
         energy_resolution_fwhm_ev=float(r["response.energy_resolution_fwhm"]),
         time_jitter_sigma_ns=float(r["response.time_jitter_sigma"]),
-        clock_tick_ns=int(round(float(r["response.clock_tick"]))),
+        clock_tick_ns=r["response.clock_tick"],
         energy_range_ev=(float(r["response.energy_min"]), float(r["response.energy_max"])),
         dead_time_ns=float(r["response.dead_time"]),
     )

@@ -233,7 +233,8 @@ class SourceModel:
 
 @dataclass(frozen=True)
 class DetectorResponse:
-    """Recording chain: energy resolution, time jitter, clock, range."""
+    """Recording chain: energy resolution, time jitter, clock (a whole
+    number of ns), range."""
 
     energy_resolution_fwhm_ev: float = 150.0
     time_jitter_sigma_ns: float = 150.0
@@ -248,6 +249,9 @@ class DetectorResponse:
             raise ConfigError("clock tick must be > 0")
         if self.clock_tick_ns >= 2**32:  # the list-mode header's u32 field
             raise ConfigError("clock tick must be under 2**32 ns (about 4.3 s)")
+        if not float(self.clock_tick_ns).is_integer():
+            raise ConfigError("clock tick must be a whole number of ns")
+        object.__setattr__(self, "clock_tick_ns", int(self.clock_tick_ns))
         lo, hi = self.energy_range_ev
         if not 0 < lo < hi:
             raise ConfigError("energy range must satisfy 0 < min < max")

@@ -251,7 +251,7 @@ class ChainEfficiencyModel:
     - "table": per-photon survival vs energy, linearly interpolated
       between (energy_ev, efficiency) points supplied by the user; must
       be non-decreasing over 5-17 keV where attenuation falls with
-      energy.
+      energy.  The other models take no table.
     """
 
     model: str = "constant"
@@ -261,6 +261,8 @@ class ChainEfficiencyModel:
     def __post_init__(self):
         if self.model not in ("constant", "ideal", "table"):
             raise PhysicsError(f"unknown chain-efficiency model {self.model!r}")
+        if self.table and self.model != "table":
+            raise PhysicsError(f"an efficiency table needs the table model, not {self.model!r}")
         if self.model == "constant" and not 0.0 < self.pair_efficiency <= 1.0:
             raise PhysicsError("pair efficiency must be in (0, 1]")
         if self.model == "table":

@@ -500,7 +500,9 @@ class TestEnergyProfile:
         # pair i-to-i alignment is lost after the sort; rebuild via pairing
         pairs = find_coincidence_pairs(s1, s2, criteria)
         corr = build_correlation_map(pairs, criteria, duration_s=1800.0)
-        centroid, error = energy_peak_centroid(corr, 640.0, 1100.0)
+        centroid, error = energy_peak_centroid(
+            corr, RoiSpec(t_half_width_ns=640.0, sideband_inner_ns=1100.0)
+        )
         assert abs(centroid - 11000.0) < 150.0
         # about 500 eV / sqrt(400 pairs)
         assert 20.0 < error < 30.0
@@ -525,7 +527,9 @@ class TestEnergyProfile:
         pulls = []
         for _ in range(100):
             corr = planted_pairs_map(shape(rng, 400), rng)
-            centroid, error = energy_peak_centroid(corr, 640.0, 1100.0)
+            centroid, error = energy_peak_centroid(
+                corr, RoiSpec(t_half_width_ns=640.0, sideband_inner_ns=1100.0)
+            )
             pulls.append((centroid - mean_ev) / error)
         assert abs(np.mean(pulls)) < self.PULL_MEAN_BOUND
         lo, hi = self.PULL_WIDTH_RANGE
@@ -534,7 +538,7 @@ class TestEnergyProfile:
     def test_no_excess_raises(self):
         corr = synthetic_map(amplitude=0.0, baseline=0.0)
         with pytest.raises(AnalysisError):
-            energy_peak_centroid(corr, 640.0, 1100.0)
+            energy_peak_centroid(corr, RoiSpec(t_half_width_ns=640.0, sideband_inner_ns=1100.0))
 
     @pytest.mark.parametrize(
         "t_half, inner", [(-1.0, 1100.0), (640.0, 5000.0), (640.0, 600.0)]
@@ -542,7 +546,7 @@ class TestEnergyProfile:
     def test_empty_or_overlapping_regions_raise(self, t_half, inner):
         corr = synthetic_map(amplitude=30.0, baseline=2.0)
         with pytest.raises(AnalysisError):
-            energy_peak_centroid(corr, t_half, inner)
+            energy_peak_centroid(corr, RoiSpec(t_half_width_ns=t_half, sideband_inner_ns=inner))
         with pytest.raises(AnalysisError):
             roi_rate(corr, RoiSpec(t_half_width_ns=t_half, sideband_inner_ns=inner))
 
@@ -683,7 +687,7 @@ class TestAnalyze:
         assert result.corr_map.counts.sum() == len(result.pairs) >= 390
         assert abs(result.energy_centroid - 11000.0) < 150.0
         assert (result.energy_centroid, result.energy_centroid_err) == energy_peak_centroid(
-            result.corr_map, result.roi.t_half_width_ns, result.roi.sideband_inner_ns
+            result.corr_map, result.roi
         )
 
     @pytest.mark.parametrize(

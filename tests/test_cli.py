@@ -850,6 +850,30 @@ class TestEnvironmentOverrides:
         assert read_listmode(os.path.join(out, "events.xpdc"))[1].clock_tick_ns == 2**32 - 1
 
     @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            # A line needs an energy: the rate alone simulated no photon.
+            ("XPDC_SOURCE__LINE__MN_KA__RATE", "500 /s", "source.line.mn_ka has no energy"),
+            # The list-mode header holds whole ns: 1.5 ns was written as 2.
+            ("XPDC_RESPONSE_CLOCK_TICK", "1.5 ns", "clock tick must be a whole number of ns"),
+            # The default constant model ran on its flat 0.18.
+            (
+                "XPDC_CHAIN_TABLE",
+                "5000:0.3,17000:0.5",
+                "an efficiency table needs the table model, not 'constant'",
+            ),
+        ],
+        ids=["line-without-energy", "fractional-tick", "table-without-table-model"],
+    )
+    def test_setting_the_run_would_ignore_is_one_line_config_error(
+        self, monkeypatch, capsys, tmp_path, name, value, message
+    ):
+        monkeypatch.setenv(name, value)
+        assert main(["simulate", "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not os.path.exists(tmp_path / "o")
+
+    @pytest.mark.parametrize(
         "name, value",
         [
             ("XPDC_RUN_DURATION", "nan s"),

@@ -291,6 +291,10 @@ class TestDetectorResponse:
         with pytest.raises(ConfigError):
             DetectorResponse(clock_tick_ns=0)
         with pytest.raises(ConfigError):
+            DetectorResponse(clock_tick_ns=1.5)
+        tick = DetectorResponse(clock_tick_ns=0.02 * 1e3).clock_tick_ns  # 0.02 us
+        assert tick == 20 and type(tick) is int
+        with pytest.raises(ConfigError):
             DetectorResponse(energy_range_ev=(17000.0, 5000.0))
 
 
