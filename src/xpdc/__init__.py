@@ -1,5 +1,9 @@
 """Desk-scale X-ray parametric down-conversion simulator and
-coincidence-analysis toolkit."""
+coincidence-analysis toolkit.
+
+The analysis names are loaded with the analysis module on first use
+(PEP 562), so that a process that only simulates never compiles it.
+"""
 
 from .physics import (
     BeamConfig,
@@ -16,6 +20,7 @@ from .physics import (
     polarization_suppression,
 )
 from .events import (
+    AnalysisError,
     BeamCurrentProfile,
     ConfigError,
     DetectorResponse,
@@ -27,27 +32,6 @@ from .events import (
     Stream,
     landing_acceptance,
     simulate_run,
-)
-from .analysis import (
-    AnalysisError,
-    AnalysisResult,
-    CoincidenceCriteria,
-    CorrelationMap,
-    EfficiencyResult,
-    GaussianFit,
-    PAIR_DTYPE,
-    RoiResult,
-    RoiSpec,
-    ScanResult,
-    analyze,
-    build_correlation_map,
-    conversion_efficiency,
-    energy_peak_centroid,
-    find_coincidence_pairs,
-    fit_misalignment_scan,
-    fit_time_profile,
-    roi_rate,
-    select_candidates,
 )
 from .listmode import (
     EVENT_DTYPE,
@@ -63,3 +47,36 @@ from .listmode import (
 )
 
 __version__ = "0.1.0"
+
+_ANALYSIS_NAMES = frozenset({
+    "AnalysisResult",
+    "CoincidenceCriteria",
+    "CorrelationMap",
+    "EfficiencyResult",
+    "GaussianFit",
+    "PAIR_DTYPE",
+    "RoiResult",
+    "RoiSpec",
+    "ScanResult",
+    "analyze",
+    "build_correlation_map",
+    "conversion_efficiency",
+    "energy_peak_centroid",
+    "find_coincidence_pairs",
+    "fit_misalignment_scan",
+    "fit_time_profile",
+    "roi_rate",
+    "select_candidates",
+})
+
+
+def __getattr__(name: str):
+    if name in _ANALYSIS_NAMES:
+        from . import analysis
+
+        return getattr(analysis, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _ANALYSIS_NAMES)

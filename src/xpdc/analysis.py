@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .events import Stream, thread_map
+from .events import AnalysisError, Stream, WindowLimitError, thread_map
+from .physics import _Frozen
 
 PAIR_DTYPE = np.dtype(
     [
@@ -46,42 +47,37 @@ _MAX_WINDOW_PAIRS = 2**26
 _PAIR_BLOCK = 1 << 15
 
 
-class AnalysisError(ValueError):
-    """Invalid input to an analysis operation."""
-
-
-class WindowLimitError(AnalysisError):
-    """A pairing block with more than _MAX_WINDOW_PAIRS time-window
-    candidates: the windows asked for are at fault more than the data."""
-
-
-@dataclass(frozen=True)
-class CoincidenceCriteria:
+class CoincidenceCriteria(_Frozen):
     """Selection windows and binning for the coincidence search."""
 
-    single_energy_window_ev: tuple[float, float] = (5000.0, 17000.0)
-    sum_center_ev: float = 22000.0
-    sum_half_width_ev: float = 500.0
-    max_abs_dt_ns: int = 2000
-    dt_bin_ns: int = 20
-    e_bin_ev: int = 100
+    __slots__ = ("single_energy_window_ev", "sum_center_ev", "sum_half_width_ev",
+                 "max_abs_dt_ns", "dt_bin_ns", "e_bin_ev")
 
-    def __post_init__(self):
-        lo, hi = self.single_energy_window_ev
+    def __init__(
+        self,
+        single_energy_window_ev: tuple[float, float] = (5000.0, 17000.0),
+        sum_center_ev: float = 22000.0,
+        sum_half_width_ev: float = 500.0,
+        max_abs_dt_ns: int = 2000,
+        dt_bin_ns: int = 20,
+        e_bin_ev: int = 100,
+    ):
+        lo, hi = single_energy_window_ev
         if not lo < hi:
             raise AnalysisError("energy window must satisfy min < max")
-        if self.sum_half_width_ev <= 0:
+        if sum_half_width_ev <= 0:
             raise AnalysisError("sum window half-width must be > 0")
-        if self.max_abs_dt_ns < 5 * self.dt_bin_ns:
+        if max_abs_dt_ns < 5 * dt_bin_ns:
             raise AnalysisError("pairing horizon must span at least 5 dt bins")
-        if self.max_abs_dt_ns >= 2**62:  # stamp - horizon must fit in int64
+        if max_abs_dt_ns >= 2**62:  # stamp - horizon must fit in int64
             raise AnalysisError("pairing horizon must be below 2**62 ns")
-        if self.dt_bin_ns <= 0 or self.e_bin_ev <= 0:
+        if dt_bin_ns <= 0 or e_bin_ev <= 0:
             raise AnalysisError("bin widths must be > 0")
+        self._set(single_energy_window_ev, sum_center_ev, sum_half_width_ev, max_abs_dt_ns,
+                  dt_bin_ns, e_bin_ev)
 
 
-@dataclass
-class CorrelationMap:
+class CorrelationMap(NamedTuple):
     """2D histogram of accepted pairs over (E1, t2 - t1).
 
     counts has shape (len(e_edges) - 1, len(dt_edges) - 1); binning is
@@ -109,8 +105,7 @@ class CorrelationMap:
         return self.counts.sum(axis=0)
 
 
-@dataclass(frozen=True)
-class GaussianFit:
+class GaussianFit(NamedTuple):
     """Gaussian-plus-constant fit of one histogram profile."""
 
     amplitude: float
@@ -123,8 +118,7 @@ class GaussianFit:
     baseline_err: float
 
 
-@dataclass(frozen=True)
-class RoiSpec:
+class RoiSpec(NamedTuple):
     """Region of interest and accidental sidebands on the map.
 
     The ROI is |E1 - e_center| <= e_half_width and |dt| <= t_half_width;
@@ -158,8 +152,7 @@ class RoiSpec:
         return np.abs(e_centers_ev - self.e_center_ev) <= self.e_half_width_ev
 
 
-@dataclass
-class RoiResult:
+class RoiResult(NamedTuple):
     """Background-subtracted pair rate in the region of interest."""
 
     roi_counts: int
@@ -169,8 +162,7 @@ class RoiResult:
     net_rate_err_per_hr: float
 
 
-@dataclass
-class ScanResult:
+class ScanResult(NamedTuple):
     """Power-law fit of pair rate versus crystal misalignment."""
 
     amplitude: float
@@ -183,8 +175,7 @@ class ScanResult:
     n_used: int
 
 
-@dataclass
-class EfficiencyResult:
+class EfficiencyResult(NamedTuple):
     """Observed rate unfolded to generation rate and conversion efficiency."""
 
     net_rate_per_hr: float
@@ -194,8 +185,7 @@ class EfficiencyResult:
     incident_per_pair: float
 
 
-@dataclass(frozen=True)
-class AnalysisResult:
+class AnalysisResult(NamedTuple):
     """Everything one pass of analyze() produces.
 
     time_fit and the E1 centroid with its error are None when that stage

@@ -15,9 +15,9 @@ import warnings
 
 import numpy as np
 
-from . import analysis, config as cfg, events, listmode
-from .analysis import AnalysisError, CoincidenceCriteria, RoiSpec, WindowLimitError
-from .events import ConfigError
+# analysis is imported where it is used, so that simulate and plan never load it.
+from . import config as cfg, events, listmode
+from .events import AnalysisError, ConfigError, WindowLimitError
 from .listmode import ListModeFormatError
 from .physics import (
     DEG,
@@ -59,6 +59,8 @@ def _load_settings(args) -> dict[str, str]:
 def _analysis(args):
     """analysis.analyze bound to the criteria and region-of-interest
     flags; flags that no data could satisfy are a usage error."""
+    from . import analysis
+
     for name in ("e_min", "e_max", "sum_center", "sum_half", "roi_e_center", "roi_e_half",
                  "roi_sigmas", "sideband_sigmas"):
         if not math.isfinite(getattr(args, name)):
@@ -70,7 +72,7 @@ def _analysis(args):
     if args.roi_e_half <= 0:
         raise ConfigError("--roi-e-half must be > 0")
     try:
-        criteria = CoincidenceCriteria(
+        criteria = analysis.CoincidenceCriteria(
             single_energy_window_ev=(args.e_min * 1e3, args.e_max * 1e3),
             sum_center_ev=args.sum_center * 1e3,
             sum_half_width_ev=args.sum_half * 1e3,
@@ -81,7 +83,9 @@ def _analysis(args):
         empty_map = analysis.build_correlation_map(np.empty(0, analysis.PAIR_DTYPE), criteria, 1.0)
     except AnalysisError as exc:
         raise ConfigError(str(exc)) from exc
-    roi = RoiSpec(e_center_ev=args.roi_e_center * 1e3, e_half_width_ev=args.roi_e_half * 1e3)
+    roi = analysis.RoiSpec(
+        e_center_ev=args.roi_e_center * 1e3, e_half_width_ev=args.roi_e_half * 1e3
+    )
     if not roi.energy_rows(empty_map.e_centers_ev).any():
         raise ConfigError("--roi-e-center and --roi-e-half select no E1 bin")
     return functools.partial(
@@ -288,6 +292,8 @@ def _scan_point(run: events.RunConfig, run_analysis) -> tuple[float, float]:
 def _fit_scan(points):
     """analysis.fit_misalignment_scan, with each warning it gives printed
     as one `warning: ` line."""
+    from . import analysis
+
     with warnings.catch_warnings(record=True) as caught:
         try:
             return analysis.fit_misalignment_scan(points)
@@ -360,6 +366,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import analysis
+
     # A negative net rate (sidebands above the ROI) is reported as it is.
     if args.net_rate is not None and not math.isfinite(args.net_rate):
         raise ConfigError("--net-rate must be finite")

@@ -203,7 +203,16 @@ def _parse_quantity(key: str, value: str, dimension: str) -> float:
     factor = units.get(parts[1].lower())
     if factor is None:
         raise ConfigError(f"{key}: unit {parts[1]!r} not valid for {dimension}")
-    return float(parts[0]) * factor
+    number = float(parts[0]) * factor
+    if key == "response.clock_tick" and math.isfinite(number) and not number.is_integer():
+        # One float multiply can miss a whole ns (0.000065 s gives
+        # 64999.99999999999): the decimal text times the factor, exactly.
+        from fractions import Fraction  # here only: importing it takes about 1.6 ms
+
+        exact = Fraction(parts[0]) * Fraction(factor)
+        if exact.denominator == 1:
+            return float(exact)
+    return number
 
 
 def _parse_value(key: str, value: str, dimension: str):

@@ -23,7 +23,7 @@ import pickle
 import sys
 import threading
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,29 +33,29 @@ from .physics import (
     CrystalConfig,
     DetectorGeometry,
     FWHM_OVER_SIGMA,
+    _Frozen,
     bragg_angle,
     emission_angles,
     polarization_suppression,
 )
 
 
-@dataclass(frozen=True)
-class Stream:
+class Stream(_Frozen):
     """One detector's events as two aligned columns of equal length:
     timestamp_ns (uint64, non-decreasing, below 2**63) and energy_ev
     (uint32).  Construction raises ValueError for any other columns, so
     every stage may take a Stream's order as given."""
 
-    timestamp_ns: np.ndarray
-    energy_ev: np.ndarray
+    __slots__ = ("timestamp_ns", "energy_ev")
 
-    def __post_init__(self):  # no copy where the dtypes already match
-        object.__setattr__(self, "timestamp_ns", np.asarray(self.timestamp_ns, dtype=np.uint64))
-        object.__setattr__(self, "energy_ev", np.asarray(self.energy_ev, dtype=np.uint32))
-        if self.timestamp_ns.ndim != 1 or self.timestamp_ns.shape != self.energy_ev.shape:
+    def __init__(self, timestamp_ns: np.ndarray, energy_ev: np.ndarray):
+        timestamp_ns = np.asarray(timestamp_ns, dtype=np.uint64)  # no copy where the
+        energy_ev = np.asarray(energy_ev, dtype=np.uint32)  # dtypes already match
+        if timestamp_ns.ndim != 1 or timestamp_ns.shape != energy_ev.shape:
             raise ValueError("Stream columns must be one-dimensional and of equal length")
-        if not stamps_in_order(self.timestamp_ns):
+        if not stamps_in_order(timestamp_ns):
             raise ValueError("Stream timestamps decrease or reach 2**63 ns")
+        self._set(timestamp_ns, energy_ev)
 
     def __len__(self) -> int:
         return len(self.timestamp_ns)
@@ -189,31 +189,39 @@ class ConfigError(ValueError):
     """Invalid run or experiment configuration."""
 
 
-@dataclass(frozen=True)
-class GaussianLine:
-    """One background component: Gaussian energy profile at a fixed rate."""
+class AnalysisError(ValueError):
+    """Invalid input to an analysis operation."""
 
-    label: str
-    center_ev: float
-    fwhm_ev: float
-    rate_per_s: float
-    # Polarization-sensitive components (elastic, Compton) are scaled by
-    # the suppression factor; isotropic fluorescence is not.
-    suppressed: bool = False
 
-    def __post_init__(self):
-        if self.rate_per_s < 0:
-            raise ConfigError(f"background rate for {self.label!r} must be >= 0")
-        if self.center_ev <= 0 or self.fwhm_ev < 0:
-            raise ConfigError(f"bad line shape for {self.label!r}")
+class WindowLimitError(AnalysisError):
+    """A pairing block with more than analysis._MAX_WINDOW_PAIRS
+    time-window candidates: the windows asked for are at fault more than
+    the data."""
+
+
+class GaussianLine(_Frozen):
+    """One background component: Gaussian energy profile at a fixed rate.
+    Polarization-sensitive components (elastic, Compton) are suppressed:
+    scaled by the suppression factor; isotropic fluorescence is not."""
+
+    __slots__ = ("label", "center_ev", "fwhm_ev", "rate_per_s", "suppressed")
+
+    def __init__(
+        self, label: str, center_ev: float, fwhm_ev: float, rate_per_s: float,
+        suppressed: bool = False,
+    ):
+        if rate_per_s < 0:
+            raise ConfigError(f"background rate for {label!r} must be >= 0")
+        if center_ev <= 0 or fwhm_ev < 0:
+            raise ConfigError(f"bad line shape for {label!r}")
+        self._set(label, center_ev, fwhm_ev, rate_per_s, suppressed)
 
     def rate(self, suppression: float) -> float:
         """Rate in /s under the given polarization suppression factor."""
         return self.rate_per_s * (suppression if self.suppressed else 1.0)
 
 
-@dataclass(frozen=True)
-class SourceModel:
+class SourceModel(_Frozen):
     """True pair rate plus per-detector background components.
 
     true_pair_rate_per_s counts pairs emitted into the full azimuthal
@@ -223,44 +231,51 @@ class SourceModel:
     numbers, in tuple order.
     """
 
-    true_pair_rate_per_s: float = 18900.0 / 3600.0
-    components: tuple[tuple[GaussianLine, ...], tuple[GaussianLine, ...]] = ((), ())
+    __slots__ = ("true_pair_rate_per_s", "components")
 
-    def __post_init__(self):
-        if self.true_pair_rate_per_s < 0:
+    def __init__(
+        self,
+        true_pair_rate_per_s: float = 18900.0 / 3600.0,
+        components: tuple[tuple[GaussianLine, ...], tuple[GaussianLine, ...]] = ((), ()),
+    ):
+        if true_pair_rate_per_s < 0:
             raise ConfigError("pair rate must be >= 0")
+        self._set(true_pair_rate_per_s, components)
 
 
-@dataclass(frozen=True)
-class DetectorResponse:
+class DetectorResponse(_Frozen):
     """Recording chain: energy resolution, time jitter, clock (a whole
-    number of ns), range."""
+    number of ns), range, and a non-paralyzable dead time (0 disables)."""
 
-    energy_resolution_fwhm_ev: float = 150.0
-    time_jitter_sigma_ns: float = 150.0
-    clock_tick_ns: int = 20
-    energy_range_ev: tuple[float, float] = (1000.0, 30000.0)
-    dead_time_ns: float = 0.0  # non-paralyzable; 0 disables
+    __slots__ = ("energy_resolution_fwhm_ev", "time_jitter_sigma_ns", "clock_tick_ns",
+                 "energy_range_ev", "dead_time_ns")
 
-    def __post_init__(self):
-        if self.energy_resolution_fwhm_ev < 0 or self.time_jitter_sigma_ns < 0:
+    def __init__(
+        self,
+        energy_resolution_fwhm_ev: float = 150.0,
+        time_jitter_sigma_ns: float = 150.0,
+        clock_tick_ns: int = 20,
+        energy_range_ev: tuple[float, float] = (1000.0, 30000.0),
+        dead_time_ns: float = 0.0,
+    ):
+        if energy_resolution_fwhm_ev < 0 or time_jitter_sigma_ns < 0:
             raise ConfigError("response widths must be >= 0")
-        if self.clock_tick_ns <= 0:
+        if clock_tick_ns <= 0:
             raise ConfigError("clock tick must be > 0")
-        if self.clock_tick_ns >= 2**32:  # the list-mode header's u32 field
+        if clock_tick_ns >= 2**32:  # the list-mode header's u32 field
             raise ConfigError("clock tick must be under 2**32 ns (about 4.3 s)")
-        if not float(self.clock_tick_ns).is_integer():
+        if not float(clock_tick_ns).is_integer():
             raise ConfigError("clock tick must be a whole number of ns")
-        object.__setattr__(self, "clock_tick_ns", int(self.clock_tick_ns))
-        lo, hi = self.energy_range_ev
+        lo, hi = energy_range_ev
         if not 0 < lo < hi:
             raise ConfigError("energy range must satisfy 0 < min < max")
-        if self.dead_time_ns < 0:
+        if dead_time_ns < 0:
             raise ConfigError("dead time must be >= 0")
+        self._set(energy_resolution_fwhm_ev, time_jitter_sigma_ns, int(clock_tick_ns),
+                  energy_range_ev, dead_time_ns)
 
 
-@dataclass(frozen=True)
-class BeamCurrentProfile:
+class BeamCurrentProfile(_Frozen):
     """Piecewise-constant relative beam current over the run.
 
     Segments of equal duration span the run; values are normalized to a
@@ -268,18 +283,18 @@ class BeamCurrentProfile:
     current.
     """
 
-    values: tuple[float, ...] = (1.0,)
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        if not self.values or any(v <= 0 for v in self.values):
+    def __init__(self, values: tuple[float, ...] = (1.0,)):
+        if not values or any(v <= 0 for v in values):
             raise ConfigError("beam current values must be > 0")
-        mean = sum(self.values) / len(self.values)
-        values = tuple(v / mean for v in self.values)
+        mean = sum(values) / len(values)
+        values = tuple(v / mean for v in values)
         # Huge values overflow the mean; a spread past the float range
         # underflows a segment to 0.
         if not all(math.isfinite(v) and v > 0 for v in (mean, *values)):
             raise ConfigError("beam current values do not normalize to a finite mean of 1")
-        object.__setattr__(self, "values", values)
+        self._set(values)
 
     @property
     def mean(self) -> float:
@@ -292,20 +307,19 @@ class BeamCurrentProfile:
         return [(i * seg, (i + 1) * seg, v) for i, v in enumerate(self.values)]
 
 
-@dataclass(frozen=True)
-class ExperimentModel:
+class ExperimentModel(NamedTuple):
     """Everything the sampler needs: crystal, beam, detectors, source,
     response and efficiency chain."""
 
-    crystal: CrystalConfig = field(default_factory=CrystalConfig)
-    beam: BeamConfig = field(default_factory=BeamConfig)
+    crystal: CrystalConfig = CrystalConfig()
+    beam: BeamConfig = BeamConfig()
     detectors: tuple[DetectorGeometry, DetectorGeometry] = (
         DetectorGeometry(distance_mm=1351.0),
         DetectorGeometry(distance_mm=1560.0),
     )
-    source: SourceModel = field(default_factory=SourceModel)
-    response: DetectorResponse = field(default_factory=DetectorResponse)
-    chain: ChainEfficiencyModel = field(default_factory=ChainEfficiencyModel)
+    source: SourceModel = SourceModel()
+    response: DetectorResponse = DetectorResponse()
+    chain: ChainEfficiencyModel = ChainEfficiencyModel()
     # Energy-split sampling window; None derives it from the detector
     # radial spans (see split_window()).
     split_window_x: tuple[float, float] | None = None
@@ -323,7 +337,7 @@ class ExperimentModel:
             return self.detectors
         r0 = self.degenerate_offset()
         return tuple(
-            replace(d, center_angle_offset_rad=r0)
+            DetectorGeometry(d.distance_mm, d.active_area_mm2, r0)
             if d.center_angle_offset_rad is None
             else d
             for d in self.detectors
@@ -366,40 +380,40 @@ class ExperimentModel:
         return (lo, hi)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Frozen):
     """One simulated acquisition."""
 
-    duration_s: float = 1800.0
-    seed: int = 1
-    experiment: ExperimentModel = field(default_factory=ExperimentModel)
-    beam_current_profile: BeamCurrentProfile = field(
-        default_factory=BeamCurrentProfile
-    )
+    __slots__ = ("duration_s", "seed", "experiment", "beam_current_profile")
 
-    def __post_init__(self):
-        if self.duration_s <= 0:
+    def __init__(
+        self,
+        duration_s: float = 1800.0,
+        seed: int = 1,
+        experiment: ExperimentModel = ExperimentModel(),
+        beam_current_profile: BeamCurrentProfile = BeamCurrentProfile(),
+    ):
+        if duration_s <= 0:
             raise ConfigError("duration must be > 0")
-        if self.duration_s * 1e9 >= 2**63:  # timestamps are analysed as int64 ns
+        if duration_s * 1e9 >= 2**63:  # timestamps are analysed as int64 ns
             raise ConfigError("duration must be under 2**63 ns (about 292 years)")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= int(seed) < 2**64:
             raise ConfigError("seed must fit in 64 bits")
+        self._set(duration_s, seed, experiment, beam_current_profile)
 
 
-@dataclass
-class RunManifest:
+class RunManifest(NamedTuple):
     """Ground-truth counters recorded alongside the event streams."""
 
     seed: int
     duration_s: float
     config_hash: int
     mean_current: float
-    pairs_generated: int = 0
-    pairs_landed_both: int = 0
-    pairs_detected_both: int = 0
-    singles_detected: tuple[int, int] = (0, 0)
-    background_counts: dict[str, int] = field(default_factory=dict)
-    events_recorded: tuple[int, int] = (0, 0)
+    pairs_generated: int
+    pairs_landed_both: int
+    pairs_detected_both: int
+    singles_detected: tuple[int, int]
+    background_counts: dict[str, int]
+    events_recorded: tuple[int, int]
 
     def as_dict(self) -> dict[str, object]:
         out: dict[str, object] = {
@@ -680,15 +694,9 @@ def simulate_run(
     master = np.random.SeedSequence(int(config.seed))
     pair_seq, bg1_seq, bg2_seq, resp_seq = master.spawn(4)
 
-    manifest = RunManifest(
-        seed=int(config.seed),
-        duration_s=duration,
-        config_hash=config_hash,
-        mean_current=profile.mean,
-    )
-
     # Down-converted pairs (only when the cone is open): the times and
     # energies of the members each detector receives.
+    pairs_generated = pairs_landed_both = 0
     pair_members = np.zeros((2, 0), dtype=bool)  # pairs sending a photon to each
     member_blocks = [(np.empty(0), np.empty(0))] * 2
     if exp.crystal.detuning_rad > 0 and exp.source.true_pair_rate_per_s > 0:
@@ -696,10 +704,8 @@ def simulate_run(
         rate = exp.source.true_pair_rate_per_s * exp.crystal.effective_rate_scale
         times = _poisson_times(rng, rate, duration, profile)
         batch = _sample_pair_batch(rng, exp, times)
-        manifest.pairs_generated = len(times)
-        manifest.pairs_landed_both = int(
-            np.sum(batch["signal_landed"] & batch["idler_landed"])
-        )
+        pairs_generated = len(times)
+        pairs_landed_both = int(np.sum(batch["signal_landed"] & batch["idler_landed"]))
         pair_members = np.stack([batch["signal_detected"], batch["idler_detected"]])
         member_blocks = [
             (times[mask], batch[energy][mask])
@@ -715,12 +721,13 @@ def simulate_run(
     )
     resp_rng = np.random.default_rng(resp_seq)
     streams = []
+    background_counts: dict[str, int] = {}
     recorded_members = np.zeros_like(pair_members)
     for det_index, seq in enumerate((bg1_seq, bg2_seq)):
         bg_times, bg_energies, counts = _background_arrays(
             np.random.default_rng(seq), exp.source, duration, det_index + 1, suppression, profile
         )
-        manifest.background_counts.update(counts)
+        background_counts.update(counts)
         member_times, member_energies = member_blocks[det_index]
         times = np.concatenate([member_times, *bg_times])  # pair members lead
         bg_times.clear()
@@ -752,7 +759,16 @@ def simulate_run(
         del stamps, energies, live
 
     both = recorded_members[0] & recorded_members[1]
-    manifest.pairs_detected_both = int(both.sum())
-    manifest.singles_detected = tuple(int(np.sum(m & ~both)) for m in recorded_members)
-    manifest.events_recorded = (len(streams[0]), len(streams[1]))
+    manifest = RunManifest(
+        seed=int(config.seed),
+        duration_s=duration,
+        config_hash=config_hash,
+        mean_current=profile.mean,
+        pairs_generated=pairs_generated,
+        pairs_landed_both=pairs_landed_both,
+        pairs_detected_both=int(both.sum()),
+        singles_detected=tuple(int(np.sum(m & ~both)) for m in recorded_members),
+        background_counts=background_counts,
+        events_recorded=(len(streams[0]), len(streams[1])),
+    )
     return streams[0], streams[1], manifest

@@ -28,9 +28,8 @@ import contextlib
 import mmap
 import os
 import stat
-import tempfile
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +57,7 @@ class ListModeFormatError(ValueError):
     """Malformed or inconsistent list-mode file."""
 
 
-@dataclass(frozen=True)
-class ListModeHeader:
+class ListModeHeader(NamedTuple):
     clock_tick_ns: int
     detector_count: int
     config_hash: int
@@ -79,14 +77,12 @@ def _atomic_write(path: str) -> Iterator:
     """A binary handle on a temporary file beside path, renamed to path when
     the with block ends: the whole file, or, if the block raises, no file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".xpdc-tmp-")
+    tmp = os.path.join(directory, f".xpdc-tmp-{os.urandom(8).hex()}")
+    # A new file of mode 0666, which the kernel masks with the umask, as open() does.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             yield handle
-        # mkstemp creates the file 0600; give it the mode open() would.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -148,7 +144,7 @@ def _read_records(path: str) -> tuple[np.ndarray, ListModeHeader, mmap.mmap | No
         raise ListModeFormatError(
             f"record section size {len(body)} is not a multiple of {EVENT_DTYPE.itemsize}"
         )
-    header = ListModeHeader(*(int(head[field.name]) for field in fields(ListModeHeader)))
+    header = ListModeHeader(*(int(head[name]) for name in ListModeHeader._fields))
     return body.view(EVENT_DTYPE), header, mapped
 
 

@@ -13,7 +13,6 @@ and safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,8 +36,43 @@ class PhaseMatchingError(PhysicsError):
     """No real emission-angle solution for the requested split/detuning."""
 
 
-@dataclass(frozen=True)
-class CrystalConfig:
+class _Frozen:
+    """Base of the value types that check their fields.  Each sets its
+    __slots__, in order, once, by _set at the end of its __init__; any
+    later assignment or deletion raises AttributeError.  Instances
+    compare, hash, print and pickle by their fields, as frozen dataclasses
+    do, without generating code for each class at import."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):  # pickle and copy give (None, {slot: value})
+        self._set(*(state[1][name] for name in self.__slots__))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class CrystalConfig(_Frozen):
     """Crystal, reflection and detuning state.
 
     detuning_rad is signed: positive opens the down-conversion cone,
@@ -47,20 +81,25 @@ class CrystalConfig:
     reduce the usable thickness; it multiplies the configured pair rate.
     """
 
-    lattice_constant_angstrom: float = 3.5668  # diamond, cubic
-    reflection: tuple[int, int, int] = (6, 6, 0)
-    detuning_rad: float = 10e-3 * DEG
-    effective_rate_scale: float = 1.0
+    __slots__ = ("lattice_constant_angstrom", "reflection", "detuning_rad",
+                 "effective_rate_scale")
 
-    def __post_init__(self):
-        if self.lattice_constant_angstrom <= 0:
+    def __init__(
+        self,
+        lattice_constant_angstrom: float = 3.5668,  # diamond, cubic
+        reflection: tuple[int, int, int] = (6, 6, 0),
+        detuning_rad: float = 10e-3 * DEG,
+        effective_rate_scale: float = 1.0,
+    ):
+        if lattice_constant_angstrom <= 0:
             raise PhysicsError("lattice constant must be > 0")
-        if len(self.reflection) != 3:
-            raise PhysicsError(f"reflection {tuple(self.reflection)} is not three Miller indices")
-        if tuple(self.reflection) == (0, 0, 0):
+        if len(reflection) != 3:
+            raise PhysicsError(f"reflection {tuple(reflection)} is not three Miller indices")
+        if tuple(reflection) == (0, 0, 0):
             raise PhysicsError("reflection (0,0,0) has no lattice vector")
-        if not 0.0 < self.effective_rate_scale <= 1.0:
+        if not 0.0 < effective_rate_scale <= 1.0:
             raise PhysicsError("effective_rate_scale must be in (0, 1]")
+        self._set(lattice_constant_angstrom, reflection, detuning_rad, effective_rate_scale)
 
     @property
     def d_spacing_angstrom(self) -> float:
@@ -68,8 +107,7 @@ class CrystalConfig:
         return self.lattice_constant_angstrom / math.sqrt(h * h + k * k + l * l)
 
 
-@dataclass(frozen=True)
-class BeamConfig:
+class BeamConfig(_Frozen):
     """Pump beam: energy, bandwidth, flux and polarization plane angle.
 
     polarization_angle_rad is the angle chi between the scattering plane
@@ -77,22 +115,26 @@ class BeamConfig:
     polarization plane (maximum background suppression).
     """
 
-    pump_energy_ev: float = 22000.0
-    bandwidth_fwhm_ev: float = 2.9
-    incident_rate_per_s: float = 0.98e13
-    polarization_angle_rad: float = 0.0
+    __slots__ = ("pump_energy_ev", "bandwidth_fwhm_ev", "incident_rate_per_s",
+                 "polarization_angle_rad")
 
-    def __post_init__(self):
-        if self.pump_energy_ev <= 0:
+    def __init__(
+        self,
+        pump_energy_ev: float = 22000.0,
+        bandwidth_fwhm_ev: float = 2.9,
+        incident_rate_per_s: float = 0.98e13,
+        polarization_angle_rad: float = 0.0,
+    ):
+        if pump_energy_ev <= 0:
             raise PhysicsError("pump energy must be > 0")
-        if self.incident_rate_per_s < 0:
+        if incident_rate_per_s < 0:
             raise PhysicsError("incident rate must be >= 0")
-        if self.bandwidth_fwhm_ev < 0:
+        if bandwidth_fwhm_ev < 0:
             raise PhysicsError("bandwidth must be >= 0")
+        self._set(pump_energy_ev, bandwidth_fwhm_ev, incident_rate_per_s, polarization_angle_rad)
 
 
-@dataclass(frozen=True)
-class DetectorGeometry:
+class DetectorGeometry(_Frozen):
     """One energy-resolving detector: distance, area and angular position.
 
     center_angle_offset_rad is the detector center's angle from the Laue
@@ -100,15 +142,19 @@ class DetectorGeometry:
     None (auto) aims it at the degenerate x = 0.5 ring.
     """
 
-    distance_mm: float
-    active_area_mm2: float = 50.0
-    center_angle_offset_rad: float | None = None
+    __slots__ = ("distance_mm", "active_area_mm2", "center_angle_offset_rad")
 
-    def __post_init__(self):
-        if self.distance_mm <= 0:
+    def __init__(
+        self,
+        distance_mm: float,
+        active_area_mm2: float = 50.0,
+        center_angle_offset_rad: float | None = None,
+    ):
+        if distance_mm <= 0:
             raise PhysicsError("detector distance must be > 0")
-        if self.active_area_mm2 <= 0:
+        if active_area_mm2 <= 0:
             raise PhysicsError("detector active area must be > 0")
+        self._set(distance_mm, active_area_mm2, center_angle_offset_rad)
 
     @property
     def side_mm(self) -> float:
@@ -238,8 +284,7 @@ def polarization_suppression(theta_b_rad: float, chi_rad: float) -> float:
     return min(1.0, max(0.0, value))
 
 
-@dataclass(frozen=True)
-class ChainEfficiencyModel:
+class ChainEfficiencyModel(_Frozen):
     """Survival probability of down-converted photons on the way to a count.
 
     Covers everything between emission and a recorded event: air path,
@@ -254,31 +299,35 @@ class ChainEfficiencyModel:
       energy.  The other models take no table.
     """
 
-    model: str = "constant"
-    pair_efficiency: float = 0.18
-    table: tuple[tuple[float, float], ...] = field(default=())
+    __slots__ = ("model", "pair_efficiency", "table")
 
-    def __post_init__(self):
-        if self.model not in ("constant", "ideal", "table"):
-            raise PhysicsError(f"unknown chain-efficiency model {self.model!r}")
-        if self.table and self.model != "table":
-            raise PhysicsError(f"an efficiency table needs the table model, not {self.model!r}")
-        if self.model == "constant" and not 0.0 < self.pair_efficiency <= 1.0:
+    def __init__(
+        self,
+        model: str = "constant",
+        pair_efficiency: float = 0.18,
+        table: tuple[tuple[float, float], ...] = (),
+    ):
+        if model not in ("constant", "ideal", "table"):
+            raise PhysicsError(f"unknown chain-efficiency model {model!r}")
+        if table and model != "table":
+            raise PhysicsError(f"an efficiency table needs the table model, not {model!r}")
+        if model == "constant" and not 0.0 < pair_efficiency <= 1.0:
             raise PhysicsError("pair efficiency must be in (0, 1]")
-        if self.model == "table":
-            if len(self.table) < 2:
+        if model == "table":
+            if len(table) < 2:
                 raise PhysicsError("table model needs at least two points")
-            energies = [e for e, _ in self.table]
-            effs = [v for _, v in self.table]
+            energies = [e for e, _ in table]
+            effs = [v for _, v in table]
             if sorted(energies) != energies:
                 raise PhysicsError("table energies must be ascending")
             if any(not 0.0 < v <= 1.0 for v in effs):
                 raise PhysicsError("table efficiencies must be in (0, 1]")
-            in_band = [v for e, v in self.table if 5000.0 <= e <= 17000.0]
+            in_band = [v for e, v in table if 5000.0 <= e <= 17000.0]
             if any(b < a for a, b in zip(in_band, in_band[1:])):
                 raise PhysicsError(
                     "table efficiency must be non-decreasing over 5-17 keV"
                 )
+        self._set(model, pair_efficiency, table)
 
     def photon_efficiency(self, energy_ev):
         """Survival probability for photons of the given energy (a number

@@ -559,12 +559,10 @@ class TestRoiRate:
         assert abs(result.net_rate_per_hr) < 2 * result.net_rate_err_per_hr
 
     def test_linearity_in_counts(self):
-        import dataclasses
-
         rng = np.random.default_rng(10)
         corr = synthetic_map(amplitude=30.0, baseline=2.0, rng=rng)
         result = roi_rate(corr, RoiSpec())
-        doubled = dataclasses.replace(corr, counts=corr.counts * 2)
+        doubled = corr._replace(counts=corr.counts * 2)
         result2 = roi_rate(doubled, RoiSpec())
         assert result2.net_rate_per_hr == pytest.approx(2 * result.net_rate_per_hr)
         assert result2.net_rate_err_per_hr == pytest.approx(
@@ -586,7 +584,7 @@ class TestRoiRate:
     def test_normalization_by_current(self):
         corr = synthetic_map(amplitude=30.0)
         base = roi_rate(corr, RoiSpec())
-        corr.mean_current = 2.0
+        corr = corr._replace(mean_current=2.0)
         halved = roi_rate(corr, RoiSpec())
         assert halved.net_rate_per_hr == pytest.approx(base.net_rate_per_hr / 2)
 

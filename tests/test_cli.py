@@ -843,6 +843,19 @@ class TestEnvironmentOverrides:
         ]
         assert not os.path.exists(tmp_path / "o")
 
+    @pytest.mark.parametrize("tick, ns", [("0.000065 s", 65000), ("0.000123 s", 123000)])
+    def test_whole_ns_tick_written_in_seconds_is_written(
+        self, quiet_config, monkeypatch, tmp_path, tick, ns
+    ):
+        # One float multiply reads 0.000065 s as 64999.99999999999 ns.
+        monkeypatch.setenv("XPDC_RESPONSE__CLOCK_TICK", tick)
+        out = str(tmp_path / "o")
+        assert main(["simulate", "--config", quiet_config, "--out", out]) == 0
+        assert read_listmode(os.path.join(out, "events.xpdc"))[1].clock_tick_ns == ns
+        config_txt = load_config_file(os.path.join(out, "config.txt"))
+        assert config_txt["response.clock_tick"] == f"{ns}.0 ns"
+        assert build_run_config(config_txt).experiment.response.clock_tick_ns == ns
+
     def test_largest_clock_tick_is_written(self, quiet_config, monkeypatch, tmp_path):
         monkeypatch.setenv("XPDC_RESPONSE__CLOCK_TICK", "4294967295 ns")
         out = str(tmp_path / "o")
@@ -1090,3 +1103,100 @@ def test_every_traced_name_exists():
         if not hasattr(importlib.import_module(f"xpdc.{layer}"), name)
     ]
     assert layers and missing == []
+
+
+def test_simulate_loads_neither_analysis_nor_dataclasses(tmp_path, short_config):
+    # Measured against what `import numpy` loads; each xpdc process would
+    # otherwise compile analysis and pay for generating dataclasses.
+    probe = ("import sys, numpy; loaded = set(sys.modules); {}; "
+             "print([m for m in ('xpdc.analysis', 'dataclasses') "
+             "if m in sys.modules and m not in loaded])")
+    imported = run_in_subprocess(["-c", probe.format("import xpdc.cli")], check=True)
+    assert imported.stdout.splitlines()[-1] == "[]"
+    simulated = run_in_subprocess(
+        ["-c", probe.format("from xpdc.cli import main; assert main(sys.argv[1:]) == 0"),
+         "simulate", "--config", short_config, "--out", str(tmp_path / "run")],
+        check=True,
+    )
+    assert simulated.stdout.splitlines()[-1] == "[]"
+
+
+# Every name `xpdc` exported when it imported the analysis module eagerly.
+PACKAGE_NAMES = [
+    "BeamConfig", "ChainEfficiencyModel", "CrystalConfig", "DetectorGeometry",
+    "PhaseMatchingError", "PhysicsError", "ReflectionUnreachableError", "bragg_angle",
+    "detection_chain_efficiency", "emission_angle_approx", "emission_angles",
+    "polarization_suppression",
+    "BeamCurrentProfile", "ConfigError", "DetectorResponse", "ExperimentModel",
+    "GaussianLine", "RunConfig", "RunManifest", "SourceModel", "Stream",
+    "landing_acceptance", "simulate_run",
+    "AnalysisError", "AnalysisResult", "CoincidenceCriteria", "CorrelationMap",
+    "EfficiencyResult", "GaussianFit", "PAIR_DTYPE", "RoiResult", "RoiSpec", "ScanResult",
+    "analyze", "build_correlation_map", "conversion_efficiency", "energy_peak_centroid",
+    "find_coincidence_pairs", "fit_misalignment_scan", "fit_time_profile", "roi_rate",
+    "select_candidates",
+    "EVENT_DTYPE", "ListModeFormatError", "ListModeHeader", "merge_streams", "read_listmode",
+    "read_manifest", "read_streams", "split_streams", "write_listmode", "write_manifest",
+    "__version__",
+]
+
+
+@pytest.mark.parametrize("name", PACKAGE_NAMES)
+def test_package_name_resolves_and_is_listed(name):
+    assert getattr(xpdc, name) is not None
+    assert name in dir(xpdc)
+
+
+def test_analysis_errors_are_one_class_everywhere():
+    from xpdc import analysis
+
+    assert xpdc.AnalysisError is analysis.AnalysisError is events.AnalysisError
+    assert analysis.WindowLimitError is events.WindowLimitError
+
+
+def _analysis_result():
+    stream = Stream([0, 20], [11000, 11000])
+    return analyze(stream, stream, CoincidenceCriteria(), duration_s=1.0)
+
+
+# Each type that was a frozen dataclass, an instance of it, and one field.
+FROZEN_TYPES = {
+    "CrystalConfig": (lambda: xpdc.CrystalConfig(), "detuning_rad"),
+    "BeamConfig": (lambda: xpdc.BeamConfig(), "pump_energy_ev"),
+    "DetectorGeometry": (lambda: xpdc.DetectorGeometry(1351.0), "center_angle_offset_rad"),
+    "ChainEfficiencyModel": (lambda: xpdc.ChainEfficiencyModel(), "pair_efficiency"),
+    "Stream": (lambda: Stream([0], [11000]), "timestamp_ns"),
+    "GaussianLine": (lambda: xpdc.GaussianLine("fe_ka", 6400.0, 10.0, 20.0), "rate_per_s"),
+    "SourceModel": (lambda: xpdc.SourceModel(), "true_pair_rate_per_s"),
+    "DetectorResponse": (lambda: xpdc.DetectorResponse(), "clock_tick_ns"),
+    "BeamCurrentProfile": (lambda: xpdc.BeamCurrentProfile(), "values"),
+    "ExperimentModel": (lambda: xpdc.ExperimentModel(), "crystal"),
+    "RunConfig": (lambda: xpdc.RunConfig(), "seed"),
+    "CoincidenceCriteria": (lambda: CoincidenceCriteria(), "dt_bin_ns"),
+    "GaussianFit": (lambda: xpdc.GaussianFit(*range(8)), "sigma"),
+    "RoiSpec": (lambda: RoiSpec(), "e_center_ev"),
+    "AnalysisResult": (_analysis_result, "roi"),
+    "ListModeHeader": (lambda: ListModeHeader(20, 2, 0), "config_hash"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_TYPES))
+def test_formerly_frozen_type_refuses_assignment(name):
+    make, field = FROZEN_TYPES[name]
+    value = make()
+    assert type(value) is getattr(xpdc, name)
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+
+
+def test_checked_types_compare_print_and_pickle_by_fields():
+    import copy
+    import pickle
+
+    run = build_run_config(merge_settings())
+    assert pickle.loads(pickle.dumps(run)) == run == copy.deepcopy(run)
+    assert hash(run.experiment.crystal) == hash(xpdc.CrystalConfig())
+    assert repr(xpdc.DetectorGeometry(1351.0)) == (
+        "DetectorGeometry(distance_mm=1351.0, active_area_mm2=50.0, center_angle_offset_rad=None)"
+    )
+    assert xpdc.BeamConfig() != xpdc.BeamConfig(pump_energy_ev=20000.0)

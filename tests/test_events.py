@@ -6,7 +6,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,7 +35,7 @@ from xpdc.events import (
     thread_map,
 )
 from xpdc.listmode import EVENT_DTYPE, merge_streams, write_events_csv
-from xpdc.physics import PhysicsError, emission_angles
+from xpdc.physics import DetectorGeometry, PhysicsError, emission_angles
 
 
 def reference_run(**overrides) -> RunConfig:
@@ -143,8 +142,8 @@ class TestLandingAcceptance:
         exp = reference_run(**{"crystal.detuning": detuning}).experiment
         if offset_factor is not None:  # both detectors aimed at offset_factor * r0
             offset = offset_factor * exp.degenerate_offset()
-            exp = replace(exp, detectors=tuple(
-                replace(d, center_angle_offset_rad=offset) for d in exp.detectors
+            exp = exp._replace(detectors=tuple(
+                DetectorGeometry(d.distance_mm, d.active_area_mm2, offset) for d in exp.detectors
             ))
         rng = np.random.default_rng(5)
         n, batch, landed = 4_000_000, 500_000, 0
@@ -243,11 +242,11 @@ class TestStream:
 
     def test_replace_checks_again(self):
         stream = Stream([0, 20], [11000, 12000])
-        assert replace(stream, timestamp_ns=[20, 20]).timestamp_ns.tolist() == [20, 20]
+        assert Stream([20, 20], stream.energy_ev).timestamp_ns.tolist() == [20, 20]
         with pytest.raises(ValueError, match="decrease"):
-            replace(stream, timestamp_ns=[20, 0])
+            Stream([20, 0], stream.energy_ev)
         with pytest.raises(ValueError, match="equal length"):
-            replace(stream, energy_ev=[11000])
+            Stream(stream.timestamp_ns, [11000])
 
 
 class TestDetectorResponse:

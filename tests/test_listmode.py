@@ -657,6 +657,17 @@ class TestFileMode:
         for path in paths:
             assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask
 
+    def test_writes_without_setting_the_umask(self, tmp_path, monkeypatch):
+        # Setting the umask to read it unmasks, for that moment, the files
+        # other threads of the process create.
+        def no_umask(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", no_umask)
+        path = str(tmp_path / "m.txt")
+        write_manifest(path, {"seed": 1})
+        assert read_manifest(path) == {"seed": "1"} and os.listdir(tmp_path) == ["m.txt"]
+
     @pytest.mark.filterwarnings("ignore:excluding non-positive rate")
     @pytest.mark.parametrize("umask", [0o022, 0o077])
     def test_command_line_outputs_follow_umask(self, tmp_path, umask):
