@@ -825,8 +825,10 @@ def analyze(
     time half-width and sideband edge become roi_sigmas and
     sideband_sigmas times the fitted width.  roi is used as given
     instead (its defaults assume the nominal 212 ns width) when
-    the time fit failed, or when the fitted half-width is under one dt
-    bin or the sidebands would start beyond 0.9 of the pairing horizon.
+    the time fit failed, when its amplitude is under twice its error (a
+    sparse profile, whose fitted width can shut out its few pairs), or
+    when the fitted half-width is under one dt bin or the sidebands would
+    start beyond 0.9 of the pairing horizon.
     The net rate and the E1 centroid are both measured in that one
     region.
     """
@@ -840,7 +842,8 @@ def analyze(
             time_fit, roi.e_center_ev, roi.e_half_width_ev, roi_sigmas, sideband_sigmas
         )
         if (
-            fitted.t_half_width_ns >= criteria.dt_bin_ns
+            time_fit.amplitude >= 2 * time_fit.amplitude_err
+            and fitted.t_half_width_ns >= criteria.dt_bin_ns
             and fitted.sideband_inner_ns < 0.9 * criteria.max_abs_dt_ns
         ):
             roi = fitted

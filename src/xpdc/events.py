@@ -438,7 +438,7 @@ class RunManifest(NamedTuple):
 # Sampling
 
 # Refuse runs expecting more generated photons than this: 14 times a 24 h
-# default run, about 26 GB at the ~26 B per event a simulation peaks at.
+# default run, about 18 GB at the ~18 B per event a simulation peaks at.
 _MAX_EXPECTED_EVENTS = 1e9
 
 
@@ -462,15 +462,10 @@ def _poisson_times(
 ) -> np.ndarray:
     """Event times (ns, float64, sorted) of a Poisson process whose rate
     follows the piecewise-constant beam-current profile."""
-    chunks = []
-    for t0, t1, value in profile.segments(duration_s):
-        lam = rate_per_s * value * (t1 - t0)
-        n = rng.poisson(lam)
-        if n:
-            chunks.append(rng.uniform(t0 * 1e9, t1 * 1e9, n))
-    if not chunks:
-        return np.empty(0, dtype=np.float64)
-    times = np.concatenate(chunks)
+    times = np.concatenate([np.empty(0)] + [
+        rng.uniform(t0 * 1e9, t1 * 1e9, rng.poisson(rate_per_s * value * (t1 - t0)))
+        for t0, t1, value in profile.segments(duration_s)
+    ])
     times.sort()
     return times
 
@@ -560,35 +555,46 @@ def _sample_pair_batch(
     }
 
 
-def _background_arrays(
-    rng: np.random.Generator,
-    source: SourceModel,
-    duration_s: float,
-    detector_id: int,
-    suppression: float,
-    profile: BeamCurrentProfile,
-) -> tuple[list[np.ndarray], list[np.ndarray], dict[str, int]]:
-    """Background (time blocks ns, energy blocks eV, per-component
-    counts) for one detector: one block per component, in tuple order,
-    each sorted in time.
+def _detector_columns(
+    rng: np.random.Generator, source: SourceModel, duration_s: float, detector_id: int,
+    suppression: float, profile: BeamCurrentProfile, resolution_fwhm_ev: float,
+    members: tuple[np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
+    """One detector's float64 (time ns, energy eV) columns, the given pair
+    members first, then its background; and the per-component counts.
 
     Each component is an independent Poisson process, thinned by the
-    beam-current profile, with Gaussian-distributed energies.
-    Components flagged as polarization-suppressed have their rates
-    multiplied by the suppression factor.
+    beam-current profile, its rate scaled by the suppression factor where
+    it is polarization-suppressed, and one block of the columns, each
+    current segment of it sorted in time.  Background is drawn as
+    recorded: one Gaussian of FWHM hypot(line, resolution) per photon (a
+    sum of independent Gaussians is one) and no time jitter (a Poisson
+    process displaced by i.i.d. offsets is the same process).
     """
-    times_blocks = []
-    energy_blocks = []
-    counts: dict[str, int] = {}
-    for line in source.components[detector_id - 1]:
-        times = _poisson_times(rng, line.rate(suppression), duration_s, profile)
-        energies = rng.normal(
-            line.center_ev, line.fwhm_ev / FWHM_OVER_SIGMA, len(times)
-        )
-        counts[f"d{detector_id}_{line.label}"] = len(times)
-        times_blocks.append(times)
-        energy_blocks.append(energies)
-    return times_blocks, energy_blocks, counts
+    lines = source.components[detector_id - 1]
+    segments = profile.segments(duration_s)
+    counts = rng.poisson(np.outer(
+        [line.rate(suppression) for line in lines], [(t1 - t0) * v for t0, t1, v in segments]
+    ))
+    start = len(members[0])
+    times = np.empty(start + int(counts.sum()))
+    energies = np.empty_like(times)
+    times[:start], energies[:start] = members
+    for line, line_counts in zip(lines, counts.tolist()):
+        first = start
+        for (t0, t1, _), n in zip(segments, line_counts):
+            block = times[start : start + n]
+            rng.random(out=block)
+            block *= (t1 - t0) * 1e9
+            block += t0 * 1e9
+            block.sort()
+            start += n
+        block = energies[first:start]
+        rng.standard_normal(out=block)
+        block *= math.hypot(line.fwhm_ev, resolution_fwhm_ev) / FWHM_OVER_SIGMA
+        block += line.center_ev
+    labels = [f"d{detector_id}_{line.label}" for line in lines]
+    return times, energies, dict(zip(labels, counts.sum(axis=1).tolist()))
 
 
 def _apply_response_batch(
@@ -596,23 +602,24 @@ def _apply_response_batch(
     energies_ev: np.ndarray,
     response: DetectorResponse,
     rng: np.random.Generator,
+    smeared: int | None = None,
 ) -> np.ndarray:
     """Smear photons through the recording chain, in place.
 
     Adds Gaussian time jitter and Gaussian energy noise (sigma = fwhm /
-    2.355), quantizes the timestamp to the clock tick and the energy to
-    integer eV, and drops the event if the recorded energy falls outside
-    the recordable range (or the jittered time precedes the run start).
-    The float64 inputs are overwritten with the recorded values, and the
+    2.355) to the first smeared entries (all by default), quantizes every
+    timestamp to the clock tick and energy to integer eV, and drops the
+    event if the recorded energy falls outside the recordable range (or
+    the jittered time precedes the run start).  The float64 inputs are overwritten with the recorded values, and the
     keep mask is returned: only entries with keep True are valid records.
     Only the mask is returned, so no caller holds the inputs past its own
     last use of them.
     """
-    n = len(times_ns)
+    n = len(times_ns) if smeared is None else smeared
     if response.time_jitter_sigma_ns > 0:
-        times_ns += rng.normal(0.0, response.time_jitter_sigma_ns, n)
+        times_ns[:n] += rng.normal(0.0, response.time_jitter_sigma_ns, n)
     if response.energy_resolution_fwhm_ev > 0:
-        energies_ev += rng.normal(
+        energies_ev[:n] += rng.normal(
             0.0, response.energy_resolution_fwhm_ev / FWHM_OVER_SIGMA, n
         )
     tick = response.clock_tick_ns
@@ -712,10 +719,10 @@ def simulate_run(
             for mask, energy in zip(pair_members, ("e_signal", "e_idler"))
         ]
 
-    # One detector at a time: its background (an independent generator
-    # per detector), then the response (one generator, detector 1
-    # first), sort and dead time, freeing each full-length array as soon
-    # as the next one is made.
+    # One detector at a time: its columns, pair members first (the
+    # background from an independent generator per detector), then the
+    # members' response (one generator, detector 1 first), sort and dead
+    # time, freeing each full-length array as soon as the next one is made.
     suppression = polarization_suppression(
         exp.theta_b(), exp.beam.polarization_angle_rad
     )
@@ -724,28 +731,26 @@ def simulate_run(
     background_counts: dict[str, int] = {}
     recorded_members = np.zeros_like(pair_members)
     for det_index, seq in enumerate((bg1_seq, bg2_seq)):
-        bg_times, bg_energies, counts = _background_arrays(
-            np.random.default_rng(seq), exp.source, duration, det_index + 1, suppression, profile
+        n_members = len(member_blocks[det_index][0])
+        times, energies, counts = _detector_columns(
+            np.random.default_rng(seq), exp.source, duration, det_index + 1, suppression,
+            profile, exp.response.energy_resolution_fwhm_ev, member_blocks[det_index],
         )
         background_counts.update(counts)
-        member_times, member_energies = member_blocks[det_index]
-        times = np.concatenate([member_times, *bg_times])  # pair members lead
-        bg_times.clear()
-        energies = np.concatenate([member_energies, *bg_energies])
-        bg_energies.clear()
-        keep = _apply_response_batch(times, energies, exp.response, resp_rng)
+        keep = _apply_response_batch(times, energies, exp.response, resp_rng, n_members)
         if np.count_nonzero(keep) < len(keep):
             times = times[keep]
             energies = energies[keep]
-        kept_members = keep[: len(member_times)].copy()  # not a view holding keep
+        kept_members = keep[:n_members].copy()  # not a view holding keep
         del keep
-        stamps = times.astype(np.uint64)
+        stamps = times.view(np.uint64)  # cast in place, each entry onto its own bytes
+        np.copyto(stamps, times, casting="unsafe")
         del times
         energies = energies.astype(np.uint32)
         # Stable, so that tied timestamps keep their block order.
         order = np.argsort(stamps, kind="stable")
-        stamps = stamps[order]
         energies = energies[order]
+        stamps.sort(kind="stable")  # stamps[order], without a second column
         members = _sorted_members(kept_members, order)
         del order
         live = _dead_time_mask(stamps, exp.response.dead_time_ns)

@@ -671,7 +671,40 @@ class TestCriteriaValidation:
             CoincidenceCriteria(sum_half_width_ev=0.0)
 
 
+def planted_streams(true_pairs: int, flat_pairs: int, seed: int):
+    """Two streams of pairs 1 s apart, all inside the windows: E1 ~ N(11
+    keV, 500 eV), E1 + E2 = 22 keV, and t2 - t1 ~ N(0, 212 ns) for the
+    true pairs, uniform over the pairing horizon for the flat ones."""
+    rng = np.random.default_rng(seed)
+    dts = np.concatenate(
+        [rng.normal(0.0, 212.0, true_pairs), rng.uniform(-1990.0, 1990.0, flat_pairs)]
+    )
+    e1 = np.rint(rng.normal(11000.0, 500.0, len(dts)))
+    t1 = (np.arange(len(dts)) + 1) * 10**9
+    return make_stream(t1, e1), make_stream(t1 + 20 * np.rint(dts / 20.0).astype(int), 22000 - e1)
+
+
 class TestAnalyze:
+    @pytest.mark.parametrize("true_pairs", [2, 3])
+    def test_sparse_time_fit_keeps_the_given_roi(self, true_pairs):
+        # On 100 flat pairs, 6 of these 16 fits passed the width checks
+        # with amplitude under twice its error, as narrow as 10 ns: an ROI
+        # of +-30 ns that held none of the true pairs.
+        nominal = RoiSpec(e_half_width_ev=2000.0)
+        for seed in range(1, 9):
+            result = analyze(*planted_streams(true_pairs, 100, seed), CRIT, 1800.0, roi=nominal)
+            assert result.time_fit is not None
+            assert result.roi == nominal
+
+    def test_thirty_true_pairs_keep_the_fitted_roi(self):
+        for seed in range(1, 9):
+            result = analyze(
+                *planted_streams(30, 100, seed), CRIT, 1800.0, roi=RoiSpec(e_half_width_ev=2000.0)
+            )
+            fit = result.time_fit
+            assert fit.amplitude >= 2 * fit.amplitude_err
+            assert result.roi == RoiSpec.from_time_fit(fit, 11000.0, 2000.0)
+
     def test_roi_follows_time_fit(self):
         s1, s2 = peak_streams()
         result = analyze(

@@ -273,18 +273,18 @@ class TestAnalyze:
         "flags, report_sha, map_sha",
         [
             ([],
-             "2dac83da553b8a94a161ad65d5a32ca3e3f4dedd5193d30d2ee0173422a11177",
-             "dfaa0deda6f8fcc877dd2f3282beee4177f67c75412b73caba5e1900a72eba39"),
+             "f36786e49dfbd8e422d27904aa468c79eeae6254358a6f33f32057a94307068b",
+             "27d30c41feb2a0d8f94949cbe49b7a2011fb115336a12f0106caa7e67194533e"),
             (["--exclusive"],
-             "2dac83da553b8a94a161ad65d5a32ca3e3f4dedd5193d30d2ee0173422a11177",
-             "dfaa0deda6f8fcc877dd2f3282beee4177f67c75412b73caba5e1900a72eba39"),
-            # Windows wide enough for 145 accidental pairs, 132 of them exclusive.
+             "f36786e49dfbd8e422d27904aa468c79eeae6254358a6f33f32057a94307068b",
+             "27d30c41feb2a0d8f94949cbe49b7a2011fb115336a12f0106caa7e67194533e"),
+            # Windows wide enough for 147 accidental pairs, 134 of them exclusive.
             (WIDE_WINDOWS,
-             "1504578de4d5152d41d26824efea667707ddbaabce9a10bfe9be74a57ae6db18",
-             "d79f48e721921914bf1d4a0cf9f21940a9c23a797af2227c6b689679c9d70290"),
+             "e8c3153c77327f213155dd1d2bc05fbf1c6e9883cbeafb900987d1391ad34c3b",
+             "ed36a41011387c48b9bd662051c27d6db1e78755e05160762e62c9c035f308af"),
             ([*WIDE_WINDOWS, "--exclusive"],
-             "f7041d74b10882392ddc8ddd28ece9473bea267d3b66a733941d6404ec92b095",
-             "d8ca3fa8190f3e08795b98b9ff1419bd2de4265c188009fe25e092148ff16839"),
+             "630360eef31b144a1ed69b94d3d0af7be02411edcdf6eae6c7014463113e1679",
+             "2d9a8cdea8f1e93fabff7839702dda2039ca850f5a42f5bfadc59cf5a026eba1"),
         ],
         ids=["all-pairs", "exclusive", "wide-all-pairs", "wide-exclusive"],
     )

@@ -23,9 +23,9 @@ from xpdc.events import (
     SourceModel,
     Stream,
     _apply_response_batch,
-    _background_arrays,
     _MAX_EXPECTED_EVENTS,
     _dead_time_mask,
+    _detector_columns,
     _expected_photons,
     _members_recorded,
     _sample_pair_batch,
@@ -170,12 +170,11 @@ class TestLandingAcceptance:
 
 
 def background(rng, source, duration_s, detector_id, suppression=1.0, profile=None):
-    """_background_arrays with the component blocks joined."""
-    times, energies, counts = _background_arrays(
-        rng, source, duration_s, detector_id, suppression,
-        profile or BeamCurrentProfile(),
+    """_detector_columns of a detector without pair members or resolution."""
+    return _detector_columns(
+        rng, source, duration_s, detector_id, suppression, profile or BeamCurrentProfile(), 0.0,
+        (np.empty(0), np.empty(0)),
     )
-    return np.concatenate([np.empty(0), *times]), np.concatenate([np.empty(0), *energies]), counts
 
 
 class TestSampleBackground:
@@ -216,6 +215,52 @@ class TestSampleBackground:
         )
         expected = 1000.0 * 0.1 * 50.0
         assert abs(counts["d1_elastic"] - expected) < 5 * math.sqrt(expected)
+
+
+# Every statistical bound of TestBackgroundStatistics, in standard errors.
+Z = 5.0
+
+
+class TestBackgroundStatistics:
+    """Background drawn once at its recorded width and without time
+    jitter has the statistics of lines smeared photon by photon: Poisson
+    counts, Gaussian lines of FWHM hypot(line, resolution), and
+    exponential gaps at the total rate."""
+
+    LINES = (
+        GaussianLine("fe_ka", 6400.0, 10.0, 4000.0),
+        GaussianLine("compton", 20000.0, 900.0, 6000.0, suppressed=True),
+        GaussianLine("elastic", 22000.0, 60.0, 10000.0, suppressed=True),
+    )
+    SUPPRESSION, RESOLUTION, DURATION = 0.5, 150.0, 20.0
+
+    def columns(self, profile):
+        source = SourceModel(true_pair_rate_per_s=0.0, components=(self.LINES, ()))
+        return _detector_columns(
+            np.random.default_rng(31), source, self.DURATION, 1, self.SUPPRESSION, profile,
+            self.RESOLUTION, (np.empty(0), np.empty(0)),
+        )
+
+    def test_counts_and_recorded_lines(self):
+        _, energies, counts = self.columns(BeamCurrentProfile((2.0, 1.0, 3.0)))
+        start = 0
+        for line in self.LINES:  # one block per component, in order
+            n = counts[f"d1_{line.label}"]
+            expected = line.rate(self.SUPPRESSION) * self.DURATION
+            assert abs(n - expected) < Z * math.sqrt(expected)
+            recorded = energies[start : start + n]
+            start += n
+            sigma = math.hypot(line.fwhm_ev, self.RESOLUTION) / 2.355
+            assert abs(recorded.mean() - line.center_ev) < Z * sigma / math.sqrt(n)
+            assert abs(recorded.std() - sigma) < Z * sigma / math.sqrt(2 * n)
+        assert start == len(energies)
+
+    def test_gaps_under_1_us_follow_the_total_rate(self):
+        times, _, _ = self.columns(BeamCurrentProfile())
+        gaps = np.diff(np.sort(times))
+        rate = sum(line.rate(self.SUPPRESSION) for line in self.LINES)  # /s
+        p = 1.0 - math.exp(-rate * 1e-6)
+        assert abs(np.mean(gaps < 1000.0) - p) < Z * math.sqrt(p * (1 - p) / len(gaps))
 
 
 class TestStream:
@@ -440,14 +485,14 @@ class TestSimulatedBytes:
         "tick, streams_sha, manifest_sha, csv_sha",
         [
             ("20 ns",
-             "3a8e5a39d933e8161ceb3fb35a5c3f5107fd454881790f954602e12de054f32f",
-             "3733118ab25c74144a02e90b244c6e8c117ab8494d7d26982bcb35157b6c6326",
-             "b5b04efc8cd8e482089faf19d7ce4504d476635b9c8dcda25e1ef22aa14f79f2"),
+             "77efffb2a7a9d8da8719a483fdc329f225ff7e56c2344ca1bd6c94c0297d7de4",
+             "2eb8a1b8f10fd6b4a6fc1d08a87331f6e2f21880d04a93b715020854559a9907",
+             "e6adf6cc24c5aadc65cc20067c27cb69c5d03aeb95c19137ca5c8d6c92f32151"),
             # Many tied timestamps: any sort that is not stable reorders them.
             ("100 us",
-             "f656499d6aaabcd2fe2fc11bdd78315dd15c06861893dafe109dc3289b5901ca",
-             "6c9d0a70446d03dfe8c715388f238a079e7c4a413b0ef68870c31602b779a475",
-             "20df486de3bc9a5676e1c58f98f3def76cc3e1e63432d8b60c160ed9659251e9"),
+             "a47e43600ff4e819b3f5f48bbbcd8d82ff3957efd3289100bbf68baa59dd813a",
+             "50bc42d175926451351a9e94961eec8e51eb1d726c94531552100fd3c6b0763f",
+             "d1f19bb9e8f9e5866a6f85e42a54ad699372d7a681d3c9fc271fd81223c25782"),
         ],
         ids=["tick-20ns", "tick-100us"],
     )
