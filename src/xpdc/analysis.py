@@ -190,7 +190,8 @@ class AnalysisResult(NamedTuple):
 
     time_fit and the E1 centroid with its error are None when that stage
     had nothing to work on (no pairs, no coincident excess) or its fit
-    failed.  roi is the region of interest roi_result was measured in.
+    failed.  roi is the region of interest roi_result was measured in,
+    from the time "fit" or as "given" (roi_from).
     """
 
     events: tuple[int, int]  # events in stream 1 and stream 2
@@ -201,6 +202,7 @@ class AnalysisResult(NamedTuple):
     energy_centroid_err: float | None
     roi: RoiSpec
     roi_result: RoiResult
+    roi_from: str
 
     def summary(self) -> dict[str, str]:
         """The analysis_report.txt entries in file order, values as written;
@@ -226,6 +228,9 @@ class AnalysisResult(NamedTuple):
                 peak_e1_centroid_err_ev=f"{self.energy_centroid_err:.1f}",
             )
         entries.update(
+            roi_t_half_width_ns=f"{self.roi.t_half_width_ns:.2f}",
+            roi_sideband_inner_ns=f"{self.roi.sideband_inner_ns:.2f}",
+            roi_from=self.roi_from,
             roi_counts=roi.roi_counts,
             sideband_counts=roi.sideband_counts,
             sideband_estimate=f"{roi.sideband_estimate:.3f}",
@@ -650,7 +655,8 @@ def energy_peak_centroid(corr_map: CorrelationMap, roi: RoiSpec) -> tuple[float,
     """Centroid c (first moment) of the positive coincident excess vs E1,
     which suits any shape (the down-converted pairs fill a box over the
     split window), and its error sigma_c^2 = sum (E_i - c)^2 err_i^2 / W^2
-    over the bins with net_i > 0, where W = sum max(net_i, 0), in eV.  The
+    over the bins with net_i > 0, where W = sum max(net_i, 0), in eV, plus
+    each pair's place within its bin, b^2 / 12 / W for bins of width b.  The
     excess is the on-time E1 spectrum of roi less its sidebands scaled by
     alpha, over every E1 bin.  On pairs alone the pulls have unit width;
     under heavy accidentals the error is conservative (pull widths of
@@ -666,7 +672,8 @@ def energy_peak_centroid(corr_map: CorrelationMap, roi: RoiSpec) -> tuple[float,
     centroid = float(np.sum(corr_map.e_centers_ev * weights) / total)
     positive = profile > 0
     spread = (corr_map.e_centers_ev[positive] - centroid) * errors[positive]
-    return centroid, math.sqrt(float(spread @ spread)) / float(total)
+    within = weights @ np.diff(corr_map.e_edges_ev) ** 2 / 12
+    return centroid, math.sqrt(float(spread @ spread + within)) / float(total)
 
 
 # Looked up by the benchmark tracer (perfbench/tracing.py); analyze does not call it.
@@ -837,6 +844,7 @@ def analyze(
     pairs = find_coincidence_pairs(cand1, cand2, criteria, exclusive=exclusive)
     corr_map = build_correlation_map(pairs, criteria, duration_s, mean_current)
     time_fit = _optional(fit_time_profile, corr_map)
+    roi_from = "given"
     if time_fit is not None:
         fitted = RoiSpec.from_time_fit(
             time_fit, roi.e_center_ev, roi.e_half_width_ev, roi_sigmas, sideband_sigmas
@@ -846,7 +854,7 @@ def analyze(
             and fitted.t_half_width_ns >= criteria.dt_bin_ns
             and fitted.sideband_inner_ns < 0.9 * criteria.max_abs_dt_ns
         ):
-            roi = fitted
+            roi, roi_from = fitted, "fit"
     roi_result = roi_rate(corr_map, roi)
     centroid, centroid_err = _optional(energy_peak_centroid, corr_map, roi) or (None, None)
     return AnalysisResult(
@@ -858,4 +866,5 @@ def analyze(
         energy_centroid_err=centroid_err,
         roi=roi,
         roi_result=roi_result,
+        roi_from=roi_from,
     )

@@ -269,6 +269,8 @@ class DetectorResponse(_Frozen):
         lo, hi = energy_range_ev
         if not 0 < lo < hi:
             raise ConfigError("energy range must satisfy 0 < min < max")
+        if hi >= 2**32:  # the list-mode record's u32 field
+            raise ConfigError("energy max must be under 2**32 eV (about 4.3 GeV)")
         if dead_time_ns < 0:
             raise ConfigError("dead time must be >= 0")
         self._set(energy_resolution_fwhm_ev, time_jitter_sigma_ns, int(clock_tick_ns),
@@ -438,7 +440,7 @@ class RunManifest(NamedTuple):
 # Sampling
 
 # Refuse runs expecting more generated photons than this: 14 times a 24 h
-# default run, about 18 GB at the ~18 B per event a simulation peaks at.
+# default run, about 17 GB at the ~17 B per event a simulation peaks at.
 _MAX_EXPECTED_EVENTS = 1e9
 
 
@@ -565,11 +567,11 @@ def _detector_columns(
 
     Each component is an independent Poisson process, thinned by the
     beam-current profile, its rate scaled by the suppression factor where
-    it is polarization-suppressed, and one block of the columns, each
-    current segment of it sorted in time.  Background is drawn as
-    recorded: one Gaussian of FWHM hypot(line, resolution) per photon (a
-    sum of independent Gaussians is one) and no time jitter (a Poisson
-    process displaced by i.i.d. offsets is the same process).
+    it is polarization-suppressed, and one unsorted block of the columns.
+    Background is drawn as recorded: one Gaussian of FWHM hypot(line,
+    resolution) per photon (a sum of independent Gaussians is one) and no
+    time jitter (a Poisson process displaced by i.i.d. offsets is the same
+    process).
     """
     lines = source.components[detector_id - 1]
     segments = profile.segments(duration_s)
@@ -587,7 +589,6 @@ def _detector_columns(
             rng.random(out=block)
             block *= (t1 - t0) * 1e9
             block += t0 * 1e9
-            block.sort()
             start += n
         block = energies[first:start]
         rng.standard_normal(out=block)
@@ -603,17 +604,18 @@ def _apply_response_batch(
     response: DetectorResponse,
     rng: np.random.Generator,
     smeared: int | None = None,
+    end_ns: float = math.inf,
 ) -> np.ndarray:
     """Smear photons through the recording chain, in place.
 
     Adds Gaussian time jitter and Gaussian energy noise (sigma = fwhm /
     2.355) to the first smeared entries (all by default), quantizes every
     timestamp to the clock tick and energy to integer eV, and drops the
-    event if the recorded energy falls outside the recordable range (or
-    the jittered time precedes the run start).  The float64 inputs are overwritten with the recorded values, and the
-    keep mask is returned: only entries with keep True are valid records.
-    Only the mask is returned, so no caller holds the inputs past its own
-    last use of them.
+    event if the recorded energy falls outside the recordable range or
+    the recorded stamp outside the run, [0, end_ns].  The float64 inputs
+    are overwritten with the recorded values, and the keep mask is
+    returned: only entries with keep True are valid records.  Only the
+    mask is returned, so no caller holds the inputs past its last use.
     """
     n = len(times_ns) if smeared is None else smeared
     if response.time_jitter_sigma_ns > 0:
@@ -629,21 +631,23 @@ def _apply_response_batch(
     times_ns *= tick
     np.rint(energies_ev, out=energies_ev)
     lo, hi = response.energy_range_ev
-    return (times_ns >= 0) & (energies_ev >= lo) & (energies_ev <= hi)
+    return (times_ns >= 0) & (times_ns <= end_ns) & (energies_ev >= lo) & (energies_ev <= hi)
 
 
-def _sorted_members(kept: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where the kept leading entries of a detector's block sit after the
-    sort, and which leading entry each one is.
-
-    kept is the response keep mask over those entries and order the
-    stable argsort of all kept stamps.  The kept leading entries are the
-    first count_nonzero(kept) of the kept ones, so they sit where order
-    is below that count.  Both arrays are as long as the kept members, so
-    the full-length order need not be held through the dead-time walk.
-    """
-    at = np.flatnonzero(order < np.count_nonzero(kept))
-    return at, np.flatnonzero(kept)[order[at]]
+def _sorted_members(keys: np.ndarray, member_keys: np.ndarray, kept: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Where the kept leading entries of a detector's column sit in its
+    sorted keys, and which leading entry each one is, as a stable argsort
+    puts them (at a tied key, leading entries first, in their own order).
+    member_keys are their keys in column order, kept the response keep
+    mask over the leading entries.  Slots, each key's first place in keys
+    times the count plus the entry's index (int64: _MAX_EXPECTED_EVENTS
+    keeps columns short), sort them by key, then index."""
+    m = len(member_keys)
+    slots = np.sort(np.searchsorted(keys, member_keys) * m + np.arange(m))
+    first, own = np.divmod(slots, m)
+    at = first + np.arange(m) - np.searchsorted(first, first)  # plus the rank among ties
+    return at, np.flatnonzero(kept)[own]
 
 
 def _members_recorded(
@@ -685,9 +689,10 @@ def simulate_run(
 ) -> tuple[Stream, Stream, RunManifest]:
     """Simulate one acquisition and return the two event streams.
 
-    Each Stream is sorted by timestamp.  The manifest carries ground
-    truth: pairs generated, pairs landed/detected on both detectors, and
-    background counts per component.
+    Each Stream is sorted by timestamp, ties within a tick by energy (one
+    value sort of keys (tick index << e_bits) | energy).  The manifest
+    carries ground truth: pairs generated, pairs landed/detected on both
+    detectors, and background counts per component.
     """
     expected = _expected_photons(config)
     if expected > _MAX_EXPECTED_EVENTS:
@@ -697,6 +702,15 @@ def simulate_run(
         )
     exp = config.experiment
     duration = config.duration_s
+    tick = exp.response.clock_tick_ns
+    end_ns = math.floor(duration * 1e9 / tick + 0.5) * tick  # the run end, rounded to the tick
+    e_bits = int(exp.response.energy_range_ev[1]).bit_length()
+    if end_ns // tick >= 2 ** (64 - e_bits):
+        raise ConfigError(
+            f"run of {end_ns // tick:.3g} clock ticks is over the limit of 2**{64 - e_bits} that "
+            f"a 64-bit sort key leaves beside {e_bits}-bit energies; shorten run.duration, "
+            "lengthen response.clock_tick or lower response.energy_max"
+        )
     profile = config.beam_current_profile
     master = np.random.SeedSequence(int(config.seed))
     pair_seq, bg1_seq, bg2_seq, resp_seq = master.spawn(4)
@@ -723,9 +737,7 @@ def simulate_run(
     # background from an independent generator per detector), then the
     # members' response (one generator, detector 1 first), sort and dead
     # time, freeing each full-length array as soon as the next one is made.
-    suppression = polarization_suppression(
-        exp.theta_b(), exp.beam.polarization_angle_rad
-    )
+    suppression = polarization_suppression(exp.theta_b(), exp.beam.polarization_angle_rad)
     resp_rng = np.random.default_rng(resp_seq)
     streams = []
     background_counts: dict[str, int] = {}
@@ -737,22 +749,26 @@ def simulate_run(
             profile, exp.response.energy_resolution_fwhm_ev, member_blocks[det_index],
         )
         background_counts.update(counts)
-        keep = _apply_response_batch(times, energies, exp.response, resp_rng, n_members)
-        if np.count_nonzero(keep) < len(keep):
+        keep = _apply_response_batch(times, energies, exp.response, resp_rng, n_members, end_ns)
+        if np.count_nonzero(keep) < len(keep):  # before any cast: no value out of range
             times = times[keep]
             energies = energies[keep]
         kept_members = keep[:n_members].copy()  # not a view holding keep
         del keep
-        stamps = times.view(np.uint64)  # cast in place, each entry onto its own bytes
-        np.copyto(stamps, times, casting="unsafe")
-        del times
-        energies = energies.astype(np.uint32)
-        # Stable, so that tied timestamps keep their block order.
-        order = np.argsort(stamps, kind="stable")
-        energies = energies[order]
-        stamps.sort(kind="stable")  # stamps[order], without a second column
-        members = _sorted_members(kept_members, order)
-        del order
+        times /= tick  # the tick index (exact below 2**53 ns)
+        stamps = times.view(np.uint64)  # the keys, until unpacked; each entry
+        np.copyto(stamps, times, casting="unsafe")  # is cast onto its own bytes
+        stamps <<= np.uint64(e_bits)
+        np.copyto(energies.view(np.uint64), energies, casting="unsafe")
+        stamps |= energies.view(np.uint64)
+        del times, energies
+        member_keys = stamps[: np.count_nonzero(kept_members)].copy()
+        stamps.sort()
+        members = _sorted_members(stamps, member_keys, kept_members)
+        energies = np.empty(len(stamps), dtype=np.uint32)
+        np.bitwise_and(stamps, np.uint64(2**e_bits - 1), out=energies, casting="unsafe")
+        stamps >>= np.uint64(e_bits)
+        stamps *= np.uint64(tick)
         live = _dead_time_mask(stamps, exp.response.dead_time_ns)
         recorded_members[det_index, pair_members[det_index]] = _members_recorded(
             len(kept_members), members, live

@@ -535,6 +535,21 @@ class TestEnergyProfile:
         lo, hi = self.PULL_WIDTH_RANGE
         assert lo < np.std(pulls, ddof=1) < hi
 
+    @pytest.mark.parametrize("count", [1, 9, 400])
+    def test_one_bin_excess_has_the_within_bin_error(self, count):
+        # Each pair sits anywhere in its 100 eV bin: the centroid's error is
+        # the bin's uniform spread over count pairs, not 0.
+        from xpdc.analysis import PAIR_DTYPE
+
+        pairs = np.zeros(count, dtype=PAIR_DTYPE)
+        pairs["e1_ev"], pairs["e2_ev"] = 11020, 10980
+        corr = build_correlation_map(pairs, CRIT, duration_s=1800.0)
+        centroid, error = energy_peak_centroid(
+            corr, RoiSpec(t_half_width_ns=640.0, sideband_inner_ns=1100.0)
+        )
+        assert centroid == 11050.0
+        assert error == pytest.approx(CRIT.e_bin_ev / math.sqrt(12 * count))
+
     def test_no_excess_raises(self):
         corr = synthetic_map(amplitude=0.0, baseline=0.0)
         with pytest.raises(AnalysisError):

@@ -228,6 +228,20 @@ class TestSimulate:
         assert manifest["config_hash"] == f"{header.config_hash:016x}"
 
 
+def simulate_pinned_instrument_run(tmp_path) -> str:
+    """The output directory of the 60 s, 20 ns-tick instrument run that
+    test_events pins, simulated by the CLI."""
+    cfg = tmp_path / "instrument.cfg"
+    cfg.write_text(
+        "response.dead_time = 1 us\nchain.model = table\n"
+        "chain.table = 5000:0.35,11000:0.42,17000:0.5\n"
+        "run.current_segments = 1.0,0.96,1.04,0.92,1.06,1.02\nrun.duration = 60 s\n"
+    )
+    out = str(tmp_path / "run")
+    assert main(["simulate", "--config", str(cfg), "--seed", "301", "--out", out]) == 0
+    return out
+
+
 WIDE_WINDOWS = ["--sum-half", "6", "--horizon", "2000000", "--dt-bin", "20000"]
 
 
@@ -273,37 +287,47 @@ class TestAnalyze:
         "flags, report_sha, map_sha",
         [
             ([],
-             "f36786e49dfbd8e422d27904aa468c79eeae6254358a6f33f32057a94307068b",
+             "bfcbfae326e1ae75102277edc8bfd27323cb9a8d6f7bf1cb6a90ac150511aadc",
              "27d30c41feb2a0d8f94949cbe49b7a2011fb115336a12f0106caa7e67194533e"),
             (["--exclusive"],
-             "f36786e49dfbd8e422d27904aa468c79eeae6254358a6f33f32057a94307068b",
+             "bfcbfae326e1ae75102277edc8bfd27323cb9a8d6f7bf1cb6a90ac150511aadc",
              "27d30c41feb2a0d8f94949cbe49b7a2011fb115336a12f0106caa7e67194533e"),
-            # Windows wide enough for 147 accidental pairs, 134 of them exclusive.
+            # Windows wide enough for 141 accidental pairs, 131 of them exclusive.
             (WIDE_WINDOWS,
-             "e8c3153c77327f213155dd1d2bc05fbf1c6e9883cbeafb900987d1391ad34c3b",
-             "ed36a41011387c48b9bd662051c27d6db1e78755e05160762e62c9c035f308af"),
+             "f2dfa38531a73ea4d6f11606aee4bbee0d0395b4bcf978757365941743aa8b2f",
+             "0ecf49d15176cea25d12f4a27273a4523ff658b606bdb25684c56700ebb32c23"),
             ([*WIDE_WINDOWS, "--exclusive"],
-             "630360eef31b144a1ed69b94d3d0af7be02411edcdf6eae6c7014463113e1679",
-             "2d9a8cdea8f1e93fabff7839702dda2039ca850f5a42f5bfadc59cf5a026eba1"),
+             "f798eaecee8ad1f77f0358abd92c7a0395ad6620826377a21d9d9338cb6c5f22",
+             "996fef56e339c28fc5708a126c5b116b9eec2ea3cf87015163965ae0764f9408"),
         ],
         ids=["all-pairs", "exclusive", "wide-all-pairs", "wide-exclusive"],
     )
     def test_output_bytes(self, tmp_path, flags, report_sha, map_sha):
-        # The 60 s, 20 ns-tick instrument run that test_events pins.
-        cfg = tmp_path / "instrument.cfg"
-        cfg.write_text(
-            "response.dead_time = 1 us\nchain.model = table\n"
-            "chain.table = 5000:0.35,11000:0.42,17000:0.5\n"
-            "run.current_segments = 1.0,0.96,1.04,0.92,1.06,1.02\nrun.duration = 60 s\n"
-        )
-        out = str(tmp_path / "run")
-        assert main(["simulate", "--config", str(cfg), "--seed", "301", "--out", out]) == 0
+        out = simulate_pinned_instrument_run(tmp_path)
         assert main(["analyze", os.path.join(out, "events.xpdc"), *flags, "--out", out]) == 0
         digests = [
             hashlib.sha256(open(os.path.join(out, name), "rb").read()).hexdigest()
             for name in ("analysis_report.txt", "correlation_map.csv")
         ]
         assert digests == [report_sha, map_sha]
+
+    def test_report_gives_the_roi_it_measured_in(self, tmp_path):
+        # The pinned run's time fit is too sparse to set the ROI; a 900 s
+        # default run's sets it.
+        out = simulate_pinned_instrument_run(tmp_path)
+        assert main(["analyze", os.path.join(out, "events.xpdc"), "--out", out]) == 0
+        report = read_manifest(os.path.join(out, "analysis_report.txt"))
+        assert (report["roi_from"], report["roi_t_half_width_ns"]) == ("given", "640.00")
+        assert report["roi_sideband_inner_ns"] == "1100.00"
+        cfg = tmp_path / "default.cfg"
+        cfg.write_text("run.duration = 900 s\n")
+        out = str(tmp_path / "default")
+        assert main(["simulate", "--config", str(cfg), "--out", out]) == 0
+        assert main(["analyze", os.path.join(out, "events.xpdc"), "--out", out]) == 0
+        report = read_manifest(os.path.join(out, "analysis_report.txt"))
+        assert report["roi_from"] == "fit"
+        sigma = float(report["time_sigma_ns"])
+        assert float(report["roi_t_half_width_ns"]) == pytest.approx(3 * sigma, abs=0.01)
 
     def test_missing_file_is_config_error(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.xpdc")]) == 1
@@ -932,6 +956,47 @@ class TestEnvironmentOverrides:
         assert main(["simulate", "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "above the limit of 1e+09" in err[0]
+        assert os.listdir(tmp_path) == []
+
+    def test_run_past_the_sort_key_is_config_error_before_sampling(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        # Sorting packs each tick index above a 15-bit energy (30 keV) in
+        # 64 bits: at a 1 ns tick a run may end at tick 2**49 - 1 (6.5 days).
+        class Sampled(Exception):
+            pass
+
+        def no_sampling(*args, **kwargs):
+            raise Sampled
+
+        monkeypatch.setattr(events, "_poisson_times", no_sampling)
+        monkeypatch.setenv("XPDC_RESPONSE_CLOCK_TICK", "1 ns")
+        monkeypatch.setenv("XPDC_RUN_DURATION", "562949.953421311 s")  # 2**49 - 1 ns
+        with pytest.raises(Sampled):
+            main(["simulate", "--out", str(tmp_path / "o")])
+        monkeypatch.setenv("XPDC_RUN_DURATION", "562949.953421312 s")  # 2**49 ns
+        assert main(["simulate", "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: run of 5.63e+14 clock ticks is over the limit of 2**49 that a 64-bit sort "
+            "key leaves beside 15-bit energies; shorten run.duration, lengthen "
+            "response.clock_tick or lower response.energy_max"
+        ]
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command", ["simulate", "plan"])
+    @pytest.mark.parametrize("energy_max", ["4294967296 eV", "5000000 keV"])
+    def test_energy_max_past_the_record_field_is_config_error(
+        self, monkeypatch, capsys, tmp_path, command, energy_max
+    ):
+        # The list-mode record stores energy as u32: energies past it were
+        # written as 0, below the energy minimum.
+        monkeypatch.setenv("XPDC_RESPONSE_ENERGY_MAX", energy_max)
+        monkeypatch.setenv("XPDC_RUN_DURATION", "10 s")
+        argv = [command] + (["--out", str(tmp_path / "o")] if command == "simulate" else [])
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: energy max must be under 2**32 eV (about 4.3 GeV)"
+        ]
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("duration", ["2e10 s", "9223372037 s", "1e30 s"])

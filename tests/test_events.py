@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -456,6 +457,28 @@ class TestSimulateRun:
         with pytest.raises(ConfigError):
             RunConfig(duration_s=0.0)
 
+    def test_ties_within_a_tick_are_ordered_by_energy(self):
+        run = reference_run(**{"run.duration": "60 s", "response.clock_tick": "100 us"})
+        for stream in simulate_run(run)[:2]:
+            tied = np.diff(stream.timestamp_ns.astype(np.int64)) == 0
+            assert tied.sum() > 100  # about 0.04 events per tick
+            assert np.all(np.diff(stream.energy_ev.astype(np.int64))[tied] >= 0)
+
+    def test_jitter_past_the_run_ends_records_no_stamp_outside_the_run(self):
+        # Members jittered by 10 s fall before 0 and after 60 s; casting
+        # those stamps would warn, and keeping them would record them.
+        settings = quiet_settings(**{
+            "source.pair_rate": "2000000 /hr", "run.duration": "60 s",
+            "response.time_jitter_sigma": "10 s",
+        })
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s1, s2, manifest = simulate_run(build_run_config(settings))
+        for det, stream in enumerate((s1, s2)):
+            assert stream.timestamp_ns[-1] <= 60 * 10**9
+            # no background: every recorded event is a member of a pair
+            assert 0 < len(stream) == manifest.pairs_detected_both + manifest.singles_detected[det]
+
 
 INSTRUMENT_SETTINGS = {  # every optional detector-chain feature on
     "response.dead_time": "1 us",
@@ -485,14 +508,14 @@ class TestSimulatedBytes:
         "tick, streams_sha, manifest_sha, csv_sha",
         [
             ("20 ns",
-             "77efffb2a7a9d8da8719a483fdc329f225ff7e56c2344ca1bd6c94c0297d7de4",
+             "fed2a8dcda76b1e98e6e9562979e34673a2d79f451c44299f69a3b86b1d5d1e3",
              "2eb8a1b8f10fd6b4a6fc1d08a87331f6e2f21880d04a93b715020854559a9907",
-             "e6adf6cc24c5aadc65cc20067c27cb69c5d03aeb95c19137ca5c8d6c92f32151"),
-            # Many tied timestamps: any sort that is not stable reorders them.
+             "b09668d363f6d1ec8e8983336880aabfa5033bdde5013c5c00a07e60e83243ee"),
+            # Many tied timestamps: records at one stamp must be in energy order.
             ("100 us",
-             "a47e43600ff4e819b3f5f48bbbcd8d82ff3957efd3289100bbf68baa59dd813a",
+             "35db89985c2617cc4355229613bc489dbd2b204b5f20704b3d008fba0beef2ff",
              "50bc42d175926451351a9e94961eec8e51eb1d726c94531552100fd3c6b0763f",
-             "d1f19bb9e8f9e5866a6f85e42a54ad699372d7a681d3c9fc271fd81223c25782"),
+             "960bd5f63e40406f32ee46db8cd9daee3b94a4f6102c2e6a49148a12a9bf0e8e"),
         ],
         ids=["tick-20ns", "tick-100us"],
     )
@@ -615,30 +638,39 @@ def reference_members_recorded(keep: np.ndarray, order: np.ndarray, live: np.nda
     return keep[:members]
 
 
-def members_recorded_both_ways(stamps, keep, members, dead_time_ns):
-    """(_members_recorded, reference) for a block of stamps whose leading
-    members entries are pair members, after the response keep mask,
-    the stable sort and the dead time, as simulate_run applies them."""
-    kept = stamps[keep]
+E_BITS = 2  # the energy bits of the packed keys below
+
+
+def members_recorded_both_ways(keys, keep, members, dead_time):
+    """(_members_recorded, reference) for a block of packed (tick << E_BITS)
+    | energy keys whose leading members entries are pair members, after
+    the response keep mask, the sort and the dead time (in ticks), as
+    simulate_run applies them.  The reference sorts by a stable argsort of
+    the keys, members first at a tied key."""
+    kept = keys[keep]
     order = np.argsort(kept, kind="stable")
-    live = _dead_time_mask(kept[order], dead_time_ns)
+    ordered = np.sort(kept)
+    live = _dead_time_mask(ordered >> np.uint64(E_BITS), dead_time)
+    member_keys = kept[: np.count_nonzero(keep[:members])]
     return (
-        _members_recorded(members, _sorted_members(keep[:members].copy(), order), live),
+        _members_recorded(members, _sorted_members(ordered, member_keys, keep[:members]), live),
         reference_members_recorded(keep, order, live, members),
     )
 
 
 @st.composite
 def member_blocks(draw):
-    """(stamps, keep mask, leading member count, dead time): a block of
-    pair members then background, unsorted, on a coarse grid so that
-    stamps tie; dead times from none to longer than the block."""
+    """(keys, keep mask, leading member count, dead time): a block of pair
+    members then background, unsorted, on a coarse grid of ticks and
+    energies so that keys tie; dead times from none to longer than the
+    block."""
     n = draw(st.integers(0, 60))
-    stamps = np.array(draw(st.lists(st.integers(0, 40), min_size=n, max_size=n)), dtype=np.uint64)
+    ticks = np.array(draw(st.lists(st.integers(0, 40), min_size=n, max_size=n)), dtype=np.uint64)
+    energies = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=np.uint64)
     keep = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
     members = draw(st.integers(0, n))
     dead_time = draw(st.sampled_from([0.0, 0.5, 1.0, 3.0, 7.5, 100.0]))
-    return stamps, keep, members, dead_time
+    return (ticks << np.uint64(E_BITS)) | energies, keep, members, dead_time
 
 
 class TestMembersRecorded:
@@ -649,18 +681,19 @@ class TestMembersRecorded:
         assert np.array_equal(new, reference)
 
     def test_dense_dead_time_run(self):
-        # Members dropped by the energy cut, by the dead time, and at
-        # stamps tied with an earlier kept event.
+        # Members dropped by the energy cut, by the dead time, and at keys
+        # tied with another kept entry.
         rng = np.random.default_rng(12)
         n, members = 200_000, 20_000
-        stamps = rng.integers(0, n // 2, n).astype(np.uint64) * 20
+        ticks = rng.integers(0, n // 2, n).astype(np.uint64)
+        keys = (ticks << np.uint64(E_BITS)) | rng.integers(0, 4, n).astype(np.uint64)
         keep = rng.random(n) < 0.9
-        new, reference = members_recorded_both_ways(stamps, keep, members, 50.0)
+        new, reference = members_recorded_both_ways(keys, keep, members, 2.5)
         assert np.array_equal(new, reference)
         cut = ~keep[:members]
         dead = keep[:members] & ~new
-        _, counts = np.unique(stamps[keep], return_counts=True)
-        tied = np.isin(stamps[:members], np.unique(stamps[keep])[counts > 1])
+        _, counts = np.unique(keys[keep], return_counts=True)
+        tied = np.isin(keys[:members], np.unique(keys[keep])[counts > 1])
         assert cut.sum() > 1000 and dead.sum() > 1000 and (dead & tied).sum() > 1000
 
 
