@@ -65,8 +65,8 @@ class CoincidenceCriteria(_Frozen):
         lo, hi = single_energy_window_ev
         if not lo < hi:
             raise AnalysisError("energy window must satisfy min < max")
-        if sum_half_width_ev <= 0:
-            raise AnalysisError("sum window half-width must be > 0")
+        if not (math.isfinite(sum_center_ev) and 0 < sum_half_width_ev < math.inf):
+            raise AnalysisError("sum_center_ev must be finite, sum_half_width_ev finite and > 0")
         if max_abs_dt_ns < 5 * dt_bin_ns:
             raise AnalysisError("pairing horizon must span at least 5 dt bins")
         if max_abs_dt_ns >= 2**62:  # stamp - horizon must fit in int64
@@ -645,7 +645,7 @@ def _on_and_off(corr_map: CorrelationMap, roi: RoiSpec) -> tuple[np.ndarray, np.
     on_cols = abs_dt <= roi.t_half_width_ns
     off_cols = abs_dt >= roi.sideband_inner_ns
     if not on_cols.any() or not off_cols.any():
-        raise AnalysisError("signal or sideband region selects no bins")
+        raise AnalysisError("roi.t_half_width_ns or roi.sideband_inner_ns selects no dt bin")
     on = corr_map.counts[:, on_cols].sum(axis=1)
     off = corr_map.counts[:, off_cols].sum(axis=1)
     return on, off, on_cols.sum() / off_cols.sum()
@@ -695,7 +695,7 @@ def roi_rate(corr_map: CorrelationMap, roi: RoiSpec) -> RoiResult:
     on, off, scale = _on_and_off(corr_map, roi)
     e_rows = roi.energy_rows(corr_map.e_centers_ev)
     if not e_rows.any():
-        raise AnalysisError("region of interest selects no bins")
+        raise AnalysisError("roi.e_center_ev +/- roi.e_half_width_ev holds no E1 bin center")
     roi_counts = int(on[e_rows].sum())
     sb_counts = int(off[e_rows].sum())
     net_counts = roi_counts - scale * sb_counts
@@ -838,7 +838,18 @@ def analyze(
     start beyond 0.9 of the pairing horizon.
     The net rate and the E1 centroid are both measured in that one
     region.
+    Every setting that no streams could satisfy raises AnalysisError on
+    two empty Streams too, which is how the CLI checks its flags; the
+    first three checks raise before the streams are used.
     """
+    if not 0 < roi_sigmas < sideband_sigmas < math.inf:
+        raise AnalysisError("roi_sigmas and sideband_sigmas need 0 < roi_sigmas < sideband_sigmas")
+    if not (math.isfinite(roi.e_center_ev) and 0 < roi.e_half_width_ev < math.inf):
+        raise AnalysisError("roi.e_center_ev must be finite, roi.e_half_width_ev finite and > 0")
+    if not roi.t_half_width_ns >= criteria.dt_bin_ns:  # as a fitted ROI's must be
+        raise AnalysisError(
+            f"roi.t_half_width_ns = {roi.t_half_width_ns:g} is under criteria.dt_bin_ns"
+        )
     cand1 = select_candidates(stream1, criteria)
     cand2 = select_candidates(stream2, criteria)
     pairs = find_coincidence_pairs(cand1, cand2, criteria, exclusive=exclusive)

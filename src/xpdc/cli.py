@@ -58,44 +58,33 @@ def _load_settings(args) -> dict[str, str]:
 
 def _analysis(args):
     """analysis.analyze bound to the criteria and region-of-interest
-    flags; flags that no data could satisfy are a usage error."""
+    flags, run once on no events: settings that it refuses are a usage
+    error before any file is read or run simulated."""
     from . import analysis
 
-    for name in ("e_min", "e_max", "sum_center", "sum_half", "roi_e_center", "roi_e_half",
-                 "roi_sigmas", "sideband_sigmas"):
-        if not math.isfinite(getattr(args, name)):
-            raise ConfigError(f"--{name.replace('_', '-')} must be finite")
-    if args.roi_sigmas <= 0:
-        raise ConfigError("--roi-sigmas must be > 0")
-    if args.sideband_sigmas <= args.roi_sigmas:
-        raise ConfigError("--sideband-sigmas must exceed --roi-sigmas")
-    if args.roi_e_half <= 0:
-        raise ConfigError("--roi-e-half must be > 0")
     try:
-        criteria = analysis.CoincidenceCriteria(
-            single_energy_window_ev=(args.e_min * 1e3, args.e_max * 1e3),
-            sum_center_ev=args.sum_center * 1e3,
-            sum_half_width_ev=args.sum_half * 1e3,
-            max_abs_dt_ns=args.horizon,
-            dt_bin_ns=args.dt_bin,
-            e_bin_ev=args.e_bin,
+        run_analysis = functools.partial(
+            analysis.analyze,
+            criteria=analysis.CoincidenceCriteria(
+                single_energy_window_ev=(args.e_min * 1e3, args.e_max * 1e3),
+                sum_center_ev=args.sum_center * 1e3,
+                sum_half_width_ev=args.sum_half * 1e3,
+                max_abs_dt_ns=args.horizon,
+                dt_bin_ns=args.dt_bin,
+                e_bin_ev=args.e_bin,
+            ),
+            roi=analysis.RoiSpec(
+                e_center_ev=args.roi_e_center * 1e3, e_half_width_ev=args.roi_e_half * 1e3
+            ),
+            roi_sigmas=args.roi_sigmas,
+            sideband_sigmas=args.sideband_sigmas,
+            exclusive=args.exclusive,
         )
-        empty_map = analysis.build_correlation_map(np.empty(0, analysis.PAIR_DTYPE), criteria, 1.0)
+        no_events = events.Stream(np.empty(0, np.uint64), np.empty(0, np.uint32))
+        run_analysis(no_events, no_events, duration_s=1.0)
     except AnalysisError as exc:
         raise ConfigError(str(exc)) from exc
-    roi = analysis.RoiSpec(
-        e_center_ev=args.roi_e_center * 1e3, e_half_width_ev=args.roi_e_half * 1e3
-    )
-    if not roi.energy_rows(empty_map.e_centers_ev).any():
-        raise ConfigError("--roi-e-center and --roi-e-half select no E1 bin")
-    return functools.partial(
-        analysis.analyze,
-        criteria=criteria,
-        roi=roi,
-        roi_sigmas=args.roi_sigmas,
-        sideband_sigmas=args.sideband_sigmas,
-        exclusive=args.exclusive,
-    )
+    return run_analysis
 
 
 def _comma_list(kind):

@@ -604,16 +604,17 @@ def _apply_response_batch(
     response: DetectorResponse,
     rng: np.random.Generator,
     smeared: int | None = None,
-    end_ns: float = math.inf,
+    end_tick: float = math.inf,
 ) -> np.ndarray:
     """Smear photons through the recording chain, in place.
 
     Adds Gaussian time jitter and Gaussian energy noise (sigma = fwhm /
     2.355) to the first smeared entries (all by default), quantizes every
-    timestamp to the clock tick and energy to integer eV, and drops the
-    event if the recorded energy falls outside the recordable range or
-    the recorded stamp outside the run, [0, end_ns].  The float64 inputs
-    are overwritten with the recorded values, and the keep mask is
+    timestamp to its clock tick index, floor(t / tick + 0.5), and energy
+    to integer eV, and drops the event if the recorded energy falls
+    outside the recordable range or the tick index outside the run,
+    [0, end_tick].  The float64 inputs are overwritten with the recorded
+    values (times as tick indices), and the keep mask is
     returned: only entries with keep True are valid records.  Only the
     mask is returned, so no caller holds the inputs past its last use.
     """
@@ -624,14 +625,12 @@ def _apply_response_batch(
         energies_ev[:n] += rng.normal(
             0.0, response.energy_resolution_fwhm_ev / FWHM_OVER_SIGMA, n
         )
-    tick = response.clock_tick_ns
-    times_ns /= tick  # floor(t / tick + 0.5) * tick, without temporaries
+    times_ns /= response.clock_tick_ns  # floor(t / tick + 0.5), without temporaries
     times_ns += 0.5
     np.floor(times_ns, out=times_ns)
-    times_ns *= tick
     np.rint(energies_ev, out=energies_ev)
     lo, hi = response.energy_range_ev
-    return (times_ns >= 0) & (times_ns <= end_ns) & (energies_ev >= lo) & (energies_ev <= hi)
+    return (times_ns >= 0) & (times_ns <= end_tick) & (energies_ev >= lo) & (energies_ev <= hi)
 
 
 def _sorted_members(keys: np.ndarray, member_keys: np.ndarray, kept: np.ndarray
@@ -703,11 +702,11 @@ def simulate_run(
     exp = config.experiment
     duration = config.duration_s
     tick = exp.response.clock_tick_ns
-    end_ns = math.floor(duration * 1e9 / tick + 0.5) * tick  # the run end, rounded to the tick
+    end_tick = math.floor(duration * 1e9 / tick + 0.5)  # the tick index of the run end
     e_bits = int(exp.response.energy_range_ev[1]).bit_length()
-    if end_ns // tick >= 2 ** (64 - e_bits):
+    if end_tick >= 2 ** (64 - e_bits):
         raise ConfigError(
-            f"run of {end_ns // tick:.3g} clock ticks is over the limit of 2**{64 - e_bits} that "
+            f"run of {end_tick:.3g} clock ticks is over the limit of 2**{64 - e_bits} that "
             f"a 64-bit sort key leaves beside {e_bits}-bit energies; shorten run.duration, "
             "lengthen response.clock_tick or lower response.energy_max"
         )
@@ -749,13 +748,12 @@ def simulate_run(
             profile, exp.response.energy_resolution_fwhm_ev, member_blocks[det_index],
         )
         background_counts.update(counts)
-        keep = _apply_response_batch(times, energies, exp.response, resp_rng, n_members, end_ns)
+        keep = _apply_response_batch(times, energies, exp.response, resp_rng, n_members, end_tick)
         if np.count_nonzero(keep) < len(keep):  # before any cast: no value out of range
             times = times[keep]
             energies = energies[keep]
         kept_members = keep[:n_members].copy()  # not a view holding keep
         del keep
-        times /= tick  # the tick index (exact below 2**53 ns)
         stamps = times.view(np.uint64)  # the keys, until unpacked; each entry
         np.copyto(stamps, times, casting="unsafe")  # is cast onto its own bytes
         stamps <<= np.uint64(e_bits)

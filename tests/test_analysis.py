@@ -685,6 +685,16 @@ class TestCriteriaValidation:
         with pytest.raises(AnalysisError):
             CoincidenceCriteria(sum_half_width_ev=0.0)
 
+    @pytest.mark.parametrize(
+        "center, half_width",
+        [(math.nan, 500.0), (math.inf, 500.0), (-math.inf, 500.0), (22000.0, math.nan),
+         (22000.0, math.inf)],
+    )
+    def test_sum_window_finite(self, center, half_width):
+        # A nan window would pair nothing, an infinite half-width everything.
+        with pytest.raises(AnalysisError, match="must be finite"):
+            CoincidenceCriteria(sum_center_ev=center, sum_half_width_ev=half_width)
+
 
 def planted_streams(true_pairs: int, flat_pairs: int, seed: int):
     """Two streams of pairs 1 s apart, all inside the windows: E1 ~ N(11
@@ -750,6 +760,34 @@ class TestAnalyze:
         assert result.time_fit is not None
         assert result.roi == nominal
         assert result.roi_result == roi_rate(result.corr_map, nominal)
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"roi_sigmas": 0.0}, "0 < roi_sigmas < sideband_sigmas"),
+            ({"roi_sigmas": -2.0, "sideband_sigmas": -1.0}, "0 < roi_sigmas"),
+            ({"roi_sigmas": math.nan}, "0 < roi_sigmas"),
+            ({"sideband_sigmas": 3.0}, "0 < roi_sigmas"),
+            ({"roi_sigmas": 5.0, "sideband_sigmas": 3.0}, "0 < roi_sigmas"),
+            ({"sideband_sigmas": math.inf}, "0 < roi_sigmas"),
+            ({"roi": RoiSpec(e_center_ev=math.nan)}, "roi.e_center_ev must be finite"),
+            ({"roi": RoiSpec(e_center_ev=-math.inf)}, "roi.e_center_ev must be finite"),
+            ({"roi": RoiSpec(e_half_width_ev=0.0)}, "roi.e_center_ev must be finite"),
+            ({"roi": RoiSpec(e_half_width_ev=math.inf)}, "roi.e_center_ev must be finite"),
+            ({"roi": RoiSpec(t_half_width_ns=19.5)}, "under criteria.dt_bin_ns"),
+            ({"roi": RoiSpec(t_half_width_ns=math.nan)}, "under criteria.dt_bin_ns"),
+        ],
+    )
+    def test_bad_settings_are_refused_before_the_streams_are_used(
+        self, monkeypatch, settings, message
+    ):
+        def untouched(*args, **kwargs):
+            raise AssertionError("a stream was used before the settings were checked")
+
+        monkeypatch.setattr(analysis, "select_candidates", untouched)
+        s = make_stream([0], [11000])
+        with pytest.raises(AnalysisError, match=message):
+            analyze(s, s, CRIT, 1.0, **settings)
 
     def test_no_pairs_uses_nominal_roi(self):
         result = analyze(make_stream([], []), make_stream([], []), CRIT, 10.0)

@@ -50,39 +50,68 @@ def short_config(tmp_path):
     return str(path)
 
 
-BAD_ANALYSIS_FLAGS = [
-    (["--roi-sigmas", "5", "--sideband-sigmas", "3"], "--sideband-sigmas must exceed"),
-    (["--horizon", "50"], "pairing horizon must span at least 5 dt bins"),
-    (["--roi-e-half", "-1"], "--roi-e-half must be > 0"),
-    (["--sum-half", "nan"], "--sum-half must be finite"),
-    (["--sum-center", "nan"], "--sum-center must be finite"),
-    (["--roi-sigmas", "nan"], "--roi-sigmas must be finite"),
-    (["--sideband-sigmas", "nan"], "--sideband-sigmas must be finite"),
-    (["--roi-e-center", "nan"], "--roi-e-center must be finite"),
-    (["--roi-e-center", "inf"], "--roi-e-center must be finite"),
-    (["--roi-sigmas", "0"], "--roi-sigmas must be > 0"),
-    (["--roi-sigmas", "-2", "--sideband-sigmas", "-1"], "--roi-sigmas must be > 0"),
-    (["--roi-e-center", "30"], "--roi-e-center and --roi-e-half select no E1 bin"),
-    (["--roi-e-center", "17.04", "--roi-e-half", "0.01"],
-     "--roi-e-center and --roi-e-half select no E1 bin"),
+def named_cases(*rows):
+    """pytest params (flags, message) from rows (name, flags, message).
+    Fixed names, each the rule the flags break, keep a case's name when
+    its message or its place in a list changes."""
+    return [pytest.param(flags, message, id=name) for name, flags, message in rows]
+
+
+SIGMAS = "roi_sigmas and sideband_sigmas need 0 < roi_sigmas < sideband_sigmas"
+ROI_BAND = "roi.e_center_ev must be finite, roi.e_half_width_ev finite and > 0"
+SUM_WINDOW = "sum_center_ev must be finite, sum_half_width_ev finite and > 0"
+NO_E1_BIN = "roi.e_center_ev +/- roi.e_half_width_ev holds no E1 bin center"
+HORIZON_5_BINS = "pairing horizon must span at least 5 dt bins"
+HORIZON_2_62 = "pairing horizon must be below 2**62 ns"
+
+# Each is refused in xpdc.analysis: by CoincidenceCriteria, or by analyze
+# run on no events.
+BAD_ANALYSIS_FLAGS = named_cases(
+    ("flags0---sideband-sigmas must exceed", ["--roi-sigmas", "5", "--sideband-sigmas", "3"],
+     SIGMAS),
+    (f"flags1-{HORIZON_5_BINS}", ["--horizon", "50"], HORIZON_5_BINS),
+    ("flags2---roi-e-half must be > 0", ["--roi-e-half", "-1"], ROI_BAND),
+    ("flags3---sum-half must be finite", ["--sum-half", "nan"], SUM_WINDOW),
+    ("flags4---sum-center must be finite", ["--sum-center", "nan"], SUM_WINDOW),
+    ("flags5---roi-sigmas must be finite", ["--roi-sigmas", "nan"], SIGMAS),
+    ("flags6---sideband-sigmas must be finite", ["--sideband-sigmas", "nan"], SIGMAS),
+    ("flags7---roi-e-center must be finite", ["--roi-e-center", "nan"], ROI_BAND),
+    ("flags8---roi-e-center must be finite", ["--roi-e-center", "inf"], ROI_BAND),
+    ("flags9---roi-sigmas must be > 0", ["--roi-sigmas", "0"], SIGMAS),
+    ("flags10---roi-sigmas must be > 0", ["--roi-sigmas", "-2", "--sideband-sigmas", "-1"],
+     SIGMAS),
+    ("flags11---roi-e-center and --roi-e-half select no E1 bin", ["--roi-e-center", "30"],
+     NO_E1_BIN),
+    ("flags12---roi-e-center and --roi-e-half select no E1 bin",
+     ["--roi-e-center", "17.04", "--roi-e-half", "0.01"], NO_E1_BIN),
     # Maps no host could hold: refused before any bin is allocated.
-    (["--e-max", "1e300"], "a map of 2.01e+303 bins is over the limit of 16777216"),
+    ("flags13-a map of 2.01e+303 bins is over the limit of 16777216", ["--e-max", "1e300"],
+     "a map of 2.01e+303 bins is over the limit of 16777216"),
     # A horizon that pairing could not subtract from a stamp in int64 is
     # refused before the map is counted; one below that cap, by the map.
-    (["--horizon", "10000000000000000000"], "pairing horizon must be below 2**62 ns"),
-    (["--horizon", "4000000000000000000"],
-     "a map of 4.8e+19 bins is over the limit of 16777216"),
-    (["--dt-bin", "1000000000000000000", "--horizon", "10000000000000000000"],
-     "pairing horizon must be below 2**62 ns"),
-]
+    (f"flags14-{HORIZON_2_62}", ["--horizon", "10000000000000000000"], HORIZON_2_62),
+    ("flags15-a map of 4.8e+19 bins is over the limit of 16777216",
+     ["--horizon", "4000000000000000000"], "a map of 4.8e+19 bins is over the limit of 16777216"),
+    (f"flags16-{HORIZON_2_62}",
+     ["--dt-bin", "1000000000000000000", "--horizon", "10000000000000000000"], HORIZON_2_62),
+    # The given ROI's sidebands, from 1100 ns, lie past the horizon.
+    ("flags21---horizon must reach the given sidebands", ["--horizon", "1000"],
+     "roi.t_half_width_ns or roi.sideband_inner_ns selects no dt bin"),
+    # The given ROI, +/-640 ns, is narrower than one dt bin.
+    ("flags22---dt-bin must not exceed the ROI half-width",
+     ["--dt-bin", "1000", "--horizon", "10000"],
+     "roi.t_half_width_ns = 640 is under criteria.dt_bin_ns"),
+)
 
 # A repeated scan point would be averaged or fitted with itself.
-BAD_SCAN_FLAGS = [
-    (["--seeds", "1,1"], "--seeds repeats a value"),
-    (["--seeds", "1,2,1"], "--seeds repeats a value"),
-    (["--detunings", "10,10"], "--detunings repeats a value"),
-    (["--detunings", "5,10,5.0"], "--detunings repeats a value"),
-]
+BAD_SCAN_FLAGS = named_cases(
+    ("flags17---seeds repeats a value", ["--seeds", "1,1"], "--seeds repeats a value"),
+    ("flags18---seeds repeats a value", ["--seeds", "1,2,1"], "--seeds repeats a value"),
+    ("flags19---detunings repeats a value", ["--detunings", "10,10"],
+     "--detunings repeats a value"),
+    ("flags20---detunings repeats a value", ["--detunings", "5,10,5.0"],
+     "--detunings repeats a value"),
+)
 
 # Flags that each subcommand does not read, with a value where they take one.
 DEAD_FLAGS = [
@@ -242,7 +271,7 @@ def simulate_pinned_instrument_run(tmp_path) -> str:
     return out
 
 
-WIDE_WINDOWS = ["--sum-half", "6", "--horizon", "2000000", "--dt-bin", "20000"]
+WIDE_WINDOWS = ["--sum-half", "6", "--horizon", "2000000", "--dt-bin", "640"]
 
 
 class TestAnalyze:
@@ -294,11 +323,11 @@ class TestAnalyze:
              "27d30c41feb2a0d8f94949cbe49b7a2011fb115336a12f0106caa7e67194533e"),
             # Windows wide enough for 141 accidental pairs, 131 of them exclusive.
             (WIDE_WINDOWS,
-             "f2dfa38531a73ea4d6f11606aee4bbee0d0395b4bcf978757365941743aa8b2f",
-             "0ecf49d15176cea25d12f4a27273a4523ff658b606bdb25684c56700ebb32c23"),
+             "a063cce22a9592254ee14586f1e3bdaa19f2c9944e421df60ab85e1beae37c1f",
+             "422ada4bf445c70e9ad5bc3eaca7517fa495c2b62de7cef8bd0501452eb1eabd"),
             ([*WIDE_WINDOWS, "--exclusive"],
-             "f798eaecee8ad1f77f0358abd92c7a0395ad6620826377a21d9d9338cb6c5f22",
-             "996fef56e339c28fc5708a126c5b116b9eec2ea3cf87015163965ae0764f9408"),
+             "1fa58ad7414ec33858a1e9791eb4a37822a28d782be18e193f4901f3da93379d",
+             "6150cbbe599d73a2daa9e04720883563cdc85ed76c78c9db096f1dd8b676bbc3"),
         ],
         ids=["all-pairs", "exclusive", "wide-all-pairs", "wide-exclusive"],
     )
@@ -456,6 +485,7 @@ class TestAnalyze:
         monkeypatch.setattr(events, "stamps_in_order", counted)
         monkeypatch.setattr(listmode, "stamps_in_order", counted)
         assert main(["analyze", path, *window, "--out", out]) == 0
+        assert checked.pop(0) == 0  # the empty Stream that the flags are checked on
         candidates = [k for k, s in zip(kept, streams) if k < len(s)]
         # split_streams builds the two Streams on threads, so their checks
         # come in either order; the candidate Streams' checks follow in turn.
@@ -484,20 +514,20 @@ class TestAnalyze:
 
     def test_absurd_pairing_window_is_one_line_usage_error(self, tmp_path):
         # One pairing block of 65535 detector-1 events and 2.2 M detector-2
-        # events over 1 s, all within a 10 s horizon: 1.44e11 time-window
-        # candidates, whose first index array alone would take 1.15 TB.
+        # events over 1 s, a 0.1 s horizon: 2.74e10 time-window candidates,
+        # whose first index array alone would take 219 GB.
         s1, s2 = (Stream(np.linspace(0, 1e9, n).astype(np.uint64), np.full(n, 11000))
                   for n in (65535, 2_200_000))
         path = str(tmp_path / "dense.xpdc")
         write_listmode(path, (s1, s2), ListModeHeader(20, 2, 0))
         del s1, s2
         proc = run_in_subprocess(
-            ["-m", "xpdc.cli", "analyze", path, "--duration", "1", "--horizon", "10000000000",
-             "--dt-bin", "1000000000", "--out", str(tmp_path / "out")]
+            ["-m", "xpdc.cli", "analyze", path, "--duration", "1", "--horizon", "100000000",
+             "--dt-bin", "640", "--e-bin", "12000", "--out", str(tmp_path / "out")]
         )
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == (
-            "error: a pairing block of 65535 events has 1.44e+11 time-window candidates, "
+            "error: a pairing block of 65535 events has 2.74e+10 time-window candidates, "
             "over the limit of 67108864\n"
         )
 

@@ -307,7 +307,7 @@ class TestDetectorResponse:
         stamps, recorded = np.array([1234.0]), np.array([11000.0])
         keep = _apply_response_batch(stamps, recorded, response, rng)  # in place
         assert keep[0]
-        assert stamps[0] == 1240  # nearest tick
+        assert stamps[0] * 20 == 1240  # nearest tick, as its index
         assert recorded[0] == 11000
 
     def test_out_of_range_energy_dropped(self):
@@ -329,7 +329,7 @@ class TestDetectorResponse:
         keep_a = _apply_response_batch(a, np.full(10_000, 11000.0), response, rng)
         keep_b = _apply_response_batch(b, np.full(10_000, 11000.0), response, rng)
         assert keep_a.all() and keep_b.all()
-        sigma = np.std(b - a)
+        sigma = np.std(b - a) * response.clock_tick_ns  # a and b hold tick indices
         assert abs(sigma - 212.0) < 5.0
 
     def test_validation(self):
