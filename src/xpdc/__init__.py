@@ -60,6 +60,7 @@ _ANALYSIS_NAMES = frozenset({
     "ScanResult",
     "analyze",
     "build_correlation_map",
+    "check_settings",
     "conversion_efficiency",
     "energy_peak_centroid",
     "find_coincidence_pairs",

@@ -148,8 +148,12 @@ class RoiSpec(NamedTuple):
         )
 
     def energy_rows(self, e_centers_ev: np.ndarray) -> np.ndarray:
-        """Which E1 bins, by their centers, the region of interest keeps."""
-        return np.abs(e_centers_ev - self.e_center_ev) <= self.e_half_width_ev
+        """Which E1 bins, by their centers, the region of interest keeps;
+        AnalysisError if it keeps none."""
+        rows = np.abs(e_centers_ev - self.e_center_ev) <= self.e_half_width_ev
+        if not rows.any():
+            raise AnalysisError("roi.e_center_ev +/- roi.e_half_width_ev holds no E1 bin center")
+        return rows
 
 
 class RoiResult(NamedTuple):
@@ -371,18 +375,8 @@ def build_correlation_map(
     hours = duration_s / 3600.0 * mean_current
     if not (duration_s > 0 and mean_current > 0 and 0 < hours < math.inf):
         raise AnalysisError("duration and mean current must be > 0, with a finite product")
-    e_lo, e_hi = criteria.single_energy_window_ev
-    # Counted in floats, so that no window is too wide to count.
-    n_e = float(np.ceil((e_hi - e_lo) / criteria.e_bin_ev))
-    n_dt = 2.0 * (criteria.max_abs_dt_ns // criteria.dt_bin_ns) + 1
-    if not n_e * n_dt <= _MAX_MAP_BINS:
-        raise AnalysisError(f"a map of {n_e * n_dt:.3g} bins is over the limit of {_MAX_MAP_BINS}")
-    n_e, n_dt = int(n_e), int(n_dt)
-    e_edges = e_lo + criteria.e_bin_ev * np.arange(n_e + 1, dtype=np.float64)
-    half = 0.5 * criteria.dt_bin_ns
-    dt_edges = -criteria.max_abs_dt_ns - half + criteria.dt_bin_ns * np.arange(
-        n_dt + 1, dtype=np.float64
-    )
+    e_edges, dt_edges = _map_edges(criteria)
+    n_e, n_dt = len(e_edges) - 1, len(dt_edges) - 1
     # Pairs outside the edges are counted in a padding row or column.
     rows = _padded_bins(pairs["e1_ev"], e_edges)
     flat = rows * (n_dt + 2) + _padded_bins(pairs["dt_ns"], dt_edges)
@@ -394,6 +388,23 @@ def build_correlation_map(
         duration_s=duration_s,
         mean_current=mean_current,
     )
+
+
+def _map_edges(criteria: CoincidenceCriteria) -> tuple[np.ndarray, np.ndarray]:
+    """The E1 and dt bin edges of the correlation map; a map of more than
+    _MAX_MAP_BINS bins raises AnalysisError before any edge is made."""
+    e_lo, e_hi = criteria.single_energy_window_ev
+    # Counted in floats, so that no window is too wide to count.
+    n_e = float(np.ceil((e_hi - e_lo) / criteria.e_bin_ev))
+    n_dt = 2.0 * (criteria.max_abs_dt_ns // criteria.dt_bin_ns) + 1
+    if not n_e * n_dt <= _MAX_MAP_BINS:
+        raise AnalysisError(f"a map of {n_e * n_dt:.3g} bins is over the limit of {_MAX_MAP_BINS}")
+    e_edges = e_lo + criteria.e_bin_ev * np.arange(int(n_e) + 1, dtype=np.float64)
+    half = 0.5 * criteria.dt_bin_ns
+    dt_edges = -criteria.max_abs_dt_ns - half + criteria.dt_bin_ns * np.arange(
+        int(n_dt) + 1, dtype=np.float64
+    )
+    return e_edges, dt_edges
 
 
 def _padded_bins(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -694,8 +705,6 @@ def roi_rate(corr_map: CorrelationMap, roi: RoiSpec) -> RoiResult:
     """
     on, off, scale = _on_and_off(corr_map, roi)
     e_rows = roi.energy_rows(corr_map.e_centers_ev)
-    if not e_rows.any():
-        raise AnalysisError("roi.e_center_ev +/- roi.e_half_width_ev holds no E1 bin center")
     roi_counts = int(on[e_rows].sum())
     sb_counts = int(off[e_rows].sum())
     net_counts = roi_counts - scale * sb_counts
@@ -813,6 +822,20 @@ def _optional(stage, *args):
         return None
 
 
+def check_settings(
+    criteria: CoincidenceCriteria, roi: RoiSpec, roi_sigmas: float, sideband_sigmas: float
+) -> None:
+    """Raise AnalysisError for analyze settings that no streams could
+    satisfy, whichever region of interest they are measured in; the time
+    bounds of a given roi are checked by analyze, where it is used."""
+    if not 0 < roi_sigmas < sideband_sigmas < math.inf:
+        raise AnalysisError("roi_sigmas and sideband_sigmas need 0 < roi_sigmas < sideband_sigmas")
+    if not (math.isfinite(roi.e_center_ev) and 0 < roi.e_half_width_ev < math.inf):
+        raise AnalysisError("roi.e_center_ev must be finite, roi.e_half_width_ev finite and > 0")
+    e_edges, _ = _map_edges(criteria)
+    roi.energy_rows(0.5 * (e_edges[:-1] + e_edges[1:]))
+
+
 def analyze(
     stream1: Stream,
     stream2: Stream,
@@ -837,19 +860,10 @@ def analyze(
     when the fitted half-width is under one dt bin or the sidebands would
     start beyond 0.9 of the pairing horizon.
     The net rate and the E1 centroid are both measured in that one
-    region.
-    Every setting that no streams could satisfy raises AnalysisError on
-    two empty Streams too, which is how the CLI checks its flags; the
-    first three checks raise before the streams are used.
+    region.  check_settings runs before the streams are used; a given
+    roi narrower than one dt bin raises where it would be used.
     """
-    if not 0 < roi_sigmas < sideband_sigmas < math.inf:
-        raise AnalysisError("roi_sigmas and sideband_sigmas need 0 < roi_sigmas < sideband_sigmas")
-    if not (math.isfinite(roi.e_center_ev) and 0 < roi.e_half_width_ev < math.inf):
-        raise AnalysisError("roi.e_center_ev must be finite, roi.e_half_width_ev finite and > 0")
-    if not roi.t_half_width_ns >= criteria.dt_bin_ns:  # as a fitted ROI's must be
-        raise AnalysisError(
-            f"roi.t_half_width_ns = {roi.t_half_width_ns:g} is under criteria.dt_bin_ns"
-        )
+    check_settings(criteria, roi, roi_sigmas, sideband_sigmas)
     cand1 = select_candidates(stream1, criteria)
     cand2 = select_candidates(stream2, criteria)
     pairs = find_coincidence_pairs(cand1, cand2, criteria, exclusive=exclusive)
@@ -866,6 +880,11 @@ def analyze(
             and fitted.sideband_inner_ns < 0.9 * criteria.max_abs_dt_ns
         ):
             roi, roi_from = fitted, "fit"
+    if roi_from == "given" and not roi.t_half_width_ns >= criteria.dt_bin_ns:
+        raise AnalysisError(
+            f"the given roi.t_half_width_ns = {roi.t_half_width_ns:g} is under "
+            f"criteria.dt_bin_ns = {criteria.dt_bin_ns:g}, and no fit replaced it"
+        )
     roi_result = roi_rate(corr_map, roi)
     centroid, centroid_err = _optional(energy_peak_centroid, corr_map, roi) or (None, None)
     return AnalysisResult(

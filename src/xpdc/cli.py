@@ -58,33 +58,33 @@ def _load_settings(args) -> dict[str, str]:
 
 def _analysis(args):
     """analysis.analyze bound to the criteria and region-of-interest
-    flags, run once on no events: settings that it refuses are a usage
-    error before any file is read or run simulated."""
+    flags; settings that analysis.check_settings refuses, which no data
+    could satisfy, are a usage error before any file is read or run
+    simulated."""
     from . import analysis
 
+    settings = dict(
+        roi=analysis.RoiSpec(
+            e_center_ev=args.roi_e_center * 1e3, e_half_width_ev=args.roi_e_half * 1e3
+        ),
+        roi_sigmas=args.roi_sigmas,
+        sideband_sigmas=args.sideband_sigmas,
+    )
     try:
-        run_analysis = functools.partial(
-            analysis.analyze,
-            criteria=analysis.CoincidenceCriteria(
-                single_energy_window_ev=(args.e_min * 1e3, args.e_max * 1e3),
-                sum_center_ev=args.sum_center * 1e3,
-                sum_half_width_ev=args.sum_half * 1e3,
-                max_abs_dt_ns=args.horizon,
-                dt_bin_ns=args.dt_bin,
-                e_bin_ev=args.e_bin,
-            ),
-            roi=analysis.RoiSpec(
-                e_center_ev=args.roi_e_center * 1e3, e_half_width_ev=args.roi_e_half * 1e3
-            ),
-            roi_sigmas=args.roi_sigmas,
-            sideband_sigmas=args.sideband_sigmas,
-            exclusive=args.exclusive,
+        criteria = analysis.CoincidenceCriteria(
+            single_energy_window_ev=(args.e_min * 1e3, args.e_max * 1e3),
+            sum_center_ev=args.sum_center * 1e3,
+            sum_half_width_ev=args.sum_half * 1e3,
+            max_abs_dt_ns=args.horizon,
+            dt_bin_ns=args.dt_bin,
+            e_bin_ev=args.e_bin,
         )
-        no_events = events.Stream(np.empty(0, np.uint64), np.empty(0, np.uint32))
-        run_analysis(no_events, no_events, duration_s=1.0)
+        analysis.check_settings(criteria, **settings)
     except AnalysisError as exc:
         raise ConfigError(str(exc)) from exc
-    return run_analysis
+    return functools.partial(
+        analysis.analyze, criteria=criteria, exclusive=args.exclusive, **settings
+    )
 
 
 def _comma_list(kind):

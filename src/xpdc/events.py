@@ -599,14 +599,15 @@ def _detector_columns(
 
 
 def _apply_response_batch(
-    times_ns: np.ndarray,
+    times: np.ndarray,
     energies_ev: np.ndarray,
     response: DetectorResponse,
     rng: np.random.Generator,
     smeared: int | None = None,
     end_tick: float = math.inf,
 ) -> np.ndarray:
-    """Smear photons through the recording chain, in place.
+    """Smear photons through the recording chain, in place; times, in ns,
+    come back as clock tick indices.
 
     Adds Gaussian time jitter and Gaussian energy noise (sigma = fwhm /
     2.355) to the first smeared entries (all by default), quantizes every
@@ -614,23 +615,23 @@ def _apply_response_batch(
     to integer eV, and drops the event if the recorded energy falls
     outside the recordable range or the tick index outside the run,
     [0, end_tick].  The float64 inputs are overwritten with the recorded
-    values (times as tick indices), and the keep mask is
-    returned: only entries with keep True are valid records.  Only the
-    mask is returned, so no caller holds the inputs past its last use.
+    values, and the keep mask is returned: only entries with keep True
+    are valid records.  Only the mask is returned, so no caller holds
+    the inputs past its last use.
     """
-    n = len(times_ns) if smeared is None else smeared
+    n = len(times) if smeared is None else smeared
     if response.time_jitter_sigma_ns > 0:
-        times_ns[:n] += rng.normal(0.0, response.time_jitter_sigma_ns, n)
+        times[:n] += rng.normal(0.0, response.time_jitter_sigma_ns, n)
     if response.energy_resolution_fwhm_ev > 0:
         energies_ev[:n] += rng.normal(
             0.0, response.energy_resolution_fwhm_ev / FWHM_OVER_SIGMA, n
         )
-    times_ns /= response.clock_tick_ns  # floor(t / tick + 0.5), without temporaries
-    times_ns += 0.5
-    np.floor(times_ns, out=times_ns)
+    times /= response.clock_tick_ns  # floor(t / tick + 0.5), without temporaries
+    times += 0.5
+    np.floor(times, out=times)
     np.rint(energies_ev, out=energies_ev)
     lo, hi = response.energy_range_ev
-    return (times_ns >= 0) & (times_ns <= end_tick) & (energies_ev >= lo) & (energies_ev <= hi)
+    return (times >= 0) & (times <= end_tick) & (energies_ev >= lo) & (energies_ev <= hi)
 
 
 def _sorted_members(keys: np.ndarray, member_keys: np.ndarray, kept: np.ndarray

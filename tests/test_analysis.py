@@ -774,8 +774,7 @@ class TestAnalyze:
             ({"roi": RoiSpec(e_center_ev=-math.inf)}, "roi.e_center_ev must be finite"),
             ({"roi": RoiSpec(e_half_width_ev=0.0)}, "roi.e_center_ev must be finite"),
             ({"roi": RoiSpec(e_half_width_ev=math.inf)}, "roi.e_center_ev must be finite"),
-            ({"roi": RoiSpec(t_half_width_ns=19.5)}, "under criteria.dt_bin_ns"),
-            ({"roi": RoiSpec(t_half_width_ns=math.nan)}, "under criteria.dt_bin_ns"),
+            ({"roi": RoiSpec(e_center_ev=30000.0)}, "holds no E1 bin center"),
         ],
     )
     def test_bad_settings_are_refused_before_the_streams_are_used(
@@ -788,6 +787,25 @@ class TestAnalyze:
         s = make_stream([0], [11000])
         with pytest.raises(AnalysisError, match=message):
             analyze(s, s, CRIT, 1.0, **settings)
+
+    # Narrower than one dt bin, and sidebands past the pairing horizon.
+    UNUSABLE_ROI = RoiSpec(e_half_width_ev=2000.0, t_half_width_ns=10.0, sideband_inner_ns=5000.0)
+
+    def test_fitted_roi_replaces_a_given_roi_that_could_not_be_used(self):
+        s1, s2 = peak_streams()
+        result = analyze(
+            s1, s2, CRIT, 1800.0, roi=self.UNUSABLE_ROI, roi_sigmas=2.0, sideband_sigmas=4.0
+        )
+        assert result.roi_from == "fit"
+        assert result.roi == RoiSpec.from_time_fit(result.time_fit, 11000.0, 2000.0, 2.0, 4.0)
+
+    @pytest.mark.parametrize("t_half_width", [19.5, math.nan])
+    def test_given_roi_narrower_than_a_dt_bin_is_refused_where_it_is_used(self, t_half_width):
+        # With no pairs there is no time fit, so the given ROI would be used.
+        no_events = make_stream([], [])
+        roi = RoiSpec(t_half_width_ns=t_half_width)
+        with pytest.raises(AnalysisError, match=r"roi.t_half_width_ns = \S+ is under criteria"):
+            analyze(no_events, no_events, CRIT, 10.0, roi=roi)
 
     def test_no_pairs_uses_nominal_roi(self):
         result = analyze(make_stream([], []), make_stream([], []), CRIT, 10.0)

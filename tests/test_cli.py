@@ -50,11 +50,13 @@ def short_config(tmp_path):
     return str(path)
 
 
-def named_cases(*rows):
-    """pytest params (flags, message) from rows (name, flags, message).
-    Fixed names, each the rule the flags break, keep a case's name when
-    its message or its place in a list changes."""
-    return [pytest.param(flags, message, id=name) for name, flags, message in rows]
+def rule_cases(rows, first=0):
+    """pytest params (flags, message) from rows (rule, flags, message),
+    each with the id flags<n>-<rule>: its place, counted from first, and
+    the rule its flags break, in the flags' own terms. The ids stay as
+    they were when the CLI gave those rules as its messages."""
+    return [pytest.param(flags, message, id=f"flags{n}-{rule}")
+            for n, (rule, flags, message) in enumerate(rows, first)]
 
 
 SIGMAS = "roi_sigmas and sideband_sigmas need 0 < roi_sigmas < sideband_sigmas"
@@ -63,55 +65,43 @@ SUM_WINDOW = "sum_center_ev must be finite, sum_half_width_ev finite and > 0"
 NO_E1_BIN = "roi.e_center_ev +/- roi.e_half_width_ev holds no E1 bin center"
 HORIZON_5_BINS = "pairing horizon must span at least 5 dt bins"
 HORIZON_2_62 = "pairing horizon must be below 2**62 ns"
+HUGE_MAP = "a map of 2.01e+303 bins is over the limit of 16777216"
+LARGE_MAP = "a map of 4.8e+19 bins is over the limit of 16777216"
 
-# Each is refused in xpdc.analysis: by CoincidenceCriteria, or by analyze
-# run on no events.
-BAD_ANALYSIS_FLAGS = named_cases(
-    ("flags0---sideband-sigmas must exceed", ["--roi-sigmas", "5", "--sideband-sigmas", "3"],
-     SIGMAS),
-    (f"flags1-{HORIZON_5_BINS}", ["--horizon", "50"], HORIZON_5_BINS),
-    ("flags2---roi-e-half must be > 0", ["--roi-e-half", "-1"], ROI_BAND),
-    ("flags3---sum-half must be finite", ["--sum-half", "nan"], SUM_WINDOW),
-    ("flags4---sum-center must be finite", ["--sum-center", "nan"], SUM_WINDOW),
-    ("flags5---roi-sigmas must be finite", ["--roi-sigmas", "nan"], SIGMAS),
-    ("flags6---sideband-sigmas must be finite", ["--sideband-sigmas", "nan"], SIGMAS),
-    ("flags7---roi-e-center must be finite", ["--roi-e-center", "nan"], ROI_BAND),
-    ("flags8---roi-e-center must be finite", ["--roi-e-center", "inf"], ROI_BAND),
-    ("flags9---roi-sigmas must be > 0", ["--roi-sigmas", "0"], SIGMAS),
-    ("flags10---roi-sigmas must be > 0", ["--roi-sigmas", "-2", "--sideband-sigmas", "-1"],
-     SIGMAS),
-    ("flags11---roi-e-center and --roi-e-half select no E1 bin", ["--roi-e-center", "30"],
-     NO_E1_BIN),
-    ("flags12---roi-e-center and --roi-e-half select no E1 bin",
+# Settings that no data could satisfy, refused in xpdc.analysis, by
+# CoincidenceCriteria or check_settings.
+BAD_ANALYSIS_FLAGS = rule_cases([
+    ("--sideband-sigmas must exceed", ["--roi-sigmas", "5", "--sideband-sigmas", "3"], SIGMAS),
+    (HORIZON_5_BINS, ["--horizon", "50"], HORIZON_5_BINS),
+    ("--roi-e-half must be > 0", ["--roi-e-half", "-1"], ROI_BAND),
+    ("--sum-half must be finite", ["--sum-half", "nan"], SUM_WINDOW),
+    ("--sum-center must be finite", ["--sum-center", "nan"], SUM_WINDOW),
+    ("--roi-sigmas must be finite", ["--roi-sigmas", "nan"], SIGMAS),
+    ("--sideband-sigmas must be finite", ["--sideband-sigmas", "nan"], SIGMAS),
+    ("--roi-e-center must be finite", ["--roi-e-center", "nan"], ROI_BAND),
+    ("--roi-e-center must be finite", ["--roi-e-center", "inf"], ROI_BAND),
+    ("--roi-sigmas must be > 0", ["--roi-sigmas", "0"], SIGMAS),
+    ("--roi-sigmas must be > 0", ["--roi-sigmas", "-2", "--sideband-sigmas", "-1"], SIGMAS),
+    ("--roi-e-center and --roi-e-half select no E1 bin", ["--roi-e-center", "30"], NO_E1_BIN),
+    ("--roi-e-center and --roi-e-half select no E1 bin",
      ["--roi-e-center", "17.04", "--roi-e-half", "0.01"], NO_E1_BIN),
     # Maps no host could hold: refused before any bin is allocated.
-    ("flags13-a map of 2.01e+303 bins is over the limit of 16777216", ["--e-max", "1e300"],
-     "a map of 2.01e+303 bins is over the limit of 16777216"),
+    (HUGE_MAP, ["--e-max", "1e300"], HUGE_MAP),
     # A horizon that pairing could not subtract from a stamp in int64 is
     # refused before the map is counted; one below that cap, by the map.
-    (f"flags14-{HORIZON_2_62}", ["--horizon", "10000000000000000000"], HORIZON_2_62),
-    ("flags15-a map of 4.8e+19 bins is over the limit of 16777216",
-     ["--horizon", "4000000000000000000"], "a map of 4.8e+19 bins is over the limit of 16777216"),
-    (f"flags16-{HORIZON_2_62}",
-     ["--dt-bin", "1000000000000000000", "--horizon", "10000000000000000000"], HORIZON_2_62),
-    # The given ROI's sidebands, from 1100 ns, lie past the horizon.
-    ("flags21---horizon must reach the given sidebands", ["--horizon", "1000"],
-     "roi.t_half_width_ns or roi.sideband_inner_ns selects no dt bin"),
-    # The given ROI, +/-640 ns, is narrower than one dt bin.
-    ("flags22---dt-bin must not exceed the ROI half-width",
-     ["--dt-bin", "1000", "--horizon", "10000"],
-     "roi.t_half_width_ns = 640 is under criteria.dt_bin_ns"),
-)
+    (HORIZON_2_62, ["--horizon", "10000000000000000000"], HORIZON_2_62),
+    (LARGE_MAP, ["--horizon", "4000000000000000000"], LARGE_MAP),
+    (HORIZON_2_62, ["--dt-bin", "1000000000000000000", "--horizon", "10000000000000000000"],
+     HORIZON_2_62),
+])
 
 # A repeated scan point would be averaged or fitted with itself.
-BAD_SCAN_FLAGS = named_cases(
-    ("flags17---seeds repeats a value", ["--seeds", "1,1"], "--seeds repeats a value"),
-    ("flags18---seeds repeats a value", ["--seeds", "1,2,1"], "--seeds repeats a value"),
-    ("flags19---detunings repeats a value", ["--detunings", "10,10"],
-     "--detunings repeats a value"),
-    ("flags20---detunings repeats a value", ["--detunings", "5,10,5.0"],
-     "--detunings repeats a value"),
-)
+BAD_SCAN_FLAGS = rule_cases([
+    ("--seeds repeats a value", ["--seeds", "1,1"], "--seeds repeats a value"),
+    ("--seeds repeats a value", ["--seeds", "1,2,1"], "--seeds repeats a value"),
+    ("--detunings repeats a value", ["--detunings", "10,10"], "--detunings repeats a value"),
+    ("--detunings repeats a value", ["--detunings", "5,10,5.0"], "--detunings repeats a value"),
+], first=len(BAD_ANALYSIS_FLAGS))
 
 # Flags that each subcommand does not read, with a value where they take one.
 DEAD_FLAGS = [
@@ -358,6 +348,31 @@ class TestAnalyze:
         sigma = float(report["time_sigma_ns"])
         assert float(report["roi_t_half_width_ns"]) == pytest.approx(3 * sigma, abs=0.01)
 
+    def test_given_roi_time_bounds_bind_only_where_it_is_used(self, tmp_path, capsys):
+        # The given ROI, +-640 ns with sidebands from 1100 ns, fails a
+        # 1000 ns horizon and a 1000 ns dt bin; a 900 s default run's
+        # fitted ROI replaces it and passes both.
+        cfg = tmp_path / "default.cfg"
+        cfg.write_text("run.duration = 900 s\n")
+        out = str(tmp_path / "default")
+        assert main(["simulate", "--config", str(cfg), "--out", out]) == 0
+        for flags in (["--horizon", "1000"], ["--dt-bin", "1000", "--horizon", "20000"]):
+            assert main(["analyze", os.path.join(out, "events.xpdc"), *flags, "--out", out]) == 0
+            report = read_manifest(os.path.join(out, "analysis_report.txt"))
+            assert report["roi_from"] == "fit"
+        # The pinned run's time fit sets no ROI, so the given one would be
+        # measured over the whole 20 us centre bin: a data error, no output.
+        run = simulate_pinned_instrument_run(tmp_path)
+        capsys.readouterr()
+        wide = ["--sum-half", "6", "--horizon", "2000000", "--dt-bin", "20000"]
+        bad_out = str(tmp_path / "wide")
+        assert main(["analyze", os.path.join(run, "events.xpdc"), *wide, "--out", bad_out]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: the given roi.t_half_width_ns = 640 is under criteria.dt_bin_ns = 20000, "
+            "and no fit replaced it"
+        ]
+        assert not os.path.exists(bad_out)
+
     def test_missing_file_is_config_error(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.xpdc")]) == 1
 
@@ -485,7 +500,6 @@ class TestAnalyze:
         monkeypatch.setattr(events, "stamps_in_order", counted)
         monkeypatch.setattr(listmode, "stamps_in_order", counted)
         assert main(["analyze", path, *window, "--out", out]) == 0
-        assert checked.pop(0) == 0  # the empty Stream that the flags are checked on
         candidates = [k for k, s in zip(kept, streams) if k < len(s)]
         # split_streams builds the two Streams on threads, so their checks
         # come in either order; the candidate Streams' checks follow in turn.
@@ -514,20 +528,20 @@ class TestAnalyze:
 
     def test_absurd_pairing_window_is_one_line_usage_error(self, tmp_path):
         # One pairing block of 65535 detector-1 events and 2.2 M detector-2
-        # events over 1 s, a 0.1 s horizon: 2.74e10 time-window candidates,
-        # whose first index array alone would take 219 GB.
+        # events over 1 s, all within a 10 s horizon: 1.44e11 time-window
+        # candidates, whose first index array alone would take 1.15 TB.
         s1, s2 = (Stream(np.linspace(0, 1e9, n).astype(np.uint64), np.full(n, 11000))
                   for n in (65535, 2_200_000))
         path = str(tmp_path / "dense.xpdc")
         write_listmode(path, (s1, s2), ListModeHeader(20, 2, 0))
         del s1, s2
         proc = run_in_subprocess(
-            ["-m", "xpdc.cli", "analyze", path, "--duration", "1", "--horizon", "100000000",
-             "--dt-bin", "640", "--e-bin", "12000", "--out", str(tmp_path / "out")]
+            ["-m", "xpdc.cli", "analyze", path, "--duration", "1", "--horizon", "10000000000",
+             "--dt-bin", "1000000000", "--out", str(tmp_path / "out")]
         )
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == (
-            "error: a pairing block of 65535 events has 2.74e+10 time-window candidates, "
+            "error: a pairing block of 65535 events has 1.44e+11 time-window candidates, "
             "over the limit of 67108864\n"
         )
 
@@ -1227,7 +1241,8 @@ PACKAGE_NAMES = [
     "landing_acceptance", "simulate_run",
     "AnalysisError", "AnalysisResult", "CoincidenceCriteria", "CorrelationMap",
     "EfficiencyResult", "GaussianFit", "PAIR_DTYPE", "RoiResult", "RoiSpec", "ScanResult",
-    "analyze", "build_correlation_map", "conversion_efficiency", "energy_peak_centroid",
+    "analyze", "build_correlation_map", "check_settings", "conversion_efficiency",
+    "energy_peak_centroid",
     "find_coincidence_pairs", "fit_misalignment_scan", "fit_time_profile", "roi_rate",
     "select_candidates",
     "EVENT_DTYPE", "ListModeFormatError", "ListModeHeader", "merge_streams", "read_listmode",
