@@ -62,10 +62,12 @@ _ANALYSIS_NAMES = frozenset({
     "build_correlation_map",
     "check_settings",
     "conversion_efficiency",
+    "correlate",
     "energy_peak_centroid",
     "find_coincidence_pairs",
     "fit_misalignment_scan",
     "fit_time_profile",
+    "measure",
     "roi_rate",
     "select_candidates",
 })

@@ -106,7 +106,9 @@ class CorrelationMap(NamedTuple):
 
 
 class GaussianFit(NamedTuple):
-    """Gaussian-plus-constant fit of one histogram profile."""
+    """Gaussian-plus-constant fit of one histogram profile.  on_bound
+    gives, per parameter in field order, -1 where it ended on its lower
+    bound in the fit's box, 1 on its upper bound, else 0."""
 
     amplitude: float
     center: float
@@ -116,6 +118,7 @@ class GaussianFit(NamedTuple):
     center_err: float
     sigma_err: float
     baseline_err: float
+    on_bound: tuple[int, int, int, int]
 
 
 class RoiSpec(NamedTuple):
@@ -174,7 +177,6 @@ class ScanResult(NamedTuple):
     exponent_err: float
     chi2_per_dof: float
     amplitude_fixed: float
-    amplitude_fixed_err: float
     chi2_per_dof_fixed: float
     n_used: int
 
@@ -190,7 +192,7 @@ class EfficiencyResult(NamedTuple):
 
 
 class AnalysisResult(NamedTuple):
-    """Everything one pass of analyze() produces.
+    """What analyze() produces; measure() gives it with events and pairs None.
 
     time_fit and the E1 centroid with its error are None when that stage
     had nothing to work on (no pairs, no coincident excess) or its fit
@@ -198,8 +200,8 @@ class AnalysisResult(NamedTuple):
     from the time "fit" or as "given" (roi_from).
     """
 
-    events: tuple[int, int]  # events in stream 1 and stream 2
-    pairs: np.ndarray
+    events: tuple[int, int] | None  # events in stream 1 and stream 2
+    pairs: np.ndarray | None
     corr_map: CorrelationMap
     time_fit: GaussianFit | None
     energy_centroid: float | None
@@ -210,15 +212,15 @@ class AnalysisResult(NamedTuple):
 
     def summary(self) -> dict[str, str]:
         """The analysis_report.txt entries in file order, values as written;
-        no time-fit or centroid entries where that stage gave None."""
+        no event, time-fit or centroid entries where they are None, and
+        time_fit_on_bound only where the fit's center or sigma is."""
         fit, roi, corr_map = self.time_fit, self.roi_result, self.corr_map
-        entries: dict[str, object] = {
-            "events_d1": self.events[0],
-            "events_d2": self.events[1],
-            "pairs_accepted": int(corr_map.counts.sum()),
-            "duration_s": corr_map.duration_s,
-            "mean_current": corr_map.mean_current,
-        }
+        entries: dict[str, object] = dict(zip(("events_d1", "events_d2"), self.events or ()))
+        entries.update(
+            pairs_accepted=int(corr_map.counts.sum()),
+            duration_s=corr_map.duration_s,
+            mean_current=corr_map.mean_current,
+        )
         if fit is not None:
             entries.update(
                 time_sigma_ns=f"{fit.sigma:.2f}",
@@ -226,6 +228,10 @@ class AnalysisResult(NamedTuple):
                 time_center_ns=f"{fit.center:.2f}",
                 time_center_err_ns=f"{fit.center_err:.2f}",
             )
+            # Not the baseline: it sits on its floor whenever the sidebands are empty.
+            pinned = [name for name, side in zip(("center", "sigma"), fit.on_bound[1:3]) if side]
+            if pinned:
+                entries["time_fit_on_bound"] = ",".join(pinned)
         if self.energy_centroid is not None:
             entries.update(
                 peak_e1_centroid_ev=f"{self.energy_centroid:.1f}",
@@ -578,9 +584,9 @@ def _levenberg_marquardt(x, y, p, lo, hi, loss) -> tuple[GaussianFit, float]:
         a = fisher[np.ix_(free, free)] / np.outer(scale[free], scale[free])
         eye = np.eye(len(g))
         if g @ np.linalg.solve(a + 1e-12 * eye, g) < _DECREMENT_TOL:
-            on_bound = (p == lo) | (p == hi)
-            errs = _fit_errors(x, y, p, mu, jac, on_bound)
-            return GaussianFit(*p.tolist(), *errs.tolist()), current
+            on_bound = (p == hi).astype(int) - (p == lo)
+            errs = _fit_errors(x, y, p, mu, jac, on_bound != 0)
+            return GaussianFit(*p.tolist(), *errs.tolist(), tuple(on_bound.tolist())), current
         while True:
             step = np.zeros(4)
             step[free] = np.linalg.solve(a + damping * eye, g) / scale[free]
@@ -768,7 +774,6 @@ def fit_misalignment_scan(
         exponent_err=math.sqrt(cov[0, 0]),
         chi2_per_dof=chi2,
         amplitude_fixed=math.exp(a_fixed),
-        amplitude_fixed_err=math.sqrt(1.0 / w.sum()) * math.exp(a_fixed),
         chi2_per_dof_fixed=chi2_fixed,
         n_used=len(usable),
     )
@@ -827,7 +832,7 @@ def check_settings(
 ) -> None:
     """Raise AnalysisError for analyze settings that no streams could
     satisfy, whichever region of interest they are measured in; the time
-    bounds of a given roi are checked by analyze, where it is used."""
+    bounds of a given roi are checked by measure, where it is used."""
     if not 0 < roi_sigmas < sideband_sigmas < math.inf:
         raise AnalysisError("roi_sigmas and sideband_sigmas need 0 < roi_sigmas < sideband_sigmas")
     if not (math.isfinite(roi.e_center_ev) and 0 < roi.e_half_width_ev < math.inf):
@@ -836,38 +841,37 @@ def check_settings(
     roi.energy_rows(0.5 * (e_edges[:-1] + e_edges[1:]))
 
 
-def analyze(
-    stream1: Stream,
-    stream2: Stream,
-    criteria: CoincidenceCriteria,
-    duration_s: float,
-    mean_current: float = 1.0,
-    roi: RoiSpec = RoiSpec(),
-    roi_sigmas: float = 3.0,
-    sideband_sigmas: float = 5.0,
-    exclusive: bool = False,
-) -> AnalysisResult:
-    """The coincidence analysis of two detector streams, end to end.
-
-    Selects candidates, pairs them (exclusive as in
-    find_coincidence_pairs), builds the (E1, dt) map and fits its dt
-    marginal.  The region of interest keeps the energy band of roi; its
-    time half-width and sideband edge become roi_sigmas and
-    sideband_sigmas times the fitted width.  roi is used as given
-    instead (its defaults assume the nominal 212 ns width) when
-    the time fit failed, when its amplitude is under twice its error (a
-    sparse profile, whose fitted width can shut out its few pairs), or
-    when the fitted half-width is under one dt bin or the sidebands would
-    start beyond 0.9 of the pairing horizon.
-    The net rate and the E1 centroid are both measured in that one
-    region.  check_settings runs before the streams are used; a given
-    roi narrower than one dt bin raises where it would be used.
-    """
-    check_settings(criteria, roi, roi_sigmas, sideband_sigmas)
+def correlate(
+    stream1: Stream, stream2: Stream, criteria: CoincidenceCriteria, duration_s: float,
+    mean_current: float = 1.0, exclusive: bool = False,
+) -> tuple[np.ndarray, CorrelationMap]:
+    """The first half of analyze: the accepted pairs of two streams
+    (exclusive as in find_coincidence_pairs) and their (E1, dt) map."""
     cand1 = select_candidates(stream1, criteria)
     cand2 = select_candidates(stream2, criteria)
     pairs = find_coincidence_pairs(cand1, cand2, criteria, exclusive=exclusive)
-    corr_map = build_correlation_map(pairs, criteria, duration_s, mean_current)
+    return pairs, build_correlation_map(pairs, criteria, duration_s, mean_current)
+
+
+def measure(
+    corr_map: CorrelationMap, criteria: CoincidenceCriteria, roi: RoiSpec = RoiSpec(),
+    roi_sigmas: float = 3.0, sideband_sigmas: float = 5.0,
+) -> AnalysisResult:
+    """The second half of analyze, on a map of criteria's binning: the
+    time fit, the region of interest, and the net rate and E1 centroid
+    measured in it, with events and pairs None.  The region of interest
+    keeps the energy band of roi; its time half-width and sideband edge
+    become roi_sigmas and sideband_sigmas times the fitted width.  roi is
+    used as given instead (its defaults assume the nominal 212 ns width)
+    when the time fit failed, when its amplitude is under twice its error
+    (a sparse profile, whose fitted width can shut out its few pairs), when
+    its center is on a bound or its sigma on the upper one (no peak was
+    found; a sigma of half a dt bin, its lower bound, still sets +-1.5
+    bins at 3 sigmas), or when the fitted half-width is under one dt bin
+    or the sidebands would start beyond 0.9 of the pairing horizon.  The
+    settings are taken as check_settings accepts them; a given roi
+    narrower than one dt bin raises where it would be used.
+    """
     time_fit = _optional(fit_time_profile, corr_map)
     roi_from = "given"
     if time_fit is not None:
@@ -876,6 +880,8 @@ def analyze(
         )
         if (
             time_fit.amplitude >= 2 * time_fit.amplitude_err
+            and time_fit.on_bound[1] == 0
+            and time_fit.on_bound[2] < 1
             and fitted.t_half_width_ns >= criteria.dt_bin_ns
             and fitted.sideband_inner_ns < 0.9 * criteria.max_abs_dt_ns
         ):
@@ -888,13 +894,20 @@ def analyze(
     roi_result = roi_rate(corr_map, roi)
     centroid, centroid_err = _optional(energy_peak_centroid, corr_map, roi) or (None, None)
     return AnalysisResult(
-        events=(len(stream1), len(stream2)),
-        pairs=pairs,
-        corr_map=corr_map,
-        time_fit=time_fit,
-        energy_centroid=centroid,
-        energy_centroid_err=centroid_err,
-        roi=roi,
-        roi_result=roi_result,
-        roi_from=roi_from,
+        None, None, corr_map, time_fit, centroid, centroid_err, roi, roi_result, roi_from
     )
+
+
+def analyze(
+    stream1: Stream, stream2: Stream, criteria: CoincidenceCriteria, duration_s: float,
+    mean_current: float = 1.0, roi: RoiSpec = RoiSpec(), roi_sigmas: float = 3.0,
+    sideband_sigmas: float = 5.0, exclusive: bool = False,
+) -> AnalysisResult:
+    """The coincidence analysis of two detector streams, end to end:
+    check_settings, before the streams are used, then correlate and
+    measure, with the events of each stream and the pairs in the result.
+    """
+    check_settings(criteria, roi, roi_sigmas, sideband_sigmas)
+    pairs, corr_map = correlate(stream1, stream2, criteria, duration_s, mean_current, exclusive)
+    result = measure(corr_map, criteria, roi, roi_sigmas, sideband_sigmas)
+    return result._replace(events=(len(stream1), len(stream2)), pairs=pairs)

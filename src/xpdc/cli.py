@@ -268,14 +268,13 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _scan_point(run: events.RunConfig, run_analysis) -> tuple[float, float]:
-    """Simulate and analyze one scan point: its net rate and error (/hr).
-    Runs in a scan worker process."""
+def _scan_point(run: events.RunConfig, correlate):
+    """Simulate one scan point and return its run's correlation map, from
+    correlate (a bound analysis.correlate).  Runs in a scan worker process."""
     stream1, stream2, manifest = events.simulate_run(run)
-    roi = run_analysis(
+    return correlate(
         stream1, stream2, duration_s=manifest.duration_s, mean_current=manifest.mean_current
-    ).roi_result
-    return roi.net_rate_per_hr, roi.net_rate_err_per_hr
+    )[1]
 
 
 def _fit_scan(points):
@@ -297,7 +296,11 @@ def cmd_scan(args) -> int:
     for flag, values in (("--detunings", args.detunings), ("--seeds", args.seeds)):
         if len(set(values)) < len(values):  # a point counted twice
             raise ConfigError(f"{flag} repeats a value")
-    run_analysis = _analysis(args)
+    from . import analysis
+
+    measure_kwargs = dict(_analysis(args).keywords)  # analyze's, less exclusive
+    correlate = functools.partial(analysis.correlate, criteria=measure_kwargs["criteria"],
+                                  exclusive=measure_kwargs.pop("exclusive"))
     settings = _load_settings(args)
     runs = []  # detuning-major, then seed; all built before any simulation starts
     for detuning in args.detunings:
@@ -310,16 +313,18 @@ def cmd_scan(args) -> int:
             runs.append(cfg.build_run_config(run_settings))
     os.makedirs(args.out, exist_ok=True)
     try:
-        results = events.fork_map(functools.partial(_scan_point, run_analysis=run_analysis), runs)
+        maps = events.fork_map(functools.partial(_scan_point, correlate=correlate), runs)
     except events.WorkerDied as exc:
         print(f"error: a scan worker process died: {exc}", file=sys.stderr)
         return EXIT_DATA
     points = []
     n_seeds = len(args.seeds)
     for i, detuning in enumerate(args.detunings):
-        rates, errors = zip(*results[i * n_seeds:(i + 1) * n_seeds])
-        rate = float(np.mean(rates))
-        err = math.sqrt(sum(e**2 for e in errors)) / n_seeds
+        seeds = maps[i * n_seeds:(i + 1) * n_seeds]  # one config: shared edges, mean current
+        pooled = seeds[0]._replace(counts=sum(m.counts for m in seeds),
+                                   duration_s=sum(m.duration_s for m in seeds))
+        roi = analysis.measure(pooled, **measure_kwargs).roi_result
+        rate, err = roi.net_rate_per_hr, roi.net_rate_err_per_hr
         points.append((detuning, rate, err))
         print(f"detuning {detuning:6.1f} mdeg: net rate {rate:8.2f} +/- {err:.2f} /hr")
 

@@ -16,11 +16,13 @@ from xpdc.analysis import (
     analyze,
     build_correlation_map,
     conversion_efficiency,
+    correlate,
     energy_peak_centroid,
     find_coincidence_pairs,
     fit_gaussian_profile,
     fit_misalignment_scan,
     fit_time_profile,
+    measure,
     roi_rate,
     select_candidates,
 )
@@ -428,6 +430,16 @@ class TestFitTimeProfile:
         assert math.isinf(fit.center_err) and math.isinf(fit.sigma_err)
         assert math.isfinite(fit.amplitude_err) and math.isfinite(fit.baseline_err)
 
+    def test_fit_records_the_parameters_on_a_bound(self):
+        x = np.arange(41.0)
+        peak = np.random.default_rng(1).poisson(100 * np.exp(-0.5 * ((x - 20) / 4) ** 2) + 5)
+        spike = np.ones(41)
+        spike[20] = 30.0
+        # A rising ramp, with no flat floor: the baseline ends on its least.
+        fits = [fit_gaussian_profile(x, counts) for counts in (peak, spike, x + 1)]
+        assert [fit.on_bound for fit in fits] == [(0, 0, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1)]
+        assert fits[1].sigma == 0.5
+
     def test_sparse_profile_reaches_lower_optimum(self):
         # 8 pairs in the time profile: from the moment seeds alone the fit
         # stopped at a half likelihood-ratio chi^2 of 14.600 (sigma 202 ns);
@@ -760,6 +772,42 @@ class TestAnalyze:
         assert result.time_fit is not None
         assert result.roi == nominal
         assert result.roi_result == roi_rate(result.corr_map, nominal)
+
+    @pytest.mark.parametrize(
+        "on_bound, roi_from, reported",
+        [
+            ((0, 0, 0, 0), "fit", None),
+            ((0, 0, 0, -1), "fit", None),  # the baseline's floor
+            ((0, 0, -1, 0), "fit", "sigma"),  # narrower than half a dt bin
+            ((0, 0, 1, 0), "given", "sigma"),
+            ((0, -1, 0, 0), "given", "center"),
+            ((0, 1, 0, 0), "given", "center"),
+            ((0, 1, 1, 0), "given", "center,sigma"),
+        ],
+    )
+    def test_time_fit_on_a_bound_sets_the_roi_only_with_sigma_at_its_least(
+        self, monkeypatch, on_bound, roi_from, reported
+    ):
+        s1, s2 = peak_streams()
+        fit = analyze(s1, s2, CRIT, 1800.0).time_fit._replace(on_bound=on_bound)
+        monkeypatch.setattr(analysis, "fit_time_profile", lambda corr_map: fit)
+        result = analyze(s1, s2, CRIT, 1800.0)
+        assert result.roi_from == roi_from
+        assert result.summary().get("time_fit_on_bound") == reported
+
+    def test_analyze_is_correlate_then_measure(self):
+        s1, s2 = peak_streams()
+        roi = RoiSpec(e_half_width_ev=2000.0)
+        pairs, corr_map = correlate(s1, s2, CRIT, 1800.0, 0.9, exclusive=True)
+        measured = measure(corr_map, CRIT, roi, 2.0, 4.0)
+        result = analyze(s1, s2, CRIT, 1800.0, 0.9, roi, 2.0, 4.0, exclusive=True)
+        assert measured.events is None and measured.pairs is None
+        assert "events_d1" not in measured.summary()
+        assert np.array_equal(result.pairs, pairs)
+        assert np.array_equal(result.corr_map.counts, corr_map.counts)
+        assert result.summary() == {
+            "events_d1": str(len(s1)), "events_d2": str(len(s2)), **measured.summary()
+        }
 
     @pytest.mark.parametrize(
         "settings, message",

@@ -13,7 +13,7 @@ import pytest
 
 import xpdc
 from xpdc import events, listmode
-from xpdc.analysis import CoincidenceCriteria, RoiSpec, analyze
+from xpdc.analysis import CoincidenceCriteria, RoiSpec, analyze, correlate, measure
 from xpdc.cli import main
 from xpdc.config import build_run_config, load_config_file, merge_settings
 from xpdc.events import Stream, simulate_run
@@ -95,7 +95,7 @@ BAD_ANALYSIS_FLAGS = rule_cases([
      HORIZON_2_62),
 ])
 
-# A repeated scan point would be averaged or fitted with itself.
+# A repeated seed would be added to itself, a repeated detuning fitted twice.
 BAD_SCAN_FLAGS = rule_cases([
     ("--seeds repeats a value", ["--seeds", "1,1"], "--seeds repeats a value"),
     ("--seeds repeats a value", ["--seeds", "1,2,1"], "--seeds repeats a value"),
@@ -305,15 +305,17 @@ class TestAnalyze:
     @pytest.mark.parametrize(
         "flags, report_sha, map_sha",
         [
+            # The time fit's sigma is 10.00 ns, its lower bound: half a dt bin.
             ([],
-             "bfcbfae326e1ae75102277edc8bfd27323cb9a8d6f7bf1cb6a90ac150511aadc",
+             "403ea48a698d4532f9e5ec61f9949b037cd50ed450a08d666a85cf1a73c90ea3",
              "27d30c41feb2a0d8f94949cbe49b7a2011fb115336a12f0106caa7e67194533e"),
             (["--exclusive"],
-             "bfcbfae326e1ae75102277edc8bfd27323cb9a8d6f7bf1cb6a90ac150511aadc",
+             "403ea48a698d4532f9e5ec61f9949b037cd50ed450a08d666a85cf1a73c90ea3",
              "27d30c41feb2a0d8f94949cbe49b7a2011fb115336a12f0106caa7e67194533e"),
-            # Windows wide enough for 141 accidental pairs, 131 of them exclusive.
+            # Windows wide enough for 141 accidental pairs, 131 of them exclusive;
+            # on all 141 the fit's center and sigma end on their bounds.
             (WIDE_WINDOWS,
-             "a063cce22a9592254ee14586f1e3bdaa19f2c9944e421df60ab85e1beae37c1f",
+             "ca02a07c52bc88f91547252c36f707f36cc78f0f953c76c7cf202b6cc042ba1f",
              "422ada4bf445c70e9ad5bc3eaca7517fa495c2b62de7cef8bd0501452eb1eabd"),
             ([*WIDE_WINDOWS, "--exclusive"],
              "1fa58ad7414ec33858a1e9791eb4a37822a28d782be18e193f4901f3da93379d",
@@ -626,9 +628,59 @@ class TestScan:
         ).roi_result
         assert rows[1:] == [f"10.0,{roi.net_rate_per_hr:.4f},{roi.net_rate_err_per_hr:.4f}"]
 
+    def test_two_seed_point_measures_the_seeds_pooled_map(self, tmp_path):
+        # At this point the mean of the two seeds' own rates, each from its
+        # own time fit and ROI, is 182.0 /hr.
+        cfg = tmp_path / "point.cfg"
+        cfg.write_text("run.duration = 900 s\n")
+        out = str(tmp_path / "point")
+        assert main(
+            [
+                "scan", "--config", str(cfg), "--detunings", "5",
+                "--seeds", "1,2", "--roi-e-half", "2", "--out", out,
+            ]
+        ) == 0
+        rows = [
+            l for l in open(os.path.join(out, "scan_result.csv")).read().splitlines()
+            if not l.startswith("#")
+        ]
+
+        maps = []
+        for seed in ("1", "2"):
+            settings = merge_settings(load_config_file(str(cfg)))
+            settings.update({"crystal.detuning": "5 mdeg", "run.seed": seed})
+            run = build_run_config(settings)
+            stream1, stream2, _ = simulate_run(run)
+            maps.append(correlate(
+                stream1, stream2, CoincidenceCriteria(), run.duration_s,
+                run.beam_current_profile.mean,
+            )[1])
+        pooled = maps[0]._replace(
+            counts=maps[0].counts + maps[1].counts, duration_s=2 * run.duration_s
+        )
+        roi = measure(pooled, CoincidenceCriteria(), RoiSpec(e_half_width_ev=2000.0)).roi_result
+        assert rows[1:] == [f"5.0,{roi.net_rate_per_hr:.4f},{roi.net_rate_err_per_hr:.4f}"]
+        assert roi.net_rate_per_hr == 180.0
+
+    def test_output_bytes_do_not_depend_on_the_worker_count(self, tmp_path, capsys, monkeypatch):
+        # With 3 workers each point's two seeds run on different workers.
+        monkeypatch.setenv("XPDC_RUN_DURATION", "60 s")
+        outputs = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(events, "usable_cpus", lambda: cpus)
+            out = tmp_path / f"scan{cpus}"
+            assert main(
+                [
+                    "scan", "--detunings", "5,10,20", "--seeds", "1,2",
+                    "--roi-e-half", "2", "--out", str(out),
+                ]
+            ) == 0
+            outputs.append((capsys.readouterr().out, (out / "scan_result.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_output_bytes(self, tmp_path, capsys):
         # Digests from the serial scan; any reordering of points or seeds
-        # between the workers and the averages changes them.
+        # between the workers and the pooled maps changes them.
         cfg = tmp_path / "pin.cfg"
         cfg.write_text("run.duration = 60 s\n")
         out = tmp_path / "scan"
@@ -1241,9 +1293,9 @@ PACKAGE_NAMES = [
     "landing_acceptance", "simulate_run",
     "AnalysisError", "AnalysisResult", "CoincidenceCriteria", "CorrelationMap",
     "EfficiencyResult", "GaussianFit", "PAIR_DTYPE", "RoiResult", "RoiSpec", "ScanResult",
-    "analyze", "build_correlation_map", "check_settings", "conversion_efficiency",
+    "analyze", "build_correlation_map", "check_settings", "conversion_efficiency", "correlate",
     "energy_peak_centroid",
-    "find_coincidence_pairs", "fit_misalignment_scan", "fit_time_profile", "roi_rate",
+    "find_coincidence_pairs", "fit_misalignment_scan", "fit_time_profile", "measure", "roi_rate",
     "select_candidates",
     "EVENT_DTYPE", "ListModeFormatError", "ListModeHeader", "merge_streams", "read_listmode",
     "read_manifest", "read_streams", "split_streams", "write_listmode", "write_manifest",
@@ -1283,7 +1335,7 @@ FROZEN_TYPES = {
     "ExperimentModel": (lambda: xpdc.ExperimentModel(), "crystal"),
     "RunConfig": (lambda: xpdc.RunConfig(), "seed"),
     "CoincidenceCriteria": (lambda: CoincidenceCriteria(), "dt_bin_ns"),
-    "GaussianFit": (lambda: xpdc.GaussianFit(*range(8)), "sigma"),
+    "GaussianFit": (lambda: xpdc.GaussianFit(*range(8), (0, 0, 0, 0)), "sigma"),
     "RoiSpec": (lambda: RoiSpec(), "e_center_ev"),
     "AnalysisResult": (_analysis_result, "roi"),
     "ListModeHeader": (lambda: ListModeHeader(20, 2, 0), "config_hash"),
