@@ -15,7 +15,6 @@ from .physics import (
     ReflectionUnreachableError,
     bragg_angle,
     detection_chain_efficiency,
-    emission_angle_approx,
     emission_angles,
     polarization_suppression,
 )

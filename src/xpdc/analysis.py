@@ -83,7 +83,7 @@ class CorrelationMap(NamedTuple):
     counts has shape (len(e_edges) - 1, len(dt_edges) - 1); binning is
     half-open [lo, hi) with the uppermost bin closed.  dt bin edges are
     offset half a bin so clock-tick-aligned differences sit at bin
-    centers.
+    centers, which are symmetric about dt = 0.
     """
 
     e_edges_ev: np.ndarray
@@ -103,6 +103,16 @@ class CorrelationMap(NamedTuple):
     @property
     def dt_marginal(self) -> np.ndarray:
         return self.counts.sum(axis=0)
+
+    def __add__(self, other: "CorrelationMap") -> "CorrelationMap":
+        """The map of both maps' pairs: counts and durations add; the edges
+        and mean current must be the same, else AnalysisError."""
+        if not (np.array_equal(self.e_edges_ev, other.e_edges_ev)
+                and np.array_equal(self.dt_edges_ns, other.dt_edges_ns)
+                and self.mean_current == other.mean_current):
+            raise AnalysisError("maps of different edges or mean current do not add")
+        return self._replace(counts=self.counts + other.counts,
+                             duration_s=self.duration_s + other.duration_s)
 
 
 class GaussianFit(NamedTuple):
@@ -126,29 +136,21 @@ class RoiSpec(NamedTuple):
 
     The ROI is |E1 - e_center| <= e_half_width and |dt| <= t_half_width;
     sidebands share the energy band and take |dt| >= sideband_inner out
-    to the pairing horizon on both sides.
+    to the map's dt reach on both sides.  A time fit of width sigma sets
+    the time bounds to roi_sigmas and sideband_sigmas times sigma (fitted).
     """
 
     e_center_ev: float = 11000.0
     e_half_width_ev: float = 1000.0
     t_half_width_ns: float = 640.0
     sideband_inner_ns: float = 1100.0
+    roi_sigmas: float = 3.0
+    sideband_sigmas: float = 5.0
 
-    @classmethod
-    def from_time_fit(
-        cls,
-        fit: GaussianFit,
-        e_center_ev: float = 11000.0,
-        e_half_width_ev: float = 1000.0,
-        roi_sigmas: float = 3.0,
-        sideband_sigmas: float = 5.0,
-    ) -> "RoiSpec":
-        return cls(
-            e_center_ev=e_center_ev,
-            e_half_width_ev=e_half_width_ev,
-            t_half_width_ns=roi_sigmas * abs(fit.sigma),
-            sideband_inner_ns=sideband_sigmas * abs(fit.sigma),
-        )
+    def fitted(self, sigma_ns: float) -> "RoiSpec":
+        """This ROI with its time bounds set from a fitted width sigma_ns."""
+        return self._replace(t_half_width_ns=self.roi_sigmas * abs(sigma_ns),
+                             sideband_inner_ns=self.sideband_sigmas * abs(sigma_ns))
 
     def energy_rows(self, e_centers_ev: np.ndarray) -> np.ndarray:
         """Which E1 bins, by their centers, the region of interest keeps;
@@ -373,9 +375,10 @@ def build_correlation_map(
     """Histogram accepted pairs over (E1, dt).
 
     Energy bins are half-open [lo, hi) with the top bin closed; dt bins
-    are centered on multiples of dt_bin so quantized time differences
-    fall at bin centers.  Each pair is counted in the bin np.histogram2d
-    gives it over the same edges, and pairs outside them are dropped.
+    are centered on the multiples of dt_bin within the pairing horizon,
+    0 among them, so quantized time differences fall at bin centers.
+    Each pair is counted in the bin np.histogram2d gives it over the same
+    edges, and pairs outside them are dropped.
     """
     # Rates divide by the exposure in hours, duration x mean current.
     hours = duration_s / 3600.0 * mean_current
@@ -402,12 +405,13 @@ def _map_edges(criteria: CoincidenceCriteria) -> tuple[np.ndarray, np.ndarray]:
     e_lo, e_hi = criteria.single_energy_window_ev
     # Counted in floats, so that no window is too wide to count.
     n_e = float(np.ceil((e_hi - e_lo) / criteria.e_bin_ev))
-    n_dt = 2.0 * (criteria.max_abs_dt_ns // criteria.dt_bin_ns) + 1
+    n_half = criteria.max_abs_dt_ns // criteria.dt_bin_ns  # dt bin centers on each side of 0
+    n_dt = 2.0 * n_half + 1
     if not n_e * n_dt <= _MAX_MAP_BINS:
         raise AnalysisError(f"a map of {n_e * n_dt:.3g} bins is over the limit of {_MAX_MAP_BINS}")
     e_edges = e_lo + criteria.e_bin_ev * np.arange(int(n_e) + 1, dtype=np.float64)
     half = 0.5 * criteria.dt_bin_ns
-    dt_edges = -criteria.max_abs_dt_ns - half + criteria.dt_bin_ns * np.arange(
+    dt_edges = -n_half * criteria.dt_bin_ns - half + criteria.dt_bin_ns * np.arange(
         int(n_dt) + 1, dtype=np.float64
     )
     return e_edges, dt_edges
@@ -827,13 +831,11 @@ def _optional(stage, *args):
         return None
 
 
-def check_settings(
-    criteria: CoincidenceCriteria, roi: RoiSpec, roi_sigmas: float, sideband_sigmas: float
-) -> None:
+def check_settings(criteria: CoincidenceCriteria, roi: RoiSpec) -> None:
     """Raise AnalysisError for analyze settings that no streams could
-    satisfy, whichever region of interest they are measured in; the time
-    bounds of a given roi are checked by measure, where it is used."""
-    if not 0 < roi_sigmas < sideband_sigmas < math.inf:
+    satisfy, whichever time bounds the region of interest ends up with;
+    the time bounds of a given roi are checked by measure, where it is used."""
+    if not 0 < roi.roi_sigmas < roi.sideband_sigmas < math.inf:
         raise AnalysisError("roi_sigmas and sideband_sigmas need 0 < roi_sigmas < sideband_sigmas")
     if not (math.isfinite(roi.e_center_ev) and 0 < roi.e_half_width_ev < math.inf):
         raise AnalysisError("roi.e_center_ev must be finite, roi.e_half_width_ev finite and > 0")
@@ -853,43 +855,40 @@ def correlate(
     return pairs, build_correlation_map(pairs, criteria, duration_s, mean_current)
 
 
-def measure(
-    corr_map: CorrelationMap, criteria: CoincidenceCriteria, roi: RoiSpec = RoiSpec(),
-    roi_sigmas: float = 3.0, sideband_sigmas: float = 5.0,
-) -> AnalysisResult:
-    """The second half of analyze, on a map of criteria's binning: the
-    time fit, the region of interest, and the net rate and E1 centroid
-    measured in it, with events and pairs None.  The region of interest
-    keeps the energy band of roi; its time half-width and sideband edge
-    become roi_sigmas and sideband_sigmas times the fitted width.  roi is
-    used as given instead (its defaults assume the nominal 212 ns width)
-    when the time fit failed, when its amplitude is under twice its error
-    (a sparse profile, whose fitted width can shut out its few pairs), when
-    its center is on a bound or its sigma on the upper one (no peak was
-    found; a sigma of half a dt bin, its lower bound, still sets +-1.5
-    bins at 3 sigmas), or when the fitted half-width is under one dt bin
-    or the sidebands would start beyond 0.9 of the pairing horizon.  The
-    settings are taken as check_settings accepts them; a given roi
-    narrower than one dt bin raises where it would be used.
+def measure(corr_map: CorrelationMap, roi: RoiSpec = RoiSpec()) -> AnalysisResult:
+    """The second half of analyze: the time fit, the region of interest,
+    and the net rate and E1 centroid measured in it, with events and
+    pairs None.  The region of interest is roi.fitted(sigma) of the time
+    fit.  roi is used as given instead (its defaults assume the nominal
+    212 ns width) when the time fit failed, when its amplitude is under
+    twice its error (a sparse profile, whose fitted width can shut out its
+    few pairs), when its center is on a bound or its sigma on the upper
+    one (no peak was found; a sigma of half a dt bin, its lower bound,
+    still sets +-1.5 bins at 3 sigmas), or when the fitted half-width is
+    under one dt bin or the sidebands would start beyond 0.9 of the dt
+    reach, both read from the map's edges.  roi is taken as check_settings
+    accepts it; a given roi narrower than one dt bin raises where it would
+    be used.
     """
+    dt_edges = corr_map.dt_edges_ns
+    dt_bin = dt_edges[1] - dt_edges[0]
+    reach = dt_edges[-1] - 0.5 * dt_bin  # the largest |dt| bin center
     time_fit = _optional(fit_time_profile, corr_map)
     roi_from = "given"
     if time_fit is not None:
-        fitted = RoiSpec.from_time_fit(
-            time_fit, roi.e_center_ev, roi.e_half_width_ev, roi_sigmas, sideband_sigmas
-        )
+        fitted = roi.fitted(time_fit.sigma)
         if (
             time_fit.amplitude >= 2 * time_fit.amplitude_err
             and time_fit.on_bound[1] == 0
             and time_fit.on_bound[2] < 1
-            and fitted.t_half_width_ns >= criteria.dt_bin_ns
-            and fitted.sideband_inner_ns < 0.9 * criteria.max_abs_dt_ns
+            and fitted.t_half_width_ns >= dt_bin
+            and fitted.sideband_inner_ns < 0.9 * reach
         ):
             roi, roi_from = fitted, "fit"
-    if roi_from == "given" and not roi.t_half_width_ns >= criteria.dt_bin_ns:
+    if roi_from == "given" and not roi.t_half_width_ns >= dt_bin:
         raise AnalysisError(
             f"the given roi.t_half_width_ns = {roi.t_half_width_ns:g} is under "
-            f"criteria.dt_bin_ns = {criteria.dt_bin_ns:g}, and no fit replaced it"
+            f"criteria.dt_bin_ns = {dt_bin:g}, and no fit replaced it"
         )
     roi_result = roi_rate(corr_map, roi)
     centroid, centroid_err = _optional(energy_peak_centroid, corr_map, roi) or (None, None)
@@ -900,14 +899,13 @@ def measure(
 
 def analyze(
     stream1: Stream, stream2: Stream, criteria: CoincidenceCriteria, duration_s: float,
-    mean_current: float = 1.0, roi: RoiSpec = RoiSpec(), roi_sigmas: float = 3.0,
-    sideband_sigmas: float = 5.0, exclusive: bool = False,
+    mean_current: float = 1.0, roi: RoiSpec = RoiSpec(), exclusive: bool = False,
 ) -> AnalysisResult:
     """The coincidence analysis of two detector streams, end to end:
     check_settings, before the streams are used, then correlate and
     measure, with the events of each stream and the pairs in the result.
     """
-    check_settings(criteria, roi, roi_sigmas, sideband_sigmas)
+    check_settings(criteria, roi)
     pairs, corr_map = correlate(stream1, stream2, criteria, duration_s, mean_current, exclusive)
-    result = measure(corr_map, criteria, roi, roi_sigmas, sideband_sigmas)
+    result = measure(corr_map, roi)
     return result._replace(events=(len(stream1), len(stream2)), pairs=pairs)

@@ -57,18 +57,15 @@ def _load_settings(args) -> dict[str, str]:
 
 
 def _analysis(args):
-    """analysis.analyze bound to the criteria and region-of-interest
+    """The coincidence criteria and region of interest of the analysis
     flags; settings that analysis.check_settings refuses, which no data
     could satisfy, are a usage error before any file is read or run
     simulated."""
     from . import analysis
 
-    settings = dict(
-        roi=analysis.RoiSpec(
-            e_center_ev=args.roi_e_center * 1e3, e_half_width_ev=args.roi_e_half * 1e3
-        ),
-        roi_sigmas=args.roi_sigmas,
-        sideband_sigmas=args.sideband_sigmas,
+    roi = analysis.RoiSpec(
+        e_center_ev=args.roi_e_center * 1e3, e_half_width_ev=args.roi_e_half * 1e3,
+        roi_sigmas=args.roi_sigmas, sideband_sigmas=args.sideband_sigmas,
     )
     try:
         criteria = analysis.CoincidenceCriteria(
@@ -79,12 +76,10 @@ def _analysis(args):
             dt_bin_ns=args.dt_bin,
             e_bin_ev=args.e_bin,
         )
-        analysis.check_settings(criteria, **settings)
+        analysis.check_settings(criteria, roi)
     except AnalysisError as exc:
         raise ConfigError(str(exc)) from exc
-    return functools.partial(
-        analysis.analyze, criteria=criteria, exclusive=args.exclusive, **settings
-    )
+    return criteria, roi
 
 
 def _comma_list(kind):
@@ -235,7 +230,9 @@ def _duration_and_current(args) -> tuple[float | None, float]:
 
 
 def cmd_analyze(args) -> int:
-    run_analysis = _analysis(args)
+    from . import analysis
+
+    criteria, roi = _analysis(args)
     duration_s, mean_current = _duration_and_current(args)
     (stream1, stream2), _ = listmode.read_streams(args.events, detector_count=2)
     if duration_s is None:
@@ -245,7 +242,9 @@ def cmd_analyze(args) -> int:
             f"warning: no manifest/duration given; using stream span {duration_s:.3f} s",
             file=sys.stderr,
         )
-    result = run_analysis(stream1, stream2, duration_s=duration_s, mean_current=mean_current)
+    result = analysis.analyze(
+        stream1, stream2, criteria, duration_s, mean_current, roi, args.exclusive
+    )
     os.makedirs(args.out, exist_ok=True)
     corr_map = result.corr_map
     rows, cols = np.nonzero(corr_map.counts)  # row-major: by E1, then dt
@@ -268,21 +267,25 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _scan_point(run: events.RunConfig, correlate):
-    """Simulate one scan point and return its run's correlation map, from
-    correlate (a bound analysis.correlate).  Runs in a scan worker process."""
+def _scan_point(run: events.RunConfig, criteria, exclusive: bool):
+    """Simulate one scan point and return its run's correlation map.  Runs
+    in a scan worker process."""
+    from . import analysis
+
     stream1, stream2, manifest = events.simulate_run(run)
-    return correlate(
-        stream1, stream2, duration_s=manifest.duration_s, mean_current=manifest.mean_current
+    return analysis.correlate(
+        stream1, stream2, criteria, manifest.duration_s, manifest.mean_current, exclusive
     )[1]
 
 
 def _fit_scan(points):
     """analysis.fit_misalignment_scan, with each warning it gives printed
-    as one `warning: ` line."""
+    as one `warning: ` line.  Its excluded points are such lines under any
+    warning filter; other warnings, numpy's, still follow the filters."""
     from . import analysis
 
     with warnings.catch_warnings(record=True) as caught:
+        warnings.filterwarnings("always", "excluding non-positive rate", UserWarning)
         try:
             return analysis.fit_misalignment_scan(points)
         finally:
@@ -298,9 +301,7 @@ def cmd_scan(args) -> int:
             raise ConfigError(f"{flag} repeats a value")
     from . import analysis
 
-    measure_kwargs = dict(_analysis(args).keywords)  # analyze's, less exclusive
-    correlate = functools.partial(analysis.correlate, criteria=measure_kwargs["criteria"],
-                                  exclusive=measure_kwargs.pop("exclusive"))
+    criteria, roi = _analysis(args)
     settings = _load_settings(args)
     runs = []  # detuning-major, then seed; all built before any simulation starts
     for detuning in args.detunings:
@@ -313,18 +314,18 @@ def cmd_scan(args) -> int:
             runs.append(cfg.build_run_config(run_settings))
     os.makedirs(args.out, exist_ok=True)
     try:
-        maps = events.fork_map(functools.partial(_scan_point, correlate=correlate), runs)
+        maps = events.fork_map(
+            functools.partial(_scan_point, criteria=criteria, exclusive=args.exclusive), runs
+        )
     except events.WorkerDied as exc:
         print(f"error: a scan worker process died: {exc}", file=sys.stderr)
         return EXIT_DATA
     points = []
     n_seeds = len(args.seeds)
     for i, detuning in enumerate(args.detunings):
-        seeds = maps[i * n_seeds:(i + 1) * n_seeds]  # one config: shared edges, mean current
-        pooled = seeds[0]._replace(counts=sum(m.counts for m in seeds),
-                                   duration_s=sum(m.duration_s for m in seeds))
-        roi = analysis.measure(pooled, **measure_kwargs).roi_result
-        rate, err = roi.net_rate_per_hr, roi.net_rate_err_per_hr
+        seeds = maps[i * n_seeds:(i + 1) * n_seeds]
+        measured = analysis.measure(sum(seeds[1:], seeds[0]), roi).roi_result
+        rate, err = measured.net_rate_per_hr, measured.net_rate_err_per_hr
         points.append((detuning, rate, err))
         print(f"detuning {detuning:6.1f} mdeg: net rate {rate:8.2f} +/- {err:.2f} /hr")
 

@@ -1,9 +1,9 @@
 """
 Closed-form geometry of near-Bragg parametric down-conversion: Bragg
-angles, pair emission angles (small-angle and exact), detector
-geometry, polarization suppression of elastic and Compton background,
-and the detection-chain efficiency model.  Where a photon lands on a
-detector, and the acceptance that follows, is events' landing model.
+angles, exact pair emission angles, detector geometry, polarization
+suppression of elastic and Compton background, and the detection-chain
+efficiency model.  Where a photon lands on a detector, and the
+acceptance that follows, is events' landing model.
 
 Conventions: energies in eV, angles in radians, lengths in mm (lattice
 constants in Angstrom), rates per second.  All functions here are pure
@@ -199,32 +199,6 @@ def bragg_angle(pump_energy_ev: float, crystal: CrystalConfig) -> float:
     return math.asin(wavelength / two_d)
 
 
-def emission_angle_approx(x: float, detuning_rad: float, theta_b_rad: float) -> float:
-    """Small-angle emission offset R(x) from the Laue direction.
-
-    R(x) = sqrt(2 * detuning * ((1-x)/x) * sin(2 theta_B)) for a signal
-    photon carrying energy fraction x of the pump.
-
-    Parameters
-    ----------
-    x : float
-        Signal energy fraction, 0 < x < 1.
-    detuning_rad : float
-        Crystal rotation away from the exact Bragg condition; must be > 0.
-    theta_b_rad : float
-        Bragg angle.
-
-    Returns
-    -------
-    float
-        R(x) in radians.
-    """
-    _check_split(x)
-    if not detuning_rad > 0:  # nan too
-        raise PhaseMatchingError("detuning must be > 0 for a real emission cone")
-    return math.sqrt(2.0 * detuning_rad * ((1.0 - x) / x) * math.sin(2.0 * theta_b_rad))
-
-
 def emission_angles(
     x, detuning_rad: float, theta_b_rad: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -253,7 +227,8 @@ def emission_angles(
         ((1 - dk)^2 < |x - y|).
     """
     x = np.asarray(x, dtype=np.float64)
-    _check_split(x)
+    if not np.all((0.0 < x) & (x < 1.0)):
+        raise PhysicsError(f"energy fraction x must be in (0, 1), got {x}")
     if not detuning_rad > 0:  # nan too
         raise PhaseMatchingError("detuning must be > 0 for a real emission cone")
     y = 1.0 - x
@@ -361,8 +336,3 @@ def detection_chain_efficiency(
     return chain.photon_efficiency(signal_energy_ev) * chain.photon_efficiency(
         idler_energy_ev
     )
-
-
-def _check_split(x) -> None:
-    if not np.all((0.0 < x) & (x < 1.0)):
-        raise PhysicsError(f"energy fraction x must be in (0, 1), got {x}")

@@ -25,16 +25,17 @@ from xpdc.events import Stream, simulate_run
 from xpdc.listmode import (
     EVENT_DTYPE, ListModeHeader, merge_streams, read_listmode, split_streams, write_listmode,
 )
-from xpdc.physics import (
-    DEG,
-    MDEG,
-    emission_angle_approx,
-    emission_angles,
-    polarization_suppression,
-)
+from xpdc.physics import DEG, MDEG, emission_angles, polarization_suppression
 
 THETA_B = math.radians(84.1) / 2
 CRITERIA = CoincidenceCriteria()
+
+
+def emission_angle_approx(x: float, detuning_rad: float, theta_b_rad: float) -> float:
+    """The paper's small-angle emission offset from the Laue direction of a
+    signal photon carrying energy fraction x of the pump, in radians:
+    R(x) = sqrt(2 * detuning * ((1 - x) / x) * sin(2 theta_B))."""
+    return math.sqrt(2.0 * detuning_rad * ((1.0 - x) / x) * math.sin(2.0 * theta_b_rad))
 
 
 def report(number, name, checks):
@@ -177,7 +178,7 @@ def test_criterion_5_end_to_end_reference_reproduction(reference_run_result):
     # supporting check: the default 1 keV region of interest reproduces
     # the 100-130/hr range (with the documented 15% allowance for the
     # unstated exact ROI bounds)
-    narrow = roi_rate(corr, RoiSpec.from_time_fit(time_fit, e_half_width_ev=1000.0))
+    narrow = roi_rate(corr, RoiSpec(e_half_width_ev=1000.0).fitted(time_fit.sigma))
     checks.append(
         (
             "net rate with default ROI",
@@ -200,9 +201,7 @@ def test_criterion_6_control_run(reference_run_result):
     settings["run.duration"] = "1800 s"
     settings["run.seed"] = "5"
     run = build_run_config(settings)
-    roi_spec = RoiSpec.from_time_fit(
-        reference_run_result[1].time_fit, e_half_width_ev=1000.0
-    )
+    roi_spec = RoiSpec(e_half_width_ev=1000.0).fitted(reference_run_result[1].time_fit.sigma)
     manifest, result = simulate_and_analyze(run)
     net = roi_rate(result.corr_map, roi_spec).net_rate_per_hr
     checks = [

@@ -283,11 +283,39 @@ class TestCorrelationMap:
         s1 = random_stream(rng, 1500, horizon_ns=5_000_000, e_range=(9000, 13000))
         s2 = random_stream(rng, 1500, horizon_ns=5_000_000, e_range=(9000, 13000))
         pairs = find_coincidence_pairs(s1, s2, CRIT)
-        whole = build_correlation_map(pairs, CRIT, duration_s=0.005)
+        whole = build_correlation_map(pairs, CRIT, duration_s=5.0, mean_current=0.9)
         half = len(pairs) // 2
-        part1 = build_correlation_map(pairs[:half], CRIT, duration_s=0.005)
-        part2 = build_correlation_map(pairs[half:], CRIT, duration_s=0.005)
-        assert np.array_equal(whole.counts, part1.counts + part2.counts)
+        part1 = build_correlation_map(pairs[:half], CRIT, duration_s=2.0, mean_current=0.9)
+        part2 = build_correlation_map(pairs[half:], CRIT, duration_s=3.0, mean_current=0.9)
+        total = part1 + part2
+        assert np.array_equal(whole.counts, total.counts)
+        assert (total.duration_s, total.mean_current) == (5.0, 0.9)
+
+    @pytest.mark.parametrize(
+        "criteria, mean_current",
+        [
+            (CRIT, 0.9),
+            (CoincidenceCriteria(single_energy_window_ev=(5100.0, 17100.0)), 1.0),
+            (CoincidenceCriteria(e_bin_ev=200), 1.0),
+            (CoincidenceCriteria(max_abs_dt_ns=1000), 1.0),
+        ],
+        ids=["mean-current", "shifted-e-edges", "e-bin", "horizon"],
+    )
+    def test_maps_of_other_edges_or_current_do_not_add(self, criteria, mean_current):
+        empty = np.empty(0, analysis.PAIR_DTYPE)
+        other = build_correlation_map(empty, criteria, 1.0, mean_current)
+        with pytest.raises(AnalysisError, match="different edges or mean current"):
+            build_correlation_map(empty, CRIT, 1.0) + other
+
+    @pytest.mark.parametrize("horizon, dt_bin", [(2000, 30), (2010, 20), (1999, 7), (2000, 20)])
+    def test_dt_bin_centers_are_symmetric_about_zero_within_the_horizon(self, horizon, dt_bin):
+        criteria = CoincidenceCriteria(max_abs_dt_ns=horizon, dt_bin_ns=dt_bin)
+        empty = np.empty(0, analysis.PAIR_DTYPE)
+        centers = build_correlation_map(empty, criteria, 1.0).dt_centers_ns
+        assert np.array_equal(centers, -centers[::-1])
+        assert 0.0 in centers
+        # Every multiple of the bin within the horizon, and no other.
+        assert centers[-1] <= horizon < centers[-1] + dt_bin
 
     @pytest.mark.parametrize(
         "criteria",
@@ -740,17 +768,17 @@ class TestAnalyze:
             )
             fit = result.time_fit
             assert fit.amplitude >= 2 * fit.amplitude_err
-            assert result.roi == RoiSpec.from_time_fit(fit, 11000.0, 2000.0)
+            assert result.roi == RoiSpec(e_half_width_ev=2000.0).fitted(fit.sigma)
 
     def test_roi_follows_time_fit(self):
         s1, s2 = peak_streams()
         result = analyze(
-            s1, s2, CRIT, 1800.0, roi=RoiSpec(e_half_width_ev=2000.0),
-            roi_sigmas=2.0, sideband_sigmas=4.0,
+            s1, s2, CRIT, 1800.0,
+            roi=RoiSpec(e_half_width_ev=2000.0, roi_sigmas=2.0, sideband_sigmas=4.0),
         )
         sigma = abs(result.time_fit.sigma)
         assert abs(sigma - 212.0) < 40.0
-        assert result.roi == RoiSpec(11000.0, 2000.0, 2.0 * sigma, 4.0 * sigma)
+        assert result.roi == RoiSpec(11000.0, 2000.0, 2.0 * sigma, 4.0 * sigma, 2.0, 4.0)
         assert result.roi_result == roi_rate(result.corr_map, result.roi)
         assert result.corr_map.counts.sum() == len(result.pairs) >= 390
         assert abs(result.energy_centroid - 11000.0) < 150.0
@@ -764,11 +792,10 @@ class TestAnalyze:
     )
     def test_implausible_fitted_roi_falls_back(self, roi_sigmas, sideband_sigmas):
         s1, s2 = peak_streams()
-        nominal = RoiSpec(e_half_width_ev=2000.0)
-        result = analyze(
-            s1, s2, CRIT, 1800.0, roi=nominal,
-            roi_sigmas=roi_sigmas, sideband_sigmas=sideband_sigmas,
+        nominal = RoiSpec(
+            e_half_width_ev=2000.0, roi_sigmas=roi_sigmas, sideband_sigmas=sideband_sigmas
         )
+        result = analyze(s1, s2, CRIT, 1800.0, roi=nominal)
         assert result.time_fit is not None
         assert result.roi == nominal
         assert result.roi_result == roi_rate(result.corr_map, nominal)
@@ -797,10 +824,10 @@ class TestAnalyze:
 
     def test_analyze_is_correlate_then_measure(self):
         s1, s2 = peak_streams()
-        roi = RoiSpec(e_half_width_ev=2000.0)
+        roi = RoiSpec(e_half_width_ev=2000.0, roi_sigmas=2.0, sideband_sigmas=4.0)
         pairs, corr_map = correlate(s1, s2, CRIT, 1800.0, 0.9, exclusive=True)
-        measured = measure(corr_map, CRIT, roi, 2.0, 4.0)
-        result = analyze(s1, s2, CRIT, 1800.0, 0.9, roi, 2.0, 4.0, exclusive=True)
+        measured = measure(corr_map, roi)
+        result = analyze(s1, s2, CRIT, 1800.0, 0.9, roi, exclusive=True)
         assert measured.events is None and measured.pairs is None
         assert "events_d1" not in measured.summary()
         assert np.array_equal(result.pairs, pairs)
@@ -812,12 +839,12 @@ class TestAnalyze:
     @pytest.mark.parametrize(
         "settings, message",
         [
-            ({"roi_sigmas": 0.0}, "0 < roi_sigmas < sideband_sigmas"),
-            ({"roi_sigmas": -2.0, "sideband_sigmas": -1.0}, "0 < roi_sigmas"),
-            ({"roi_sigmas": math.nan}, "0 < roi_sigmas"),
-            ({"sideband_sigmas": 3.0}, "0 < roi_sigmas"),
-            ({"roi_sigmas": 5.0, "sideband_sigmas": 3.0}, "0 < roi_sigmas"),
-            ({"sideband_sigmas": math.inf}, "0 < roi_sigmas"),
+            ({"roi": RoiSpec(roi_sigmas=0.0)}, "0 < roi_sigmas < sideband_sigmas"),
+            ({"roi": RoiSpec(roi_sigmas=-2.0, sideband_sigmas=-1.0)}, "0 < roi_sigmas"),
+            ({"roi": RoiSpec(roi_sigmas=math.nan)}, "0 < roi_sigmas"),
+            ({"roi": RoiSpec(sideband_sigmas=3.0)}, "0 < roi_sigmas"),
+            ({"roi": RoiSpec(roi_sigmas=5.0, sideband_sigmas=3.0)}, "0 < roi_sigmas"),
+            ({"roi": RoiSpec(sideband_sigmas=math.inf)}, "0 < roi_sigmas"),
             ({"roi": RoiSpec(e_center_ev=math.nan)}, "roi.e_center_ev must be finite"),
             ({"roi": RoiSpec(e_center_ev=-math.inf)}, "roi.e_center_ev must be finite"),
             ({"roi": RoiSpec(e_half_width_ev=0.0)}, "roi.e_center_ev must be finite"),
@@ -841,11 +868,11 @@ class TestAnalyze:
 
     def test_fitted_roi_replaces_a_given_roi_that_could_not_be_used(self):
         s1, s2 = peak_streams()
-        result = analyze(
-            s1, s2, CRIT, 1800.0, roi=self.UNUSABLE_ROI, roi_sigmas=2.0, sideband_sigmas=4.0
-        )
+        roi = self.UNUSABLE_ROI._replace(roi_sigmas=2.0, sideband_sigmas=4.0)
+        result = analyze(s1, s2, CRIT, 1800.0, roi=roi)
         assert result.roi_from == "fit"
-        assert result.roi == RoiSpec.from_time_fit(result.time_fit, 11000.0, 2000.0, 2.0, 4.0)
+        assert result.roi == RoiSpec(11000.0, 2000.0, 2.0 * abs(result.time_fit.sigma),
+                                     4.0 * abs(result.time_fit.sigma), 2.0, 4.0)
 
     @pytest.mark.parametrize("t_half_width", [19.5, math.nan])
     def test_given_roi_narrower_than_a_dt_bin_is_refused_where_it_is_used(self, t_half_width):

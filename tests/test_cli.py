@@ -6,6 +6,7 @@ import importlib
 import os
 import subprocess
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -603,6 +604,27 @@ class TestScan:
         data = [l for l in lines if not l.startswith("#")]
         assert len(data) == 2  # header + one point
 
+    def test_excluded_points_are_warning_lines_under_warnings_as_errors(self, tmp_path):
+        # At 5 s the 5 and 10 mdeg points are non-positive: the fit excludes
+        # them, is left with one point and fails.
+        argv = ["-m", "xpdc.cli", "scan", "--detunings", "5,10,20", "--seeds", "1,2", "--out"]
+        env = src_env(XPDC_RUN_DURATION="5 s")
+        plain, strict = (run_in_subprocess([*flags, *argv, str(tmp_path / name)], env=env)
+                         for name, flags in (("plain", []), ("strict", ["-W", "error"])))
+        assert plain.stderr.count("warning: excluding non-positive rate") == 2
+        assert (strict.returncode, strict.stdout, strict.stderr) == (
+            0, plain.stdout, plain.stderr
+        )
+
+    def test_a_numpy_warning_in_the_scan_fit_still_follows_the_filters(self, monkeypatch):
+        from xpdc import analysis, cli
+
+        monkeypatch.setattr(analysis, "fit_misalignment_scan", lambda points: np.log(np.float64(-1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="invalid value encountered in log"):
+                cli._fit_scan([])
+
     def test_scan_point_equals_library_pipeline(self, tmp_path):
         cfg = tmp_path / "point.cfg"
         cfg.write_text("run.duration = 300 s\n")
@@ -655,10 +677,7 @@ class TestScan:
                 stream1, stream2, CoincidenceCriteria(), run.duration_s,
                 run.beam_current_profile.mean,
             )[1])
-        pooled = maps[0]._replace(
-            counts=maps[0].counts + maps[1].counts, duration_s=2 * run.duration_s
-        )
-        roi = measure(pooled, CoincidenceCriteria(), RoiSpec(e_half_width_ev=2000.0)).roi_result
+        roi = measure(maps[0] + maps[1], RoiSpec(e_half_width_ev=2000.0)).roi_result
         assert rows[1:] == [f"5.0,{roi.net_rate_per_hr:.4f},{roi.net_rate_err_per_hr:.4f}"]
         assert roi.net_rate_per_hr == 180.0
 
@@ -1286,8 +1305,7 @@ def test_simulate_loads_neither_analysis_nor_dataclasses(tmp_path, short_config)
 PACKAGE_NAMES = [
     "BeamConfig", "ChainEfficiencyModel", "CrystalConfig", "DetectorGeometry",
     "PhaseMatchingError", "PhysicsError", "ReflectionUnreachableError", "bragg_angle",
-    "detection_chain_efficiency", "emission_angle_approx", "emission_angles",
-    "polarization_suppression",
+    "detection_chain_efficiency", "emission_angles", "polarization_suppression",
     "BeamCurrentProfile", "ConfigError", "DetectorResponse", "ExperimentModel",
     "GaussianLine", "RunConfig", "RunManifest", "SourceModel", "Stream",
     "landing_acceptance", "simulate_run",

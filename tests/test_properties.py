@@ -1,6 +1,8 @@
 """Property tests: the config parser and the list-mode reader on generated
 input either return or raise their own error type; `xpdc analyze` with
-any manifest text reports or exits 2; split, candidate cut and pairing,
+any manifest text reports or exits 2, and with flags from small ranges
+exits 1 with one `error: ` line exactly when CoincidenceCriteria or
+check_settings refuses them, else 0 or 2; split, candidate cut and pairing,
 whole and in blocks of 1-3 events, equal a record-by-record reference;
 correlation-map counts equal np.histogram2d over the same edges;
 CSV rendering in blocks equals rendering the rows one by one; merging
@@ -8,7 +10,10 @@ Streams in blocks of 1-3 events equals one stable sort; the candidate
 cut on integer bounds equals the float comparison; the sort-based median
 equals np.median."""
 
+import contextlib
+import io
 import math
+import shutil
 from unittest import mock
 
 import numpy as np
@@ -27,7 +32,7 @@ from xpdc.analysis import (
 )
 from xpdc.cli import main
 from xpdc.config import build_run_config, default_settings, parse_config_text
-from xpdc.events import ConfigError, Stream
+from xpdc.events import AnalysisError, ConfigError, Stream
 from xpdc.listmode import (
     EVENT_DTYPE,
     ListModeFormatError,
@@ -203,6 +208,87 @@ def test_analyze_with_any_manifest_reports_or_exits_2(scratch, paired_events, te
         assert int(values["pairs_accepted"]) == 40
         for key in ("duration_s", "mean_current", "net_rate_per_hr"):
             assert math.isfinite(float(values[key]))
+
+
+def _floats(lo: float, hi: float):
+    """A float flag value from [lo, hi], or not finite."""
+    return st.one_of(st.floats(lo, hi), st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+DEFAULT_FLAGS = {
+    "--e-min": 5.0, "--e-max": 17.0, "--sum-center": 22.0, "--sum-half": 0.5, "--horizon": 2000,
+    "--dt-bin": 20, "--e-bin": 100, "--roi-e-center": 11.0, "--roi-e-half": 1.0,
+    "--roi-sigmas": 3.0, "--sideband-sigmas": 5.0,
+}
+# Values of analyze's flags from small ranges, each range with values
+# that some rule of CoincidenceCriteria or check_settings refuses; no map
+# holds more than 10**6 bins.
+FLAG_VALUES = {
+    "--e-min": _floats(0, 25),
+    "--e-max": _floats(0, 25),
+    "--sum-center": _floats(20, 24),
+    "--sum-half": _floats(-1, 3),
+    "--horizon": st.integers(-100, 2100),
+    "--dt-bin": st.one_of(st.integers(10, 500), st.sampled_from([0, -20])),
+    "--e-bin": st.one_of(st.integers(50, 8000), st.sampled_from([0, -100])),
+    "--roi-e-center": _floats(0, 25),
+    "--roi-e-half": _floats(-1, 3),
+    "--roi-sigmas": _floats(-1, 6),
+    "--sideband-sigmas": _floats(-1, 10),
+}
+# The defaults with up to three flags changed, and --exclusive or not.
+ANALYZE_FLAGS = st.builds(
+    lambda changed, exclusive: {**DEFAULT_FLAGS, **dict(changed), **exclusive},
+    st.lists(st.sampled_from(sorted(FLAG_VALUES)).flatmap(
+        lambda flag: FLAG_VALUES[flag].map(lambda value: (flag, value))), max_size=3),
+    st.sampled_from([{}, {"--exclusive": None}]),
+)
+
+
+def refusal(flags: dict) -> str | None:
+    """The message with which CoincidenceCriteria or check_settings refuses
+    analyze's flags, or None."""
+    def ev(flag):  # a keV flag in eV
+        return flags[flag] * 1e3
+
+    try:
+        criteria = CoincidenceCriteria(
+            (ev("--e-min"), ev("--e-max")), ev("--sum-center"), ev("--sum-half"),
+            flags["--horizon"], flags["--dt-bin"], flags["--e-bin"],
+        )
+        analysis.check_settings(criteria, analysis.RoiSpec(
+            ev("--roi-e-center"), ev("--roi-e-half"),
+            roi_sigmas=flags["--roi-sigmas"], sideband_sigmas=flags["--sideband-sigmas"],
+        ))
+    except AnalysisError as exc:
+        return str(exc)
+    return None
+
+
+@PROPERTY
+@example(flags=DEFAULT_FLAGS)
+@example(flags={**DEFAULT_FLAGS, "--roi-sigmas": 5.0, "--sideband-sigmas": 3.0})
+@example(flags={**DEFAULT_FLAGS, "--dt-bin": 30, "--exclusive": None})
+@example(flags={**DEFAULT_FLAGS, "--sum-center": 20.0, "--horizon": 1000})  # no pairs: exit 2
+@given(flags=ANALYZE_FLAGS)
+def test_analyze_flags_are_refused_exactly_when_the_analysis_refuses_them(
+    scratch, paired_events, flags
+):
+    out = scratch / "flags"
+    shutil.rmtree(out, ignore_errors=True)
+    argv = ["analyze", paired_events, "--duration", "1", "--out", str(out)]
+    argv += [flag if value is None else f"{flag}={value}" for flag, value in flags.items()]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)  # any traceback fails the test
+    refused = refusal(flags)
+    if refused is not None:
+        assert (code, stdout.getvalue(), stderr.getvalue()) == (1, "", f"error: {refused}\n")
+        assert not out.exists()
+    else:
+        assert code in (0, 2)
+        assert stderr.getvalue().count("error: ") == (code == 2)
+        assert all(line.startswith("error: ") for line in stderr.getvalue().splitlines())
 
 
 # Gaps between a detector's stamps: on a 1 us grid, so that ties and the
