@@ -14,7 +14,6 @@ from .physics import (
     PhysicsError,
     ReflectionUnreachableError,
     bragg_angle,
-    detection_chain_efficiency,
     emission_angles,
     polarization_suppression,
 )

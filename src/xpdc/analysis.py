@@ -13,7 +13,6 @@ construction.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -180,7 +179,6 @@ class ScanResult(NamedTuple):
     chi2_per_dof: float
     amplitude_fixed: float
     chi2_per_dof_fixed: float
-    n_used: int
 
 
 class EfficiencyResult(NamedTuple):
@@ -194,7 +192,7 @@ class EfficiencyResult(NamedTuple):
 
 
 class AnalysisResult(NamedTuple):
-    """What analyze() produces; measure() gives it with events and pairs None.
+    """What analyze() produces; measure() gives it with events None.
 
     time_fit and the E1 centroid with its error are None when that stage
     had nothing to work on (no pairs, no coincident excess) or its fit
@@ -203,7 +201,6 @@ class AnalysisResult(NamedTuple):
     """
 
     events: tuple[int, int] | None  # events in stream 1 and stream 2
-    pairs: np.ndarray | None
     corr_map: CorrelationMap
     time_fit: GaussianFit | None
     energy_centroid: float | None
@@ -739,38 +736,32 @@ def fit_misalignment_scan(
 
     Fits log(rate) = log(A) + p * log(detuning) by weighted least
     squares, reporting the free-exponent solution and the fixed
-    p = -1/2 amplitude fit with chi^2/dof for both.  Points with
-    non-positive rates are excluded with a warning.  Detunings are in
-    millidegrees; A is the rate at 1 mdeg.
+    p = -1/2 amplitude fit with chi^2/dof for both.  Every detuning,
+    rate and rate error must be > 0.  Detunings are in millidegrees; A
+    is the rate at 1 mdeg.
     """
-    usable = []
     for detuning_mdeg, rate, err in points:
-        if detuning_mdeg <= 0:
+        if not detuning_mdeg > 0:
             raise AnalysisError("detunings must be > 0")
-        if rate <= 0:
-            warnings.warn(
-                f"excluding non-positive rate at {detuning_mdeg} mdeg from fit",
-                stacklevel=2,
-            )
-            continue
-        if err <= 0:
+        if not rate > 0:
+            raise AnalysisError("rates must be > 0")
+        if not err > 0:
             raise AnalysisError("rate errors must be > 0")
-        usable.append((detuning_mdeg, rate, err))
-    if len(usable) < 2:
+    if len(points) < 2:
         raise AnalysisError("need at least 2 usable points to fit")
 
-    detunings, rates, errors = np.array(usable).T
+    detunings, rates, errors = np.array(points).T
     if np.ptp(detunings) == 0:
         raise AnalysisError("degenerate scan: detunings are identical")
     u, v = np.log(detunings), np.log(rates)
     w = (rates / errors) ** 2  # 1/sigma_logr^2
     (slope, intercept), cov = np.polyfit(u, v, 1, w=np.sqrt(w), cov="unscaled")
-    chi2 = float((w * (v - (intercept + slope * u)) ** 2).sum()) / max(len(usable) - 2, 1)
+    chi2 = float((w * (v - (intercept + slope * u)) ** 2).sum()) / max(len(points) - 2, 1)
 
     # Fixed-exponent fit: log(rate) + 0.5 log(detuning) = log(A)
     target = v + 0.5 * u
     a_fixed = float(np.average(target, weights=w))
-    chi2_fixed = float((w * (target - a_fixed) ** 2).sum()) / max(len(usable) - 1, 1)
+    chi2_fixed = float((w * (target - a_fixed) ** 2).sum()) / max(len(points) - 1, 1)
 
     return ScanResult(
         amplitude=math.exp(intercept),
@@ -779,7 +770,6 @@ def fit_misalignment_scan(
         chi2_per_dof=chi2,
         amplitude_fixed=math.exp(a_fixed),
         chi2_per_dof_fixed=chi2_fixed,
-        n_used=len(usable),
     )
 
 
@@ -846,23 +836,23 @@ def check_settings(criteria: CoincidenceCriteria, roi: RoiSpec) -> None:
 def correlate(
     stream1: Stream, stream2: Stream, criteria: CoincidenceCriteria, duration_s: float,
     mean_current: float = 1.0, exclusive: bool = False,
-) -> tuple[np.ndarray, CorrelationMap]:
-    """The first half of analyze: the accepted pairs of two streams
-    (exclusive as in find_coincidence_pairs) and their (E1, dt) map."""
+) -> CorrelationMap:
+    """The first half of analyze: the (E1, dt) map of the accepted pairs
+    of two streams (exclusive as in find_coincidence_pairs)."""
     cand1 = select_candidates(stream1, criteria)
     cand2 = select_candidates(stream2, criteria)
     pairs = find_coincidence_pairs(cand1, cand2, criteria, exclusive=exclusive)
-    return pairs, build_correlation_map(pairs, criteria, duration_s, mean_current)
+    return build_correlation_map(pairs, criteria, duration_s, mean_current)
 
 
 def measure(corr_map: CorrelationMap, roi: RoiSpec = RoiSpec()) -> AnalysisResult:
     """The second half of analyze: the time fit, the region of interest,
-    and the net rate and E1 centroid measured in it, with events and
-    pairs None.  The region of interest is roi.fitted(sigma) of the time
-    fit.  roi is used as given instead (its defaults assume the nominal
-    212 ns width) when the time fit failed, when its amplitude is under
-    twice its error (a sparse profile, whose fitted width can shut out its
-    few pairs), when its center is on a bound or its sigma on the upper
+    and the net rate and E1 centroid measured in it, with events None.
+    The region of interest is roi.fitted(sigma) of the time fit.  roi is
+    used as given instead (its defaults assume the nominal 212 ns width)
+    when the time fit failed, when its amplitude is under twice its error
+    (a sparse profile, whose fitted width can shut out its few pairs),
+    when its center is on a bound or its sigma on the upper
     one (no peak was found; a sigma of half a dt bin, its lower bound,
     still sets +-1.5 bins at 3 sigmas), or when the fitted half-width is
     under one dt bin or the sidebands would start beyond 0.9 of the dt
@@ -893,7 +883,7 @@ def measure(corr_map: CorrelationMap, roi: RoiSpec = RoiSpec()) -> AnalysisResul
     roi_result = roi_rate(corr_map, roi)
     centroid, centroid_err = _optional(energy_peak_centroid, corr_map, roi) or (None, None)
     return AnalysisResult(
-        None, None, corr_map, time_fit, centroid, centroid_err, roi, roi_result, roi_from
+        None, corr_map, time_fit, centroid, centroid_err, roi, roi_result, roi_from
     )
 
 
@@ -903,9 +893,8 @@ def analyze(
 ) -> AnalysisResult:
     """The coincidence analysis of two detector streams, end to end:
     check_settings, before the streams are used, then correlate and
-    measure, with the events of each stream and the pairs in the result.
+    measure, with the events of each stream in the result.
     """
     check_settings(criteria, roi)
-    pairs, corr_map = correlate(stream1, stream2, criteria, duration_s, mean_current, exclusive)
-    result = measure(corr_map, roi)
-    return result._replace(events=(len(stream1), len(stream2)), pairs=pairs)
+    corr_map = correlate(stream1, stream2, criteria, duration_s, mean_current, exclusive)
+    return measure(corr_map, roi)._replace(events=(len(stream1), len(stream2)))

@@ -11,7 +11,6 @@ import functools
 import math
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .listmode import ListModeFormatError
 from .physics import (
     DEG,
     PhysicsError,
-    detection_chain_efficiency,
     emission_angles,
     polarization_suppression,
 )
@@ -275,22 +273,7 @@ def _scan_point(run: events.RunConfig, criteria, exclusive: bool):
     stream1, stream2, manifest = events.simulate_run(run)
     return analysis.correlate(
         stream1, stream2, criteria, manifest.duration_s, manifest.mean_current, exclusive
-    )[1]
-
-
-def _fit_scan(points):
-    """analysis.fit_misalignment_scan, with each warning it gives printed
-    as one `warning: ` line.  Its excluded points are such lines under any
-    warning filter; other warnings, numpy's, still follow the filters."""
-    from . import analysis
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.filterwarnings("always", "excluding non-positive rate", UserWarning)
-        try:
-            return analysis.fit_misalignment_scan(points)
-        finally:
-            for warning in caught:
-                print(f"warning: {warning.message}", file=sys.stderr)
+    )
 
 
 def cmd_scan(args) -> int:
@@ -328,6 +311,13 @@ def cmd_scan(args) -> int:
         rate, err = measured.net_rate_per_hr, measured.net_rate_err_per_hr
         points.append((detuning, rate, err))
         print(f"detuning {detuning:6.1f} mdeg: net rate {rate:8.2f} +/- {err:.2f} /hr")
+    usable = []
+    for detuning, rate, err in points:
+        if rate > 0:
+            usable.append((detuning, rate, err))
+        else:
+            print(f"warning: excluding non-positive rate at {detuning} mdeg from fit",
+                  file=sys.stderr)
 
     meta: dict[str, object] = {  # the same for every run of the scan
         "seeds": ",".join(map(str, args.seeds)),
@@ -335,7 +325,7 @@ def cmd_scan(args) -> int:
         "mean_current": runs[-1].beam_current_profile.mean,
     }
     try:
-        fit = _fit_scan(points)
+        fit = analysis.fit_misalignment_scan(usable)
     except AnalysisError as exc:
         meta["fit_error"] = str(exc)
         print(f"warning: scan fit failed: {exc}", file=sys.stderr)
@@ -387,8 +377,8 @@ def cmd_report(args) -> int:
         acceptance = events.landing_acceptance(exp)[2]
         if acceptance == 0:
             raise ConfigError("no split lands on both detectors (pair acceptance 0)")
-    pump = exp.beam.pump_energy_ev
-    chain_eff = detection_chain_efficiency(pump / 2, pump / 2, exp.chain, pump)
+    eta = exp.chain.photon_efficiency(exp.beam.pump_energy_ev / 2)
+    chain_eff = eta * eta
     result = analysis.conversion_efficiency(
         net_rate, acceptance, chain_eff, exp.beam.incident_rate_per_s
     )

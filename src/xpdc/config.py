@@ -385,18 +385,3 @@ def build_run_config(settings: dict[str, str]) -> RunConfig:
         experiment=experiment,
         beam_current_profile=profile,
     )
-
-
-def default_config_text() -> str:
-    """A commented config file with every key at its default."""
-    lines = [
-        "# xpdc experiment configuration (defaults)",
-        "# Physical values carry unit suffixes: eV/keV, deg/mdeg/rad,",
-        "# mm, mm2, ns/us/s, /s or /hr.  'auto' derives geometry values",
-        "# from the rest of the configuration.",
-        "",
-    ]
-    settings = default_settings()
-    for key in sorted(settings):
-        lines.append(f"{key} = {settings[key]}")
-    return "\n".join(lines) + "\n"

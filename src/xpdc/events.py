@@ -363,19 +363,26 @@ class ExperimentModel(NamedTuple):
         det1, det2 = self.positioned_detectors()
         r0 = self.degenerate_offset()
         lo, hi = band
+
+        def squared(angle):
+            """(angle / r0) ** 2, held at 1e300 (also where r0 is 0): from
+            there on 1 / (1 + q) is under the band and q / (1 + q) rounds
+            to 1, so the window comes out the same."""
+            return (angle / r0) ** 2 if angle < 1e150 * r0 else 1e300
+
         # Signal on detector 1: R(x) = r0 sqrt((1-x)/x) inside its span.
         c1, h1 = det1.center_angle_offset_rad, det1.half_extent_rad
         if c1 + h1 > 0:
-            lo = max(lo, 1.0 / (1.0 + ((c1 + h1) / r0) ** 2))
+            lo = max(lo, 1.0 / (1.0 + squared(c1 + h1)))
         if c1 - h1 > 0:
-            hi = min(hi, 1.0 / (1.0 + ((c1 - h1) / r0) ** 2))
+            hi = min(hi, 1.0 / (1.0 + squared(c1 - h1)))
         # Idler on detector 2: R(y) = r0 sqrt(x/(1-x)) inside its span.
         c2, h2 = det2.center_angle_offset_rad, det2.half_extent_rad
         if c2 - h2 > 0:
-            q = ((c2 - h2) / r0) ** 2
+            q = squared(c2 - h2)
             lo = max(lo, q / (1.0 + q))
         if c2 + h2 > 0:
-            q = ((c2 + h2) / r0) ** 2
+            q = squared(c2 + h2)
             hi = min(hi, q / (1.0 + q))
         if not lo < hi:
             return band
@@ -518,7 +525,10 @@ def landing_acceptance(experiment: ExperimentModel) -> tuple[float, float, float
     x = lo + (hi - lo) * (np.arange(_ACCEPTANCE_SPLITS) + 0.5) / _ACCEPTANCE_SPLITS
     (radial1, arc1), (radial2, arc2) = _landing_geometry(experiment, x)
     both = (radial1 & radial2) * np.minimum(arc1, arc2)
-    return tuple(float(np.mean(arcs)) / np.pi for arcs in (radial1 * arc1, radial2 * arc2, both))
+    # A ring inside both detectors has mean(pi) / pi, which can round above 1.
+    return tuple(
+        min(float(np.mean(arcs)) / np.pi, 1.0) for arcs in (radial1 * arc1, radial2 * arc2, both)
+    )
 
 
 def _sample_pair_batch(

@@ -312,27 +312,3 @@ class ChainEfficiencyModel(_Frozen):
             return np.interp(energy_ev, energies, effs)
         eta = 1.0 if self.model == "ideal" else math.sqrt(self.pair_efficiency)
         return np.full(np.shape(energy_ev), eta)[()]
-
-
-def detection_chain_efficiency(
-    signal_energy_ev: float,
-    idler_energy_ev: float,
-    chain: ChainEfficiencyModel,
-    pump_energy_ev: float = 22000.0,
-) -> float:
-    """Combined survival probability for both members of a pair.
-
-    Parameters
-    ----------
-    signal_energy_ev, idler_energy_ev : float
-        Photon energies; both must lie in (0, pump_energy_ev).
-    chain : ChainEfficiencyModel
-    pump_energy_ev : float
-        Used only to validate the inputs.
-    """
-    for e in (signal_energy_ev, idler_energy_ev):
-        if not 0.0 < e < pump_energy_ev:
-            raise PhysicsError("photon energies must be in (0, pump energy)")
-    return chain.photon_efficiency(signal_energy_ev) * chain.photon_efficiency(
-        idler_energy_ev
-    )

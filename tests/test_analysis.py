@@ -670,11 +670,20 @@ class TestMisalignmentScan:
         assert abs(fit.exponent) < 0.1
         assert fit.chi2_per_dof_fixed > 10.0
 
-    def test_nonpositive_rates_excluded_with_warning(self):
-        points = [( 5.0, 100.0, 5.0), (10.0, -3.0, 5.0), (20.0, 50.0, 5.0)]
-        with pytest.warns(UserWarning):
-            fit = fit_misalignment_scan(points)
-        assert fit.n_used == 2
+    @pytest.mark.parametrize(
+        "point, message",
+        [
+            ((10.0, -3.0, 5.0), "rates must be > 0"),
+            ((10.0, 0.0, 5.0), "rates must be > 0"),
+            ((10.0, math.nan, 5.0), "rates must be > 0"),
+            ((0.0, 80.0, 5.0), "detunings must be > 0"),
+            ((10.0, 80.0, 0.0), "rate errors must be > 0"),
+        ],
+        ids=["negative-rate", "zero-rate", "nan-rate", "zero-detuning", "zero-rate-error"],
+    )
+    def test_nonpositive_values_are_refused(self, point, message):
+        with pytest.raises(AnalysisError, match=message):
+            fit_misalignment_scan([(5.0, 100.0, 5.0), point, (20.0, 50.0, 5.0)])
 
     def test_too_few_points(self):
         with pytest.raises(AnalysisError):
@@ -780,7 +789,7 @@ class TestAnalyze:
         assert abs(sigma - 212.0) < 40.0
         assert result.roi == RoiSpec(11000.0, 2000.0, 2.0 * sigma, 4.0 * sigma, 2.0, 4.0)
         assert result.roi_result == roi_rate(result.corr_map, result.roi)
-        assert result.corr_map.counts.sum() == len(result.pairs) >= 390
+        assert result.corr_map.counts.sum() >= 390
         assert abs(result.energy_centroid - 11000.0) < 150.0
         assert (result.energy_centroid, result.energy_centroid_err) == energy_peak_centroid(
             result.corr_map, result.roi
@@ -825,12 +834,11 @@ class TestAnalyze:
     def test_analyze_is_correlate_then_measure(self):
         s1, s2 = peak_streams()
         roi = RoiSpec(e_half_width_ev=2000.0, roi_sigmas=2.0, sideband_sigmas=4.0)
-        pairs, corr_map = correlate(s1, s2, CRIT, 1800.0, 0.9, exclusive=True)
+        corr_map = correlate(s1, s2, CRIT, 1800.0, 0.9, exclusive=True)
         measured = measure(corr_map, roi)
         result = analyze(s1, s2, CRIT, 1800.0, 0.9, roi, exclusive=True)
-        assert measured.events is None and measured.pairs is None
+        assert measured.events is None
         assert "events_d1" not in measured.summary()
-        assert np.array_equal(result.pairs, pairs)
         assert np.array_equal(result.corr_map.counts, corr_map.counts)
         assert result.summary() == {
             "events_d1": str(len(s1)), "events_d2": str(len(s2)), **measured.summary()
@@ -884,7 +892,7 @@ class TestAnalyze:
 
     def test_no_pairs_uses_nominal_roi(self):
         result = analyze(make_stream([], []), make_stream([], []), CRIT, 10.0)
-        assert len(result.pairs) == 0
+        assert result.corr_map.counts.sum() == 0
         assert result.time_fit is None
         assert result.energy_centroid is None and result.energy_centroid_err is None
         assert result.roi == RoiSpec()
@@ -919,5 +927,5 @@ class TestAnalyze:
     def test_exclusive_keeps_each_event_once(self):
         s1 = make_stream([1000, 1020], [11000, 11000])
         s2 = make_stream([1000], [11000])
-        assert len(analyze(s1, s2, CRIT, 1.0).pairs) == 2
-        assert len(analyze(s1, s2, CRIT, 1.0, exclusive=True).pairs) == 1
+        assert analyze(s1, s2, CRIT, 1.0).corr_map.counts.sum() == 2
+        assert analyze(s1, s2, CRIT, 1.0, exclusive=True).corr_map.counts.sum() == 1

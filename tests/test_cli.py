@@ -180,6 +180,16 @@ class TestPlan:
             "acceptance 1.0000  [ring under-resolved]"
         )
 
+    @pytest.mark.parametrize("detuning", ["1e-310 mdeg", "5e-324 rad"])
+    def test_a_cone_too_thin_to_resolve_plans_and_reports(self, capsys, monkeypatch, detuning):
+        # (angle / r0) ** 2 of the split window overflows, or r0 is 0.
+        monkeypatch.setenv("XPDC_CRYSTAL_DETUNING", detuning)
+        assert main(["plan"]) == 0
+        assert main(["report", "--net-rate", "130"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert "split window         : x in [0.2273, 0.7727]  (E1 5.00-17.00 keV)" in out
+
     def test_explicit_zero_offset_is_kept(self, capsys, monkeypatch):
         # 0 deg aims detector 1 at the Laue spot, off every ring; only
         # auto aims it at the degenerate ring.
@@ -383,6 +393,12 @@ class TestAnalyze:
         path = tmp_path / "corrupt.xpdc"
         path.write_bytes(b"XPDC" + bytes(20))
         assert main(["analyze", str(path)]) == 2
+
+    def test_file_shorter_than_its_header_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "short.xpdc"
+        path.write_bytes(b"XPDC\x01")
+        assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: file shorter than header"]
 
     @pytest.mark.parametrize("flags, message", BAD_ANALYSIS_FLAGS)
     def test_bad_flags_are_usage_errors_before_reading(
@@ -605,8 +621,8 @@ class TestScan:
         assert len(data) == 2  # header + one point
 
     def test_excluded_points_are_warning_lines_under_warnings_as_errors(self, tmp_path):
-        # At 5 s the 5 and 10 mdeg points are non-positive: the fit excludes
-        # them, is left with one point and fails.
+        # At 5 s the 5 and 10 mdeg points are non-positive: the scan leaves
+        # them out of the fit, which is left with one point and fails.
         argv = ["-m", "xpdc.cli", "scan", "--detunings", "5,10,20", "--seeds", "1,2", "--out"]
         env = src_env(XPDC_RUN_DURATION="5 s")
         plain, strict = (run_in_subprocess([*flags, *argv, str(tmp_path / name)], env=env)
@@ -616,14 +632,18 @@ class TestScan:
             0, plain.stdout, plain.stderr
         )
 
-    def test_a_numpy_warning_in_the_scan_fit_still_follows_the_filters(self, monkeypatch):
-        from xpdc import analysis, cli
+    def test_a_numpy_warning_in_the_scan_fit_still_follows_the_filters(
+        self, tmp_path, monkeypatch
+    ):
+        from xpdc import analysis
 
         monkeypatch.setattr(analysis, "fit_misalignment_scan", lambda points: np.log(np.float64(-1)))
+        monkeypatch.setenv("XPDC_RUN_DURATION", "5 s")
+        argv = ["scan", "--detunings", "10,20", "--out", str(tmp_path / "scan")]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(RuntimeWarning, match="invalid value encountered in log"):
-                cli._fit_scan([])
+                main(argv)
 
     def test_scan_point_equals_library_pipeline(self, tmp_path):
         cfg = tmp_path / "point.cfg"
@@ -676,7 +696,7 @@ class TestScan:
             maps.append(correlate(
                 stream1, stream2, CoincidenceCriteria(), run.duration_s,
                 run.beam_current_profile.mean,
-            )[1])
+            ))
         roi = measure(maps[0] + maps[1], RoiSpec(e_half_width_ev=2000.0)).roi_result
         assert rows[1:] == [f"5.0,{roi.net_rate_per_hr:.4f},{roi.net_rate_err_per_hr:.4f}"]
         assert roi.net_rate_per_hr == 180.0
@@ -775,7 +795,7 @@ class TestScan:
         assert probe.stdout.splitlines()[-1] == "[]"
 
     def test_fit_warnings_are_one_line_each(self, tmp_path):
-        # 5 s runs give non-positive net rates, which the fit leaves out.
+        # 5 s runs give non-positive net rates, which the scan leaves out of the fit.
         cfg = tmp_path / "five.cfg"
         cfg.write_text("run.duration = 5 s\n")
         proc = run_in_subprocess(
@@ -928,6 +948,15 @@ class TestReport:
             "error: net rate 1e+308 /hr does not unfold to a finite rate"
         ]
 
+    def test_ring_inside_both_detectors_is_a_pair_acceptance_of_one(self, capsys, monkeypatch):
+        # At 0.01 mdeg every ring fits inside both detectors, where
+        # mean(pi) / pi once rounded to 1.0000000000000002.
+        run = build_run_config(merge_settings({"crystal.detuning": "0.01 mdeg"}))
+        assert all(acc <= 1 for acc in events.landing_acceptance(run.experiment))
+        monkeypatch.setenv("XPDC_CRYSTAL_DETUNING", "0.01 mdeg")
+        assert main(["report", "--net-rate", "130"]) == 0
+        assert "pair acceptance      : 1.0000" in capsys.readouterr().out.splitlines()
+
     def test_negative_net_rate_and_given_acceptance_are_reported(self, tmp_path, capsys):
         (tmp_path / "analysis_report.txt").write_text("net_rate_per_hr = -12.5\n")
         assert main(["report", "--analysis", str(tmp_path), "--acceptance", "1"]) == 0
@@ -963,6 +992,38 @@ class TestEnvironmentOverrides:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {key}: cannot parse {value!r}"
         ]
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("XPDC_BEAM_INCIDENT_RATE", "-1 /s", "incident rate must be >= 0"),
+            ("XPDC_DETECTOR1_DISTANCE", "0 mm", "detector distance must be > 0"),
+            ("XPDC_SOURCE__LINE__FE_KA__RATE", "-1 /s",
+             "background rate for 'fe_ka' must be >= 0"),
+            ("XPDC_SOURCE__PAIR_RATE", "-1 /s", "pair rate must be >= 0"),
+            ("XPDC_RESPONSE__TIME_JITTER_SIGMA", "-1 ns", "response widths must be >= 0"),
+            ("XPDC_RESPONSE__DEAD_TIME", "-1 ns", "dead time must be >= 0"),
+            ("XPDC_RUN_SEED", "18446744073709551616", "seed must fit in 64 bits"),
+            ("XPDC_RUN_SEED", "-1", "seed must fit in 64 bits"),
+            ("XPDC_CHAIN_TABLE", "11000:0.5", "table model needs at least two points"),
+            ("XPDC_CHAIN_TABLE", "11000:0.5,5000:0.6", "table energies must be ascending"),
+            ("XPDC_CHAIN_TABLE", "5000:0.5,11000:1.5", "table efficiencies must be in (0, 1]"),
+            ("XPDC_CRYSTAL_RATE_SCALE", "1 mdeg",
+             "crystal.rate_scale: expected a bare number, got '1 mdeg'"),
+            ("XPDC_SOURCE_SPLIT_WINDOW", "0.6,0.4",
+             "source.split_window: window must satisfy 0 < lo < hi < 1"),
+        ],
+    )
+    def test_refused_value_is_one_line_config_error(
+        self, monkeypatch, capsys, name, value, message
+    ):
+        if name == "XPDC_CHAIN_TABLE":  # the table is read only by the table model
+            monkeypatch.setenv("XPDC_CHAIN_MODEL", "table")
+        monkeypatch.setenv(name, value)
+        assert main(["plan"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
 
     @pytest.mark.parametrize("tick", ["5 s", "4294967296 ns"])
     def test_clock_tick_past_the_header_field_is_config_error_before_sampling(
@@ -1305,7 +1366,7 @@ def test_simulate_loads_neither_analysis_nor_dataclasses(tmp_path, short_config)
 PACKAGE_NAMES = [
     "BeamConfig", "ChainEfficiencyModel", "CrystalConfig", "DetectorGeometry",
     "PhaseMatchingError", "PhysicsError", "ReflectionUnreachableError", "bragg_angle",
-    "detection_chain_efficiency", "emission_angles", "polarization_suppression",
+    "emission_angles", "polarization_suppression",
     "BeamCurrentProfile", "ConfigError", "DetectorResponse", "ExperimentModel",
     "GaussianLine", "RunConfig", "RunManifest", "SourceModel", "Stream",
     "landing_acceptance", "simulate_run",

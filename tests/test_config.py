@@ -8,7 +8,6 @@ from xpdc.config import (
     build_run_config,
     canonical_text,
     config_hash,
-    default_config_text,
     default_settings,
     env_overrides,
     load_config_file,
@@ -177,6 +176,6 @@ class TestCanonicalHash:
 class TestDefaultConfigText:
     def test_round_trips_through_parser(self, tmp_path):
         path = tmp_path / "default.cfg"
-        path.write_text(default_config_text())
+        path.write_text(canonical_text(default_settings()))
         parsed = load_config_file(str(path))
         assert config_hash(merge_settings(parsed)) == config_hash(default_settings())

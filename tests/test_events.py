@@ -36,7 +36,7 @@ from xpdc.events import (
     thread_map,
 )
 from xpdc.listmode import EVENT_DTYPE, merge_streams, write_events_csv
-from xpdc.physics import DetectorGeometry, PhysicsError, emission_angles
+from xpdc.physics import MDEG, DetectorGeometry, PhysicsError, emission_angles
 
 
 def reference_run(**overrides) -> RunConfig:
@@ -160,6 +160,38 @@ class TestLandingAcceptance:
         pairs = _sample_pair_batch(np.random.default_rng(8), exp, np.zeros(n))
         for p, landed in zip(landing_acceptance(exp), ("signal_landed", "idler_landed")):
             assert abs(np.mean(pairs[landed]) - p) < 3 * math.sqrt(p * (1 - p) / n)
+
+    def test_split_window_is_the_plain_formula_wherever_its_squares_are_finite(self):
+        # The bounds with plain squares of angle / r0, None where a square
+        # overflows or r0 is 0: there the cone is too thin to reach past the
+        # band, which is the window.
+        def plain(exp):
+            lo, hi = band = (5000.0 / 22000.0, 17000.0 / 22000.0)
+            r0 = exp.degenerate_offset()
+            (c1, h1), (c2, h2) = (
+                (d.center_angle_offset_rad, d.half_extent_rad) for d in exp.positioned_detectors()
+            )
+            try:
+                lo = max(lo, 1.0 / (1.0 + ((c1 + h1) / r0) ** 2))
+                if c1 - h1 > 0:
+                    hi = min(hi, 1.0 / (1.0 + ((c1 - h1) / r0) ** 2))
+                if c2 - h2 > 0:
+                    q = ((c2 - h2) / r0) ** 2
+                    lo = max(lo, q / (1.0 + q))
+                q = ((c2 + h2) / r0) ** 2
+                hi = min(hi, q / (1.0 + q))
+            except (OverflowError, ZeroDivisionError):
+                return None
+            return (lo, hi) if lo < hi else band
+
+        overflowed = 0
+        for detuning in [5e-324, *np.geomspace(1e-320, 0.05 * MDEG, 200), 10 * MDEG]:
+            exp = reference_run(**{"crystal.detuning": f"{float(detuning)!r} rad"}).experiment
+            expected = plain(exp)
+            overflowed += expected is None
+            assert exp.split_window() == (expected or (5000.0 / 22000.0, 17000.0 / 22000.0))
+            assert all(0 < p <= 1 for p in landing_acceptance(exp))
+        assert 0 < overflowed < 200
 
     def test_a_simulated_run_lands_the_pair_value(self):
         settings = quiet_settings(**{"source.pair_rate": f"{18900 * 100} /hr"})

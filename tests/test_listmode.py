@@ -668,7 +668,6 @@ class TestFileMode:
         write_manifest(path, {"seed": 1})
         assert read_manifest(path) == {"seed": "1"} and os.listdir(tmp_path) == ["m.txt"]
 
-    @pytest.mark.filterwarnings("ignore:excluding non-positive rate")
     @pytest.mark.parametrize("umask", [0o022, 0o077])
     def test_command_line_outputs_follow_umask(self, tmp_path, umask):
         config = tmp_path / "quiet.cfg"

@@ -17,7 +17,6 @@ from xpdc.physics import (
     PhysicsError,
     ReflectionUnreachableError,
     bragg_angle,
-    detection_chain_efficiency,
     emission_angles,
     polarization_suppression,
 )
@@ -215,11 +214,11 @@ class TestPolarizationSuppression:
 class TestDetectionChain:
     def test_default_pair_survival(self):
         chain = ChainEfficiencyModel()
-        assert detection_chain_efficiency(11000.0, 11000.0, chain) == pytest.approx(0.18)
+        assert chain.photon_efficiency(11000.0) ** 2 == pytest.approx(0.18)
 
     def test_ideal(self):
         chain = ChainEfficiencyModel(model="ideal")
-        assert detection_chain_efficiency(6000.0, 16000.0, chain) == 1.0
+        assert chain.photon_efficiency(6000.0) * chain.photon_efficiency(16000.0) == 1.0
 
     def test_table_interpolation_and_monotonicity(self):
         table = ((5000.0, 0.30), (11000.0, 0.42), (17000.0, 0.50))
@@ -231,21 +230,13 @@ class TestDetectionChain:
         effs = [chain.photon_efficiency(e) for e in energies]
         assert all(b >= a for a, b in zip(effs, effs[1:]))
         assert np.array_equal(chain.photon_efficiency(energies), effs)
-        pair = detection_chain_efficiency(8000.0, 14000.0, chain)
-        assert pair == pytest.approx(0.36 * chain.photon_efficiency(14000.0))
+        assert chain.photon_efficiency(14000.0) == pytest.approx(0.46)
 
     def test_decreasing_table_rejected(self):
         with pytest.raises(PhysicsError):
             ChainEfficiencyModel(
                 model="table", table=((5000.0, 0.5), (17000.0, 0.3))
             )
-
-    def test_energy_bounds(self):
-        chain = ChainEfficiencyModel()
-        with pytest.raises(PhysicsError):
-            detection_chain_efficiency(0.0, 11000.0, chain)
-        with pytest.raises(PhysicsError):
-            detection_chain_efficiency(11000.0, 23000.0, chain)
 
 
 class TestApproxVsExactProperty:
