@@ -195,50 +195,32 @@ def _number(text: str) -> float:
         return math.nan
 
 
-def _duration_and_current(args) -> tuple[float | None, float]:
-    """Run duration (s) and mean beam current of the file to analyze.
-
-    A flag wins; what is not given comes from the manifest (--manifest,
-    else a manifest.txt beside the events), else the duration is None
-    (the stream span is used) and the current 1.  Every value must be
-    finite and > 0: a bad flag is a usage error, a bad manifest value a
-    data error.
-    """
-    values = {"duration_s": args.duration, "mean_current": args.mean_current}
-    for key, flag in (("duration_s", "--duration"), ("mean_current", "--mean-current")):
-        if values[key] is not None and not 0 < values[key] < math.inf:
-            raise ConfigError(f"{flag} must be finite and > 0")
-    path = args.manifest
-    if path is None:
-        sibling = os.path.join(os.path.dirname(os.path.abspath(args.events)), "manifest.txt")
-        path = sibling if os.path.exists(sibling) else None
-    if path and None in values.values():
-        manifest = listmode.read_manifest(path)
-        for key in values:
-            if values[key] is not None or key not in manifest:
-                continue
-            values[key] = _number(manifest[key])
-            if not 0 < values[key] < math.inf:
-                raise ListModeFormatError(
-                    f"{key} = {manifest[key]!r} in {path} is not a finite number > 0"
-                )
-    if values["mean_current"] is None:
-        values["mean_current"] = 1.0
-    return values["duration_s"], values["mean_current"]
+def _duration_and_current(events_path: str) -> tuple[float, float, str | None]:
+    """Run duration (s), mean beam current and config hash (None if not
+    given) of a list-mode file, from the manifest.txt beside it; a value
+    missing, or not finite and > 0, is a data error."""
+    path = os.path.join(os.path.dirname(events_path), "manifest.txt")
+    manifest = listmode.read_manifest(path)
+    for key in ("duration_s", "mean_current"):
+        if key not in manifest:
+            raise ListModeFormatError(f"no {key} in {path}")
+        if not 0 < _number(manifest[key]) < math.inf:
+            raise ListModeFormatError(
+                f"{key} = {manifest[key]!r} in {path} is not a finite number > 0"
+            )
+    duration_s, mean_current = float(manifest["duration_s"]), float(manifest["mean_current"])
+    return duration_s, mean_current, manifest.get("config_hash")
 
 
 def cmd_analyze(args) -> int:
     from . import analysis
 
     criteria, roi = _analysis(args)
-    duration_s, mean_current = _duration_and_current(args)
-    (stream1, stream2), _ = listmode.read_streams(args.events, detector_count=2)
-    if duration_s is None:
-        last = [float(s.timestamp_ns[-1]) for s in (stream1, stream2) if len(s)]
-        duration_s = max(max(last, default=0.0) / 1e9, 1e-9)
-        print(
-            f"warning: no manifest/duration given; using stream span {duration_s:.3f} s",
-            file=sys.stderr,
+    duration_s, mean_current, digest = _duration_and_current(args.events)
+    (stream1, stream2), header = listmode.read_streams(args.events, detector_count=2)
+    if digest not in (None, f"{header.config_hash:016x}"):  # as simulate writes it
+        raise ListModeFormatError(
+            f"{args.events} has config_hash {header.config_hash:016x}, its manifest {digest}"
         )
     result = analysis.analyze(
         stream1, stream2, criteria, duration_s, mean_current, roi, args.exclusive
@@ -416,11 +398,6 @@ def build_parser() -> _Parser:
         "analyze", parents=[out], help="coincidence analysis of a list-mode file"
     )
     p_analyze.add_argument("events", help="list-mode event file")
-    p_analyze.add_argument("--manifest", help="manifest for duration/current")
-    p_analyze.add_argument("--duration", type=float, help="run duration, s")
-    p_analyze.add_argument(
-        "--mean-current", type=float, help="mean relative beam current (default 1)"
-    )
     _add_criteria_args(p_analyze)
 
     p_scan = sub.add_parser(

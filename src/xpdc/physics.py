@@ -127,8 +127,8 @@ class BeamConfig(_Frozen):
     ):
         if pump_energy_ev <= 0:
             raise PhysicsError("pump energy must be > 0")
-        if incident_rate_per_s < 0:
-            raise PhysicsError("incident rate must be >= 0")
+        if incident_rate_per_s <= 0:
+            raise PhysicsError("incident rate must be > 0")
         if bandwidth_fwhm_ev < 0:
             raise PhysicsError("bandwidth must be >= 0")
         self._set(pump_energy_ev, bandwidth_fwhm_ev, incident_rate_per_s, polarization_angle_rad)
@@ -267,11 +267,10 @@ class ChainEfficiencyModel(_Frozen):
 
     - "constant": a flat pair survival probability (default 0.18); the
       per-photon probability is its square root.
-    - "ideal": no losses.
     - "table": per-photon survival vs energy, linearly interpolated
       between (energy_ev, efficiency) points supplied by the user; must
       be non-decreasing over 5-17 keV where attenuation falls with
-      energy.  The other models take no table.
+      energy.  The constant model takes no table.
     """
 
     __slots__ = ("model", "pair_efficiency", "table")
@@ -282,7 +281,7 @@ class ChainEfficiencyModel(_Frozen):
         pair_efficiency: float = 0.18,
         table: tuple[tuple[float, float], ...] = (),
     ):
-        if model not in ("constant", "ideal", "table"):
+        if model not in ("constant", "table"):
             raise PhysicsError(f"unknown chain-efficiency model {model!r}")
         if table and model != "table":
             raise PhysicsError(f"an efficiency table needs the table model, not {model!r}")
@@ -310,5 +309,4 @@ class ChainEfficiencyModel(_Frozen):
         if self.model == "table":
             energies, effs = zip(*self.table)
             return np.interp(energy_ev, energies, effs)
-        eta = 1.0 if self.model == "ideal" else math.sqrt(self.pair_efficiency)
-        return np.full(np.shape(energy_ev), eta)[()]
+        return np.full(np.shape(energy_ev), math.sqrt(self.pair_efficiency))[()]

@@ -1,5 +1,7 @@
-"""List-mode files of any records, well formed or not, for the readers' tests."""
+"""List-mode files of any records, well formed or not, for the readers' tests,
+and the manifest that `xpdc analyze` reads beside them."""
 
+import os
 import struct
 
 
@@ -10,3 +12,10 @@ def write_records(path, records, header):
                        header.config_hash)
     with open(path, "wb") as handle:
         handle.write(head + records.tobytes())
+
+
+def write_manifest_beside(directory):
+    """The two-line manifest.txt that `xpdc analyze` reads beside a list-mode
+    file: a 1 s run at mean current 1."""
+    with open(os.path.join(directory, "manifest.txt"), "w") as handle:
+        handle.write("duration_s = 1\nmean_current = 1\n")

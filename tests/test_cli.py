@@ -4,6 +4,7 @@ import ast
 import hashlib
 import importlib
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -11,6 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from listmode_files import write_manifest_beside
 
 import xpdc
 from xpdc import events, listmode
@@ -390,11 +392,13 @@ class TestAnalyze:
         assert main(["analyze", str(tmp_path / "nope.xpdc")]) == 1
 
     def test_corrupt_file_is_data_error(self, tmp_path):
+        write_manifest_beside(tmp_path)
         path = tmp_path / "corrupt.xpdc"
         path.write_bytes(b"XPDC" + bytes(20))
         assert main(["analyze", str(path)]) == 2
 
     def test_file_shorter_than_its_header_is_data_error(self, tmp_path, capsys):
+        write_manifest_beside(tmp_path)
         path = tmp_path / "short.xpdc"
         path.write_bytes(b"XPDC\x01")
         assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 2
@@ -409,64 +413,34 @@ class TestAnalyze:
         assert main(["analyze", str(path), *flags, "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.splitlines()[0].startswith(f"error: {message}")
 
-    @pytest.mark.parametrize("duration", ["-5", "nan", "0", "inf"])
-    def test_nonpositive_duration_is_usage_error_before_reading(
-        self, tmp_path, capsys, duration
-    ):
-        path = tmp_path / "corrupt.xpdc"
-        path.write_bytes(b"XPDC" + bytes(20))
-        assert main(["analyze", str(path), "--duration", duration, "--out", str(tmp_path)]) == 1
-        assert capsys.readouterr().err.splitlines() == ["error: --duration must be finite and > 0"]
-
-    @pytest.mark.parametrize("current", ["0", "-1", "nan", "inf"])
-    def test_bad_mean_current_is_usage_error_before_reading(
-        self, tmp_path, capsys, current
-    ):
-        path = tmp_path / "corrupt.xpdc"
-        path.write_bytes(b"XPDC" + bytes(20))
-        argv = ["analyze", str(path), "--duration", "10", "--mean-current", current]
-        assert main([*argv, "--out", str(tmp_path)]) == 1
-        assert capsys.readouterr().err.splitlines() == [
-            "error: --mean-current must be finite and > 0"
-        ]
-
-    @pytest.mark.parametrize(
-        "flags, duration, current",
-        [
-            ([], 30.0, 1.0),  # the sibling manifest
-            (["--mean-current", "0.5"], 30.0, 0.5),
-            (["--manifest", "M"], 20.0, 0.8),
-            (["--manifest", "M", "--duration", "10"], 10.0, 0.8),
-            (["--manifest", "M", "--mean-current", "0.5"], 20.0, 0.5),
-            (["--duration", "10", "--mean-current", "0.5"], 10.0, 0.5),
-        ],
-    )
-    def test_flags_win_over_the_manifest(
-        self, short_config, tmp_path, flags, duration, current
+    def test_duration_and_current_come_from_the_manifest_beside_the_events(
+        self, short_config, tmp_path
     ):
         out = str(tmp_path / "run")
         assert main(["simulate", "--config", short_config, "--out", out]) == 0
-        manifest = tmp_path / "other-manifest.txt"
-        manifest.write_text("duration_s = 20.0\nmean_current = 0.8\n")
-        flags = [str(manifest) if flag == "M" else flag for flag in flags]
-        assert main(["analyze", os.path.join(out, "events.xpdc"), *flags, "--out", out]) == 0
+        manifest = os.path.join(out, "manifest.txt")
+        entries = {**read_manifest(manifest), "duration_s": "20.0", "mean_current": "0.8"}
+        listmode.write_manifest(manifest, entries)
+        assert main(["analyze", os.path.join(out, "events.xpdc"), "--out", out]) == 0
         report = read_manifest(os.path.join(out, "analysis_report.txt"))
-        assert (float(report["duration_s"]), float(report["mean_current"])) == (
-            duration, current
-        )
+        assert (float(report["duration_s"]), float(report["mean_current"])) == (20.0, 0.8)
 
-    def test_without_manifest_the_duration_is_the_stream_span(
+    def test_without_manifest_is_one_line_exit_1_before_reading(
         self, short_config, tmp_path, capsys
     ):
         out = str(tmp_path / "run")
         assert main(["simulate", "--config", short_config, "--out", out]) == 0
-        os.remove(os.path.join(out, "manifest.txt"))
+        manifest = os.path.join(out, "manifest.txt")
+        os.remove(manifest)
         path = os.path.join(out, "events.xpdc")
-        assert main(["analyze", path, "--out", out]) == 0
-        assert "using stream span" in capsys.readouterr().err
-        report = read_manifest(os.path.join(out, "analysis_report.txt"))
-        span = float(read_listmode(path)[0]["timestamp_ns"].max()) / 1e9
-        assert 29.9 < span < 30.0 and float(report["duration_s"]) == span
+        with open(path, "r+b") as handle:  # a data error, were it read
+            handle.truncate(os.path.getsize(path) - 3)
+        capsys.readouterr()
+        assert main(["analyze", path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and manifest in err[0]
+        assert not os.path.exists(tmp_path / "out")
+        assert not os.path.exists(os.path.join(out, "analysis_report.txt"))
 
     @pytest.mark.parametrize("key", ["duration_s", "mean_current"])
     @pytest.mark.parametrize("value", ["0", "-1", "abc", "inf", "nan", ""])
@@ -484,14 +458,62 @@ class TestAnalyze:
         assert len(err) == 1 and err[0].startswith(f"error: {key} = {value!r} in ")
         assert not os.path.exists(os.path.join(out, "analysis_report.txt"))
 
-    def test_flag_overrides_a_bad_manifest_value(self, short_config, tmp_path):
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"duration_s": None}, "no duration_s in {manifest}"),
+            ({"mean_current": None}, "no mean_current in {manifest}"),
+            ({"config_hash": "not-hex"}, "{events} has config_hash {digest}, its manifest not-hex"),
+        ],
+        ids=["no-duration", "no-current", "hash-not-hex"],
+    )
+    def test_manifest_that_does_not_describe_the_file_is_one_line_data_error(
+        self, short_config, tmp_path, capsys, change, message
+    ):
         out = str(tmp_path / "run")
         assert main(["simulate", "--config", short_config, "--out", out]) == 0
-        manifest = tmp_path / "bad-manifest.txt"
-        manifest.write_text("duration_s = 0\nmean_current = abc\n")
-        argv = ["analyze", os.path.join(out, "events.xpdc"), "--manifest", str(manifest)]
-        assert main([*argv, "--duration", "5", "--mean-current", "2", "--out", out]) == 0
-        assert main([*argv, "--duration", "5", "--out", out]) == 2
+        manifest, path = os.path.join(out, "manifest.txt"), os.path.join(out, "events.xpdc")
+        entries = read_manifest(manifest)
+        digest = entries["config_hash"]
+        entries.update(change)
+        listmode.write_manifest(manifest, {k: v for k, v in entries.items() if v is not None})
+        capsys.readouterr()
+        assert main(["analyze", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: " + message.format(manifest=manifest, events=path, digest=digest)
+        ]
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_events_of_another_run_are_refused_by_config_hash(
+        self, short_config, quiet_config, tmp_path, capsys
+    ):
+        # Run b's pairs over run a's duration would give a rate off by
+        # the ratio of the two durations.
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        assert main(["simulate", "--config", short_config, "--out", a]) == 0
+        assert main(["simulate", "--config", quiet_config, "--out", b]) == 0
+        shutil.copyfile(os.path.join(b, "events.xpdc"), os.path.join(a, "events.xpdc"))
+        capsys.readouterr()
+        assert main(["analyze", os.path.join(a, "events.xpdc"), "--out", a]) == 2
+        err = capsys.readouterr().err.splitlines()
+        hashes = [read_manifest(os.path.join(run, "manifest.txt"))["config_hash"]
+                  for run in (b, a)]
+        assert len(err) == 1 and all(digest in err[0] for digest in hashes)
+        assert not os.path.exists(os.path.join(a, "analysis_report.txt"))
+
+    def test_manifest_without_config_hash_is_accepted(self, short_config, tmp_path):
+        out = str(tmp_path / "run")
+        assert main(["simulate", "--config", short_config, "--out", out]) == 0
+        path = os.path.join(out, "events.xpdc")
+        assert main(["analyze", path, "--out", str(tmp_path / "with")]) == 0
+        manifest = os.path.join(out, "manifest.txt")
+        entries = read_manifest(manifest)
+        del entries["config_hash"]
+        listmode.write_manifest(manifest, entries)
+        assert main(["analyze", path, "--out", str(tmp_path / "without")]) == 0
+        for name in ("analysis_report.txt", "correlation_map.csv"):
+            assert (tmp_path / "with" / name).read_bytes() == (
+                tmp_path / "without" / name).read_bytes()
 
     @pytest.mark.parametrize(
         "window", [[], ["--e-min", "0", "--e-max", "100"]], ids=["window-cuts", "window-keeps-all"]
@@ -553,9 +575,10 @@ class TestAnalyze:
                   for n in (65535, 2_200_000))
         path = str(tmp_path / "dense.xpdc")
         write_listmode(path, (s1, s2), ListModeHeader(20, 2, 0))
+        write_manifest_beside(tmp_path)
         del s1, s2
         proc = run_in_subprocess(
-            ["-m", "xpdc.cli", "analyze", path, "--duration", "1", "--horizon", "10000000000",
+            ["-m", "xpdc.cli", "analyze", path, "--horizon", "10000000000",
              "--dt-bin", "1000000000", "--out", str(tmp_path / "out")]
         )
         assert (proc.returncode, proc.stdout) == (1, "")
@@ -942,6 +965,11 @@ class TestReport:
             f"{tmp_path / 'analysis_report.txt'} is not a finite number"
         ]
 
+    def test_zero_incident_rate_is_one_line_config_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("XPDC_BEAM_INCIDENT_RATE", "0 /s")
+        assert main(["report", "--net-rate", "130"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: incident rate must be > 0"]
+
     def test_net_rate_that_overflows_is_one_line_data_error(self, capsys):
         assert main(["report", "--net-rate", "1e308", "--acceptance", "0.5"]) == 2
         assert capsys.readouterr().err.splitlines() == [
@@ -996,7 +1024,8 @@ class TestEnvironmentOverrides:
     @pytest.mark.parametrize(
         "name, value, message",
         [
-            ("XPDC_BEAM_INCIDENT_RATE", "-1 /s", "incident rate must be >= 0"),
+            ("XPDC_BEAM_INCIDENT_RATE", "-1 /s", "incident rate must be > 0"),
+            ("XPDC_BEAM_INCIDENT_RATE", "0 /s", "incident rate must be > 0"),
             ("XPDC_DETECTOR1_DISTANCE", "0 mm", "detector distance must be > 0"),
             ("XPDC_SOURCE__LINE__FE_KA__RATE", "-1 /s",
              "background rate for 'fe_ka' must be >= 0"),
@@ -1233,7 +1262,7 @@ def test_os_error_is_one_line_exit_1(tmp_path, capsys, argv):
     "argv, path, code",
     [
         (["plan", "--config", "{text}"], "{text}", 1),
-        (["analyze", "{events}", "--manifest", "{events}"], "{events}", 2),
+        (["analyze", "{events}"], "{manifest}", 2),
         (["report", "--analysis", "{dir}"], "{text}", 2),
     ],
     ids=["config", "manifest", "analysis-report"],
@@ -1241,8 +1270,9 @@ def test_os_error_is_one_line_exit_1(tmp_path, capsys, argv):
 def test_undecodable_text_is_one_line_naming_the_file(tmp_path, capsys, argv, path, code):
     # A 0xff byte is never UTF-8; the list-mode header holds eight of them.
     paths = {"dir": tmp_path, "text": tmp_path / "analysis_report.txt",
-             "events": tmp_path / "events.xpdc"}
+             "events": tmp_path / "events.xpdc", "manifest": tmp_path / "manifest.txt"}
     paths["text"].write_bytes(b"net_rate_per_hr = 1\xff\n")
+    paths["manifest"].write_bytes(b"duration_s = 1\xff\n")
     write_listmode(str(paths["events"]), (Stream([0], [11000]), Stream([5], [11000])),
                    ListModeHeader(20, 2, 2**64 - 1))
     assert main([arg.format(**paths) for arg in argv]) == code

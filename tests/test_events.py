@@ -86,7 +86,7 @@ class TestSamplePair:
 
     def test_full_acceptance_ideal_chain_always_both(self):
         settings = quiet_settings()
-        settings["chain.model"] = "ideal"
+        settings["chain.pair_efficiency"] = "1"
         settings["detector1.area"] = "1e9 mm2"
         settings["detector2.area"] = "1e9 mm2"
         run = build_run_config(settings)

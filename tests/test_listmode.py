@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from listmode_files import write_records
+from listmode_files import write_manifest_beside, write_records
 
 from xpdc import events as events_module, listmode
 from xpdc.cli import main
@@ -199,8 +199,9 @@ class TestValidation:
         for read in (read_listmode, read_streams):
             with pytest.raises(ListModeFormatError, match=message):
                 read(path)
+        write_manifest_beside(tmp_path)
         capsys.readouterr()
-        assert main(["analyze", path, "--duration", "1", "--out", str(tmp_path / "o")]) == 2
+        assert main(["analyze", path, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 

@@ -217,7 +217,10 @@ class TestDetectionChain:
         assert chain.photon_efficiency(11000.0) ** 2 == pytest.approx(0.18)
 
     def test_ideal(self):
-        chain = ChainEfficiencyModel(model="ideal")
+        # No-loss chains are the constant model at pair efficiency 1.
+        with pytest.raises(PhysicsError, match="unknown chain-efficiency model 'ideal'"):
+            ChainEfficiencyModel(model="ideal")
+        chain = ChainEfficiencyModel(pair_efficiency=1.0)
         assert chain.photon_efficiency(6000.0) * chain.photon_efficiency(16000.0) == 1.0
 
     def test_table_interpolation_and_monotonicity(self):

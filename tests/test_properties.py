@@ -1,9 +1,10 @@
 """Property tests: the config parser and the list-mode reader on generated
 input either return or raise their own error type; `xpdc analyze` with
-any manifest text reports or exits 2, and with flags from small ranges
-exits 1 with one `error: ` line exactly when CoincidenceCriteria or
-check_settings refuses them, else 0 or 2; split, candidate cut and pairing,
-whole and in blocks of 1-3 events, equal a record-by-record reference;
+any manifest text beside its file reports or exits 2, and with flags
+from small ranges exits 1 with one `error: ` line exactly when
+CoincidenceCriteria or check_settings refuses them, else 0 or 2; split,
+candidate cut and pairing, whole and in blocks of 1-3 events, equal a
+record-by-record reference;
 correlation-map counts equal np.histogram2d over the same edges;
 CSV rendering in blocks equals rendering the rows one by one; merging
 Streams in blocks of 1-3 events equals one stable sort; the candidate
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from listmode_files import write_records
+from listmode_files import write_manifest_beside, write_records
 
 from xpdc import analysis, listmode
 from xpdc.analysis import (
@@ -171,7 +172,7 @@ MANIFEST_TEXTS = st.one_of(
     st.text(max_size=120),
     st.lists(
         st.tuples(
-            st.sampled_from(["duration_s", "mean_current", "seed"]),
+            st.sampled_from(["duration_s", "mean_current", "config_hash", "seed"]),
             st.one_of(NUMBERS, st.text(max_size=8)),
         ),
         max_size=4,
@@ -195,13 +196,12 @@ def paired_events(scratch):
 @PROPERTY
 @given(text=MANIFEST_TEXTS)
 def test_analyze_with_any_manifest_reports_or_exits_2(scratch, paired_events, text):
-    manifest = scratch / "any-manifest.txt"
-    manifest.write_text(text, encoding="utf-8")
+    (scratch / "manifest.txt").write_text(text, encoding="utf-8")  # beside paired_events
     out = scratch / "analysis"
     report = out / "analysis_report.txt"
     if report.exists():
         report.unlink()
-    code = main(["analyze", paired_events, "--manifest", str(manifest), "--out", str(out)])
+    code = main(["analyze", paired_events, "--out", str(out)])
     assert code in (0, 2)
     if code == 0:
         values = read_manifest(str(report))
@@ -276,7 +276,8 @@ def test_analyze_flags_are_refused_exactly_when_the_analysis_refuses_them(
 ):
     out = scratch / "flags"
     shutil.rmtree(out, ignore_errors=True)
-    argv = ["analyze", paired_events, "--duration", "1", "--out", str(out)]
+    write_manifest_beside(scratch)
+    argv = ["analyze", paired_events, "--out", str(out)]
     argv += [flag if value is None else f"{flag}={value}" for flag, value in flags.items()]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
