@@ -114,6 +114,9 @@ DEAD_FLAGS = [
     ("analyze", ["--config", "x.cfg"]),
     ("analyze", ["--seed", "99"]),
     ("analyze", ["--csv"]),
+    ("analyze", ["--duration", "10"]),  # the manifest beside the events holds these
+    ("analyze", ["--mean-current", "1"]),
+    ("analyze", ["--manifest", "manifest.txt"]),
     ("scan", ["--seed", "99"]),
     ("scan", ["--csv"]),
     ("report", ["--seed", "99"]),
@@ -457,6 +460,26 @@ class TestAnalyze:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {key} = {value!r} in ")
         assert not os.path.exists(os.path.join(out, "analysis_report.txt"))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("duration_s", v) for v in ("-5", "nan", "0", "inf")]
+        + [("mean_current", v) for v in ("0", "-1", "nan", "inf")],
+    )
+    def test_bad_manifest_value_is_refused_before_reading(
+        self, tmp_path, capsys, key, value
+    ):
+        write_manifest_beside(tmp_path)
+        manifest = tmp_path / "manifest.txt"
+        entries = {**read_manifest(str(manifest)), key: value}
+        manifest.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+        path = tmp_path / "corrupt.xpdc"  # a data error, were it read
+        path.write_bytes(b"XPDC" + bytes(20))
+        assert main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {key} = {value!r} in {manifest} is not a finite number > 0"
+        ]
+        assert not os.path.exists(tmp_path / "out")
 
     @pytest.mark.parametrize(
         "change, message",
